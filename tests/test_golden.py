@@ -1,0 +1,61 @@
+"""Golden output pins: sha256 of the CSV per preset and of one event trace.
+
+The determinism tests elsewhere compare runs with each other, so a change
+that shifted every number consistently would pass them.  These digests pin
+the bytes themselves.  Each config is a shortened version of its preset
+study on both RATs; scenario1 averages three replications, which pins the
+summation order of the replication mean and the delay std-dev.
+
+A refactor must leave every digest unchanged.  A change that alters output
+on purpose updates the digests in the same commit and says why.  The
+digests depend on the platform's libm (exp, log10, log2), so they are
+checked on CPython on x86-64 Linux.
+"""
+
+import hashlib
+
+import pytest
+
+from sitelink.config import parse_config
+from sitelink.metrics import export_csv
+from sitelink.runner import run_scenario, run_single
+
+SHORT = "rats=lte,nr\nduration_s=1.5\nwarmup_s=0.5\ndrain_max_s=1\n"
+
+GOLDEN_CSV = {
+    "scenario1": (
+        "preset=scenario1\nsweep=4,16\nreplications=3\n",
+        "320e7449a9ce438db803221fc8369980d1e66d087077d36579c486404558347d"),
+    "scenario2": (
+        "preset=scenario2\nsweep=1,6\nreplications=2\n",
+        "285d4ef902dace06f4164030d8a59dcfd2b608075a19a30321317813f3986cb8"),
+    "scenario3": (
+        "preset=scenario3\nsweep=0,45,60\nreplications=2\n",
+        "b1a2579e2ecbbd90e1ee7976d05e739671aafc015b10eaf8e735d3021fa20010"),
+}
+
+TRACE_CONFIG = ("preset=custom\nsweep_variable=speed_kmh\nsweep=50\n"
+                "ue_count=3\nduration_s=0.6\nwarmup_s=0.1\ndrain_max_s=0.5\n"
+                "replications=1\nseed_base=7\n")
+GOLDEN_TRACE = (
+    "custom_nr_50_0.trace",
+    "8f9b3334ac68cddcb4b0de82e4885c08c427e8d994c8913be6717cf2133c8985")
+
+
+def _sha256(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("preset", sorted(GOLDEN_CSV))
+def test_preset_csv_digest(preset, tmp_path):
+    text, digest = GOLDEN_CSV[preset]
+    cfg = parse_config(text + SHORT)
+    path = tmp_path / f"{preset}.csv"
+    export_csv(run_scenario(cfg), str(path))
+    assert _sha256(path) == digest, path.read_text()
+
+
+def test_trace_digest(tmp_path):
+    name, digest = GOLDEN_TRACE
+    run_single(parse_config(TRACE_CONFIG), "nr", 0, 0, trace_dir=str(tmp_path))
+    assert _sha256(tmp_path / name) == digest
