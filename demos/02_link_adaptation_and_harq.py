@@ -11,8 +11,8 @@ import math
 
 import numpy as np
 
-from sitelink import (HarqProcess, LinkAdaptation, Packet, achievable_rate_bps,
-                      bler, harq_transmit, rng_stream)
+from sitelink import (HarqProcess, LinkAdaptation, achievable_rate_bps, bler,
+                      harq_transmit, rng_stream)
 
 # ---------------------------------------------------------------------------
 # 1. Truncated Shannon: capacity grows with SNR until the efficiency ceiling
@@ -52,8 +52,8 @@ for p in (0.1, 0.3, 0.5, 0.7):
     snr = 3.0 + math.log((1 - p) / p)     # invert the logistic
     delivered = 0
     attempts = 0
-    for i in range(trials):
-        out = harq_transmit(Packet(0, i, 1250, 0.0), snr, harq, rng)
+    for _ in range(trials):
+        out = harq_transmit(snr, harq, rng)
         delivered += out.delivered
         attempts += out.attempts
     print(f"  {p:5.1f} {delivered / trials:11.4f} {1 - p ** 4:10.4f}"
@@ -66,9 +66,7 @@ for p in (0.1, 0.3, 0.5, 0.7):
 gain = HarqProcess(max_retx=3, combining_gain_db=2.0, rtt_s=0.008)
 rng2 = rng_stream("harq-demo-gain", 1)
 snr = 2.0                                  # first attempt fails 73% of the time
-delivered = sum(
-    harq_transmit(Packet(0, i, 1250, 0.0), snr, gain, rng2).delivered
-    for i in range(trials))
+delivered = sum(harq_transmit(snr, gain, rng2).delivered for _ in range(trials))
 analytic = 1.0 - np.prod([bler(snr + k * 2.0) for k in range(4)])
 print(f"\nWith 2 dB combining gain at snr {snr} dB: "
       f"simulated {delivered / trials:.4f}, analytic {analytic:.4f}")

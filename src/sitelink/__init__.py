@@ -9,17 +9,16 @@ the machine speed vary.
 from .channel import (ChannelSample, MmWavePathLossParams, OutOfCoverageError,
                       RadioConfig, Rat, earfcn_to_freq_mhz, friis_rx_power,
                       mmwave_pathloss_db, noise_power_dbm,
-                      nr_arfcn_to_freq_mhz, nr_outage_probability, snr_db,
-                      velocity_penalty_db)
+                      nr_arfcn_to_freq_mhz, nr_outage_probability, snr_db)
 from .config import (ConfigError, ScenarioConfig, default_config,
                      parse_config, render_config, validate_config)
 from .engine import (RngStream, SchedulingInPastError, SimEvent, Simulator,
                      rng_stream)
 from .metrics import (FlowStats, RunResult, aggregate_replications,
                       export_csv, finalize)
-from .mobility import MobilityState, distance_m, position_at
-from .phymac import (HarqOutcome, HarqProcess, LinkAdaptation, Numerology,
-                     SchedulerState, achievable_rate_bps, bler, harq_transmit,
+from .mobility import MobilityState, position_at
+from .phymac import (HarqOutcome, HarqProcess, LinkAdaptation, SchedulerState,
+                     achievable_rate_bps, bler, harq_transmit,
                      nr_slot_schedule, pf_schedule, slot_duration_s)
 from .runner import (SimulationError, derive_run_seed, run_metadata,
                      run_scenario, run_single)

@@ -1,10 +1,10 @@
-"""Radio channel: frequency raster, propagation loss, noise, SNR, mobility penalty.
+"""Radio channel: frequency raster, propagation loss, noise, SNR, outage probability.
 
 LTE links use free-space (Friis) propagation on the Band 1 uplink carrier.
 The mmWave link uses a statistical line-of-sight model, PL = alpha +
 10*beta*log10(d) + X, with log-normal shadowing X and a hard coverage limit,
-plus an empirical beam-tracking outage model that degrades the link as UE
-speed grows.
+plus the probability of the empirical beam-tracking outage that degrades the
+link as UE speed grows.
 """
 
 from __future__ import annotations
@@ -13,8 +13,6 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
-
-from .engine import RngStream
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s
 
@@ -219,21 +217,3 @@ def nr_outage_probability(speed_kmh: float, v_mid_kmh: float = 45.0,
     if x > 700.0:
         return 0.0
     return 1.0 / (1.0 + math.exp(x))
-
-
-def velocity_penalty_db(rat: Rat, speed_kmh: float, rng: RngStream,
-                        v_mid_kmh: float = 45.0, s_v_kmh: float = 4.0,
-                        outage_penalty_db: float = 80.0,
-                        lte_db_per_kmh: float = 0.02) -> float:
-    """Per-slot mobility penalty.
-
-    NR draws a beam-tracking outage with logistic probability in speed; an
-    outage slot is penalised hard enough that the link is effectively broken.
-    LTE sees only a small deterministic ramp.
-    """
-    if speed_kmh < 0.0:
-        raise ValueError("speed must be >= 0")
-    if rat is Rat.LTE:
-        return lte_db_per_kmh * speed_kmh
-    p = nr_outage_probability(speed_kmh, v_mid_kmh, s_v_kmh)
-    return outage_penalty_db if rng.random() < p else 0.0

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 
@@ -59,6 +60,23 @@ def _load_config(args) -> ScenarioConfig:
     return parse_config(text, overrides)
 
 
+def _write_outputs(results, cfg: ScenarioConfig, out: str, meta: str) -> None:
+    """Write the CSV and its .meta via temp files plus rename, .meta first, so
+    a failed write never leaves a CSV without its metadata."""
+    tmp_out = f"{out}.{os.getpid()}.tmp"
+    tmp_meta = f"{meta}.{os.getpid()}.tmp"
+    try:
+        export_csv(results, tmp_out)
+        with open(tmp_meta, "w") as fh:
+            fh.write(run_metadata(cfg))
+        os.replace(tmp_meta, meta)
+        os.replace(tmp_out, out)
+    finally:
+        for tmp in (tmp_out, tmp_meta):
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(tmp)
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
@@ -94,16 +112,14 @@ def main(argv=None) -> int:
 
     out_dir = os.path.dirname(os.path.abspath(args.out))
     trace_dir = out_dir if args.trace else None
+    meta_path = args.out + ".meta"
     try:
         results = run_scenario(cfg, workers=max(args.workers, 1),
                                trace_dir=trace_dir)
-        export_csv(results, args.out)
+        _write_outputs(results, cfg, args.out, meta_path)
     except (SimulationError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    meta_path = args.out + ".meta"
-    with open(meta_path, "w") as fh:
-        fh.write(run_metadata(cfg))
     print(f"wrote {len(results)} rows to {args.out} (metadata: {meta_path})")
     return 0
 

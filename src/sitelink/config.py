@@ -374,6 +374,9 @@ def validate_config(cfg: ScenarioConfig) -> None:
         errs.append("sweep: must list at least one value")
     elif any(v < 0 for v in cfg.sweep):
         errs.append("sweep: values must be >= 0")
+    dups = sorted({v for v in cfg.sweep if cfg.sweep.count(v) > 1})
+    if dups:
+        errs.append(f"sweep: values must be distinct, repeated {dups}")
     if cfg.sweep_variable == "ue_count" and any(
             v < 1 or v != int(v) for v in cfg.sweep):
         errs.append("sweep: ue_count values must be positive integers")

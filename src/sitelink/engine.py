@@ -52,12 +52,6 @@ class RngStream:
         self.random = self._rng.random
         self.gauss = self._rng.gauss
 
-    def uniform(self, a: float, b: float) -> float:
-        return self._rng.uniform(a, b)
-
-    def normal(self, sigma: float) -> float:
-        return self._rng.gauss(0.0, sigma)
-
     def __repr__(self) -> str:  # pragma: no cover
         return f"RngStream(label={self.label!r}, seed={self.seed})"
 
@@ -79,16 +73,11 @@ class Simulator:
         self._heap: list[tuple[float, int, Callable[[], None], str, str]] = []
         self._now = 0.0
         self._seq = 0
-        self._processed = 0
         self._trace = trace
 
     @property
     def now(self) -> float:
         return self._now
-
-    @property
-    def processed_events(self) -> int:
-        return self._processed
 
     def schedule(self, time: float, action: Callable[[], None],
                  kind: str = "event", detail: str = "") -> int:
@@ -100,10 +89,6 @@ class Simulator:
         self._seq = seq + 1
         heapq.heappush(self._heap, (time, seq, action, kind, detail))
         return seq
-
-    def peek_time(self) -> Optional[float]:
-        """Timestamp of the next pending event, or None when the queue is empty."""
-        return self._heap[0][0] if self._heap else None
 
     def run(self, until: float) -> int:
         """Process every event with time <= until; leaves the clock at *until*."""
@@ -122,7 +107,6 @@ class Simulator:
             action()
             count += 1
         self._now = until
-        self._processed += count
         return count
 
 

@@ -1,17 +1,16 @@
 """Flow statistics, replication averaging, and CSV export.
 
-Throughput, loss rate and mean delay are computed per flow over the measured
-window (warm-up excluded) and summed per run; replications of one sweep point
-are averaged arithmetically with the sample std-dev of the delay retained.
+Throughput, loss rate and mean delay are computed over a run's flows in the
+measured window (warm-up excluded); replications of one sweep point are
+averaged arithmetically with the sample std-dev of the delay retained.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
-
-import numpy as np
 
 from .traffic import DropCause, Packet
 
@@ -53,13 +52,24 @@ class FlowStats:
         return self.tx_packets == self.rx_packets + self.dropped_packets
 
 
-def finalize(stats: FlowStats, duration_s: float):
-    """(throughput_bps, loss_rate, mean_delay_s or None) for one drained flow."""
+def finalize(flows: Iterable[FlowStats], duration_s: float):
+    """(throughput_bps, loss_rate, mean_delay_s or None) over drained flows.
+
+    Throughput is the aggregate of all flows; loss and delay are pooled over
+    every packet of every flow.
+    """
     if duration_s <= 0.0:
         raise ValueError("duration must be > 0")
-    throughput = stats.rx_bytes * 8.0 / duration_s
-    loss = 0.0 if stats.tx_packets == 0 else 1.0 - stats.rx_packets / stats.tx_packets
-    delay = None if stats.rx_packets == 0 else stats.delay_sum_s / stats.rx_packets
+    rx_bytes = tx = rx = 0
+    delay_sum = 0.0
+    for stats in flows:
+        rx_bytes += stats.rx_bytes
+        tx += stats.tx_packets
+        rx += stats.rx_packets
+        delay_sum += stats.delay_sum_s
+    throughput = rx_bytes * 8.0 / duration_s
+    loss = 0.0 if tx == 0 else 1.0 - rx / tx
+    delay = None if rx == 0 else delay_sum / rx
     return throughput, loss, delay
 
 
@@ -84,6 +94,23 @@ class RunResult:
     flows: list[FlowStats] = field(default_factory=list)
 
 
+def _mean(values: Sequence[float]) -> float:
+    # Plain left-to-right sum: the order of the float additions is part of
+    # the CSV bytes.
+    total = 0.0
+    for v in values:
+        total += v
+    return total / len(values)
+
+
+def _sample_stddev(values: Sequence[float]) -> float:
+    m = _mean(values)
+    squares = 0.0
+    for v in values:
+        squares += (v - m) * (v - m)
+    return math.sqrt(squares / (len(values) - 1))
+
+
 def _sweep_key(r: RunResult):
     return (r.scenario, r.rat, r.sweep_variable, r.sweep_value,
             r.ue_count, r.offered_mbps_per_ue, r.speed_kmh)
@@ -99,11 +126,11 @@ def aggregate_replications(results: Sequence[RunResult],
         raise ValueError(f"mixed sweep points in aggregation: {sorted(keys)}")
     ordered = sorted(results, key=lambda r: (r.rep_index if r.rep_index is not None else 0))
     first = ordered[0]
-    throughput = float(np.mean([r.throughput_bps for r in ordered]))
-    loss = float(np.mean([r.loss_rate for r in ordered]))
+    throughput = _mean([r.throughput_bps for r in ordered])
+    loss = _mean([r.loss_rate for r in ordered])
     delays = [r.mean_delay_s for r in ordered if r.mean_delay_s is not None]
-    mean_delay = float(np.mean(delays)) if delays else None
-    stddev = float(np.std(delays, ddof=1)) if len(delays) >= 2 else None
+    mean_delay = _mean(delays) if delays else None
+    stddev = _sample_stddev(delays) if len(delays) >= 2 else None
     return RunResult(
         scenario=first.scenario, rat=first.rat,
         sweep_variable=first.sweep_variable, sweep_value=first.sweep_value,

@@ -46,8 +46,3 @@ def position_at(state: MobilityState, t: float) -> Position:
         return (r, 0.0)
     scale = r / r_naive
     return (px * scale, py * scale)
-
-
-def distance_m(a: Position, b: Position) -> float:
-    """Euclidean distance between two positions."""
-    return math.hypot(a[0] - b[0], a[1] - b[1])

@@ -31,16 +31,6 @@ def slot_duration_s(scs_khz: int) -> float:
 
 
 @dataclass(frozen=True)
-class Numerology:
-    scs_khz: int = 15
-    symbols_per_slot: int = 14
-
-    @property
-    def slot_duration_s(self) -> float:
-        return slot_duration_s(self.scs_khz)
-
-
-@dataclass(frozen=True)
 class LinkAdaptation:
     """Truncated Shannon mapping from SNR to serving rate."""
 
@@ -183,7 +173,7 @@ class HarqOutcome(NamedTuple):
     added_delay_s: float
 
 
-def harq_transmit(packet, snr_db: float, harq: HarqProcess,
+def harq_transmit(snr_db: float, harq: HarqProcess,
                   rng: RngStream) -> HarqOutcome:
     """Run one packet through the HARQ chain at a fixed channel SNR.
 
@@ -198,7 +188,5 @@ def harq_transmit(packet, snr_db: float, harq: HarqProcess,
     for k in range(1, attempts_max + 1):
         p_fail = bler(snr_db + (k - 1) * gain, thr, steep)
         if rng.random() >= p_fail:
-            packet.attempts = k
             return HarqOutcome(True, k, (k - 1) * harq.rtt_s)
-    packet.attempts = attempts_max
     return HarqOutcome(False, attempts_max, harq.max_retx * harq.rtt_s)

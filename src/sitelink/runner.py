@@ -26,11 +26,12 @@ from typing import Optional
 from .channel import nr_outage_probability, snr_db
 from .config import ScenarioConfig, render_config, validate_config
 from .engine import Simulator, format_trace_line, rng_stream
-from .metrics import FlowStats, RunResult, aggregate_replications
+from .metrics import FlowStats, RunResult, aggregate_replications, finalize
 from .mobility import MobilityState, position_at
 from .phymac import (SchedulerState, achievable_rate_bps, harq_transmit,
                      nr_slot_schedule, pf_schedule, slot_duration_s)
-from .traffic import DropCause, FlowQueue, Packet, Sink, VideoStream
+from .traffic import (DropCause, FlowQueue, Packet, Sink, VideoStream,
+                      cbr_grid)
 
 # Sweep points sit this far apart in seed space; within a sweep point the
 # replication seeds are seed_base + replication index.
@@ -43,6 +44,13 @@ class SimulationError(RuntimeError):
 
 def derive_run_seed(seed_base: int, sweep_index: int, rep_index: int) -> int:
     return seed_base + rep_index + SWEEP_SEED_STRIDE * sweep_index
+
+
+def _sweep_label(sweep_value: float) -> str:
+    # The shortest round-trip repr minus a trailing ".0": distinct values
+    # never share a label, and 2.0 still reads "2".
+    text = repr(float(sweep_value))
+    return text[:-2] if text.endswith(".0") else text
 
 
 def _resolve_point(cfg: ScenarioConfig, sweep_value: float):
@@ -65,8 +73,7 @@ def _resolve_point(cfg: ScenarioConfig, sweep_value: float):
 
 class _Ue:
     __slots__ = ("idx", "mob", "queue", "credit_bits", "snr_la_db",
-                 "rate_full_bps", "in_coverage", "stats", "stream", "next_k",
-                 "seq")
+                 "rate_full_bps", "in_coverage", "stats", "stream", "seq")
 
     def __init__(self, idx: int, mob: MobilityState, queue: FlowQueue,
                  stats: FlowStats, stream: VideoStream):
@@ -79,7 +86,6 @@ class _Ue:
         self.in_coverage = True
         self.stats = stats
         self.stream = stream
-        self.next_k = 0
         self.seq = 0
 
 
@@ -166,8 +172,10 @@ class _Run:
             self.slot_running = True
             self.sim.schedule(0.0, self._lte_slot, "slot", "lte")
         for ue in self.ues:
-            if ue.stream.start_s < ue.stream.stop_s:
-                self.sim.schedule(ue.stream.start_s, self._make_arrival(ue),
+            grid = cbr_grid(ue.stream)
+            t_first = next(grid, None)
+            if t_first is not None:
+                self.sim.schedule(t_first, self._make_arrival(ue, grid),
                                   "arrival", f"flow={ue.idx}")
 
     # -- channel ------------------------------------------------------------
@@ -197,15 +205,14 @@ class _Run:
 
     # -- traffic ------------------------------------------------------------
 
-    def _make_arrival(self, ue: _Ue):
-        stream = ue.stream
-        interval = stream.interval_s
+    def _make_arrival(self, ue: _Ue, grid):
+        size = ue.stream.packet_size_bytes
         detail = f"flow={ue.idx}"
         sim = self.sim
 
         def arrival():
             t = sim.now
-            pkt = Packet(ue.idx, ue.seq, stream.packet_size_bytes, t)
+            pkt = Packet(ue.idx, ue.seq, size, t)
             ue.seq += 1
             counted = t >= self.warmup
             if counted:
@@ -216,9 +223,8 @@ class _Run:
                     self._wake_slots(t)
             elif counted:
                 ue.stats.on_dropped(DropCause.QUEUE_OVERFLOW)
-            ue.next_k += 1
-            t_next = stream.start_s + ue.next_k * interval
-            if t_next < stream.stop_s:
+            t_next = next(grid, None)
+            if t_next is not None:
                 sim.schedule(t_next, arrival, "arrival", detail)
 
         return arrival
@@ -248,17 +254,15 @@ class _Run:
             queue.pop()
             self.backlog_pkts -= 1
             ue.credit_bits -= bits
-            outcome = harq_transmit(pkt, snr_tx_db, self.harq, self.harq_rng)
+            outcome = harq_transmit(snr_tx_db, self.harq, self.harq_rng)
             counted = pkt.t_created >= warmup
             if outcome.delivered:
                 self.sink.receive(pkt, slot_end + outcome.added_delay_s
                                   + self.core_s)
                 if counted:
                     stats.on_delivered(pkt)
-            else:
-                pkt.drop_cause = DropCause.HARQ_EXHAUSTED
-                if counted:
-                    stats.on_dropped(DropCause.HARQ_EXHAUSTED)
+            elif counted:
+                stats.on_dropped(DropCause.HARQ_EXHAUSTED)
         # No banking of idle airtime.
         ue.credit_bits = 0.0
 
@@ -300,7 +304,6 @@ class _Run:
                 # Transmission into a dead link: the head packet is lost.
                 pkt = ue.queue.pop()
                 self.backlog_pkts -= 1
-                pkt.drop_cause = DropCause.OUT_OF_COVERAGE
                 if pkt.t_created >= self.warmup:
                     ue.stats.on_dropped(DropCause.OUT_OF_COVERAGE)
             elif ue.rate_full_bps > 0.0:
@@ -324,28 +327,17 @@ class _Run:
         # window: the link never carried it, so it counts as coverage loss.
         for ue in self.ues:
             for pkt in ue.queue.drain():
-                pkt.drop_cause = DropCause.OUT_OF_COVERAGE
                 if pkt.t_created >= self.warmup:
                     ue.stats.on_dropped(DropCause.OUT_OF_COVERAGE)
         self.backlog_pkts = 0
 
-        window = self.duration - self.warmup
-        total_rx_bytes = 0
-        total_tx = 0
-        total_rx = 0
-        delay_sum = 0.0
         for stats in self.stats:
             if not stats.conservation_holds():
                 raise SimulationError(
                     f"flow {stats.flow_id}: created {stats.tx_packets} != "
                     f"delivered {stats.rx_packets} + dropped {stats.dropped_packets}")
-            total_rx_bytes += stats.rx_bytes
-            total_tx += stats.tx_packets
-            total_rx += stats.rx_packets
-            delay_sum += stats.delay_sum_s
-        throughput = total_rx_bytes * 8.0 / window
-        loss = 0.0 if total_tx == 0 else 1.0 - total_rx / total_tx
-        mean_delay = None if total_rx == 0 else delay_sum / total_rx
+        throughput, loss, mean_delay = finalize(self.stats,
+                                                self.duration - self.warmup)
         speed_col = (None if self.cfg.preset in ("scenario1", "scenario2")
                      else self.speed_kmh)
         return RunResult(
@@ -361,11 +353,12 @@ def run_single(cfg: ScenarioConfig, rat: str, sweep_index: int,
                rep_index: int, trace_dir: Optional[str] = None) -> RunResult:
     """Execute one replication of one sweep point."""
     sweep_value = cfg.sweep[sweep_index]
+    label = _sweep_label(sweep_value)
     seed = derive_run_seed(cfg.seed_base, sweep_index, rep_index)
     trace_file = None
     trace_sink = None
     if trace_dir is not None:
-        name = f"{cfg.preset}_{rat}_{sweep_value:g}_{rep_index}.trace"
+        name = f"{cfg.preset}_{rat}_{label}_{rep_index}.trace"
         trace_file = open(os.path.join(trace_dir, name), "w")
         trace_sink = lambda ev: trace_file.write(format_trace_line(ev) + "\n")
     try:
@@ -373,7 +366,7 @@ def run_single(cfg: ScenarioConfig, rat: str, sweep_index: int,
         return run.execute()
     except SimulationError as exc:
         raise SimulationError(
-            f"run failed at rat={rat} {cfg.sweep_variable}={sweep_value:g} "
+            f"run failed at rat={rat} {cfg.sweep_variable}={label} "
             f"replication={rep_index}: {exc}") from exc
     finally:
         if trace_file is not None:
@@ -389,17 +382,18 @@ def run_scenario(cfg: ScenarioConfig, workers: int = 1,
                  trace_dir: Optional[str] = None) -> list[RunResult]:
     """Run the full sweep and return one averaged RunResult per (rat, point).
 
-    ``workers > 1`` fans replications out to worker processes; results are
-    re-ordered deterministically, so the parallelism degree never changes the
-    output.
+    ``workers > 1`` fans replications out to worker processes, at most one
+    per CPU and per job; results are re-ordered deterministically, so the
+    parallelism degree never changes the output.
     """
     validate_config(cfg)
     jobs = [(cfg, rat, si, rep, trace_dir)
             for rat in cfg.rats
             for si in range(len(cfg.sweep))
             for rep in range(cfg.replications)]
-    if workers > 1 and len(jobs) > 1:
-        with multiprocessing.Pool(processes=min(workers, len(jobs))) as pool:
+    processes = min(workers, len(jobs), os.cpu_count() or 1)
+    if processes > 1:
+        with multiprocessing.Pool(processes=processes) as pool:
             raw = pool.map(_job, jobs)
     else:
         raw = [_job(j) for j in jobs]

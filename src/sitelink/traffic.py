@@ -9,11 +9,10 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import Iterator, Optional
 
 
 class DropCause(str, Enum):
-    NONE = "none"
     QUEUE_OVERFLOW = "queue_overflow"
     HARQ_EXHAUSTED = "harq_exhausted"
     OUT_OF_COVERAGE = "out_of_coverage"
@@ -42,21 +41,22 @@ class VideoStream:
         return self.packet_size_bytes * 8.0 / self.rate_bps
 
 
-def cbr_emit_times(stream: VideoStream) -> list[float]:
-    """Packet creation times: start, start + T, ... strictly before stop.
+def cbr_grid(stream: VideoStream) -> Iterator[float]:
+    """Packet creation times start + k * T, k = 0, 1, ..., strictly before stop.
 
     Times are computed as start + k * T (not accumulated) so a given stream
     always yields the identical grid.
     """
-    times = []
-    interval = stream.interval_s
+    start, stop, interval = stream.start_s, stream.stop_s, stream.interval_s
     k = 0
-    while True:
-        t = stream.start_s + k * interval
-        if t >= stream.stop_s:
-            return times
-        times.append(t)
+    while (t := start + k * interval) < stop:
+        yield t
         k += 1
+
+
+def cbr_emit_times(stream: VideoStream) -> list[float]:
+    """Every creation time of the stream's CBR grid, as a list."""
+    return list(cbr_grid(stream))
 
 
 @dataclass(slots=True)
@@ -68,8 +68,6 @@ class Packet:
     size_bytes: int
     t_created: float
     t_delivered: Optional[float] = None
-    attempts: int = 0
-    drop_cause: DropCause = DropCause.NONE
 
 
 class FlowQueue:
@@ -88,9 +86,8 @@ class FlowQueue:
         return len(self._q)
 
     def offer(self, pkt: Packet) -> bool:
-        """Enqueue unless full; a rejected packet is marked queue_overflow."""
+        """Enqueue unless full; False means the packet was rejected."""
         if len(self._q) >= self.capacity:
-            pkt.drop_cause = DropCause.QUEUE_OVERFLOW
             return False
         self._q.append(pkt)
         self.bytes += pkt.size_bytes
@@ -112,21 +109,25 @@ class FlowQueue:
 
 
 class DuplicateDeliveryError(Exception):
-    """Same (flow, seq) handed to the sink twice."""
+    """A flow's seq handed to the sink twice or after a later seq."""
 
 
 class Sink:
-    """Receiving endpoint; stamps deliveries and rejects duplicates."""
+    """Receiving endpoint; stamps deliveries and rejects duplicates.
+
+    Service is FIFO per flow, so delivered seqs strictly increase (drops only
+    skip seqs); remembering the last seq per flow catches any duplicate.
+    """
 
     def __init__(self):
-        self._seen: dict[int, set[int]] = {}
+        self._last_seq: dict[int, int] = {}
 
     def receive(self, pkt: Packet, t: float) -> None:
         if t < pkt.t_created:
             raise ValueError("delivery before creation")
-        seen = self._seen.setdefault(pkt.flow_id, set())
-        if pkt.seq in seen:
+        last = self._last_seq.get(pkt.flow_id)
+        if last is not None and pkt.seq <= last:
             raise DuplicateDeliveryError(
-                f"flow {pkt.flow_id} seq {pkt.seq} delivered twice")
-        seen.add(pkt.seq)
+                f"flow {pkt.flow_id} seq {pkt.seq} delivered after seq {last}")
+        self._last_seq[pkt.flow_id] = pkt.seq
         pkt.t_delivered = t

@@ -34,7 +34,6 @@ from sitelink.engine import rng_stream
 from sitelink.metrics import export_csv
 from sitelink.phymac import HarqProcess, bler, harq_transmit
 from sitelink.runner import run_scenario, run_single
-from sitelink.traffic import Packet
 
 C_LIGHT = 299_792_458.0
 
@@ -210,9 +209,8 @@ def test_criterion_9_harq_analytic_match():
     for p in (0.1, 0.3, 0.5):
         snr = 3.0 + math.log((1.0 - p) / p)   # logistic inverse at defaults
         assert abs(bler(snr) - p) < 1e-12
-        delivered = sum(
-            harq_transmit(Packet(0, i, 1250, 0.0), snr, harq, rng).delivered
-            for i in range(n))
+        delivered = sum(harq_transmit(snr, harq, rng).delivered
+                        for _ in range(n))
         expect = 1.0 - p ** 4
         sigma = math.sqrt(expect * (1.0 - expect) / n)
         dev = abs(delivered / n - expect)

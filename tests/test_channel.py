@@ -16,9 +16,9 @@ from sitelink.channel import (ChannelSample, MmWavePathLossParams,
                               earfcn_direction, earfcn_to_freq_mhz,
                               friis_rx_power, mmwave_pathloss_db,
                               noise_power_dbm, nr_arfcn_to_freq_mhz,
-                              nr_outage_probability, snr_db,
-                              velocity_penalty_db)
-from sitelink.engine import rng_stream
+                              nr_outage_probability, snr_db)
+from sitelink.config import parse_config
+from sitelink.runner import _Run
 
 C = 299_792_458.0
 
@@ -255,7 +255,7 @@ def test_nr_out_of_coverage_propagates_as_outage_sample():
     assert isinstance(sample, ChannelSample)
 
 
-# -- velocity degradation ----------------------------------------------------
+# -- velocity degradation, as the runner applies it ------------------------
 
 def test_outage_probability_anchors():
     assert nr_outage_probability(45.0) == pytest.approx(0.5, abs=1e-12)
@@ -270,24 +270,45 @@ def test_outage_probability_monotone_in_speed():
     assert all(a <= b for a, b in zip(probs, probs[1:]))
 
 
+def _run_at_speed(rat: str, speed_kmh: float, extra: str = "") -> _Run:
+    cfg = parse_config("sweep_variable=speed_kmh\nsweep=0\nue_count=8\n"
+                       "duration_s=4\nwarmup_s=0.5\nreplications=1\n" + extra)
+    return _Run(cfg, rat, speed_kmh, 0, seed=1)
+
+
+def _served_slot_snr_cuts(speed_kmh: float, extra: str = "") -> list[float]:
+    """Link-adaptation SNR minus transmit SNR of every served NR slot."""
+    run = _run_at_speed("nr", speed_kmh, extra)
+    serve = run._serve
+    cuts = []
+
+    def recording(ue, capacity_bits, snr_tx_db, slot_end):
+        cuts.append(ue.snr_la_db - snr_tx_db)
+        serve(ue, capacity_bits, snr_tx_db, slot_end)
+    run._serve = recording
+    run.execute()
+    return cuts
+
+
 def test_lte_velocity_penalty_is_deterministic_ramp():
-    rng = rng_stream("outage", 1)
-    assert velocity_penalty_db(Rat.LTE, 0.0, rng) == 0.0
-    assert velocity_penalty_db(Rat.LTE, 60.0, rng) == pytest.approx(1.2)
+    # Positions at t=0 do not depend on speed, so the whole SNR gap at t=0
+    # is the 0.02 dB per km/h ramp.
+    static = _run_at_speed("lte", 0.0)
+    moving = _run_at_speed("lte", 60.0)
+    for a, b in zip(static.ues, moving.ues):
+        assert a.snr_la_db - b.snr_la_db == pytest.approx(1.2, abs=1e-9)
+    assert static.p_out == moving.p_out == 0.0
 
 
 def test_nr_velocity_penalty_draw_frequencies():
-    rng = rng_stream("outage", 1)
-    n = 10_000
-    static = sum(velocity_penalty_db(Rat.NR, 0.0, rng) > 0 for _ in range(n))
-    assert static / n < 0.001
-    at_mid = sum(velocity_penalty_db(Rat.NR, 45.0, rng) > 0 for _ in range(n))
-    # 3 sigma of a Bernoulli(0.5) mean over 1e4 draws is 0.015.
-    assert abs(at_mid / n - 0.5) < 0.015
+    static = _served_slot_snr_cuts(0.0)
+    assert sum(c > 0 for c in static) / len(static) < 0.001
+    at_mid = _served_slot_snr_cuts(45.0)
+    # One Bernoulli(0.5) outage draw per served slot.
+    frac = sum(c > 0 for c in at_mid) / len(at_mid)
+    assert abs(frac - 0.5) < 3 * 0.5 / math.sqrt(len(at_mid))
 
 
 def test_nr_velocity_penalty_value_is_configured_outage_depth():
-    rng = rng_stream("outage", 2)
-    draws = {velocity_penalty_db(Rat.NR, 45.0, rng, outage_penalty_db=80.0)
-             for _ in range(200)}
-    assert draws == {0.0, 80.0}
+    cuts = _served_slot_snr_cuts(45.0, "radio.nr.outage_penalty_db=30\n")
+    assert {round(c, 9) for c in cuts} == {0.0, 30.0}

@@ -111,3 +111,25 @@ def test_missing_subcommand_exits_2():
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+
+
+def test_run_with_unwritable_metadata_leaves_no_csv(tmp_path, capsys):
+    cfg_path = tmp_path / "tiny.cfg"
+    cfg_path.write_text(TINY)
+    out = tmp_path / "m.csv"
+    (tmp_path / "m.csv.meta").mkdir()
+    assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["m.csv.meta",
+                                                          "tiny.cfg"]
+
+
+def test_run_rejects_duplicate_sweep_values(tmp_path, capsys):
+    cfg_path = tmp_path / "dup.cfg"
+    cfg_path.write_text(TINY.replace("sweep=2,4", "sweep=2,2"))
+    out = tmp_path / "d.csv"
+    assert main(["run", "--config", str(cfg_path), "--reps", "2",
+                 "--trace", "--out", str(out)]) == 1
+    assert "sweep" in capsys.readouterr().err
+    assert not out.exists()
+    assert not list(tmp_path.glob("*.trace"))

@@ -133,3 +133,11 @@ def test_rats_subset_validation():
     assert parse_config("rats=lte").rats == ("lte",)
     with pytest.raises(ConfigError, match="rats"):
         parse_config("rats=lte,wimax")
+
+
+def test_duplicate_sweep_values_rejected():
+    with pytest.raises(ConfigError, match="sweep: values must be distinct"):
+        parse_config("sweep=2,4,2")
+    with pytest.raises(ConfigError, match="distinct"):
+        parse_config("sweep_variable=offered_mbps\nsweep=1,1.0")
+    assert parse_config("sweep=2,4").sweep == (2.0, 4.0)

@@ -11,7 +11,7 @@ def test_schedule_on_empty_queue_returns_first_id():
     log = []
     eid = sim.schedule(0.0, lambda: log.append("a"))
     assert eid == 0
-    assert sim.peek_time() == 0.0
+    assert log == []
     sim.run(1.0)
     assert log == ["a"]
 
@@ -134,4 +134,4 @@ def test_rng_stream_exposes_identity():
     s = RngStream("outage", 9)
     assert s.label == "outage"
     assert s.seed == 9
-    assert 0.0 <= s.uniform(0.0, 1.0) <= 1.0
+    assert 0.0 <= s.random() < 1.0

@@ -22,7 +22,7 @@ def _delivered_flow(n_pkts: int, size: int = 1250, delay: float = 0.01) -> FlowS
 def test_finalize_lossless_cbr_flow():
     # 200 pkt/s of 1250 B over 10 s, all delivered -> 2.0 Mb/s, zero loss.
     stats = _delivered_flow(2000)
-    throughput, loss, delay = finalize(stats, 10.0)
+    throughput, loss, delay = finalize([stats], 10.0)
     assert throughput == 2_000_000.0
     assert loss == 0.0
     assert delay == pytest.approx(0.01)
@@ -38,7 +38,7 @@ def test_finalize_overload_loss_rate():
         stats.on_delivered(pkt)
     for _ in range(575):
         stats.on_dropped(DropCause.QUEUE_OVERFLOW)
-    _, loss, _ = finalize(stats, 10.0)
+    _, loss, _ = finalize([stats], 10.0)
     assert loss == pytest.approx(0.575)
     assert stats.conservation_holds()
 
@@ -48,12 +48,12 @@ def test_finalize_degenerate_flow_reports_absent_delay():
     for _ in range(10):
         stats.on_created()
         stats.on_dropped(DropCause.OUT_OF_COVERAGE)
-    throughput, loss, delay = finalize(stats, 5.0)
+    throughput, loss, delay = finalize([stats], 5.0)
     assert throughput == 0.0
     assert loss == 1.0
     assert delay is None
     with pytest.raises(ValueError):
-        finalize(stats, 0.0)
+        finalize([stats], 0.0)
 
 
 def test_loss_plus_delivery_fraction_is_one():
@@ -61,8 +61,21 @@ def test_loss_plus_delivery_fraction_is_one():
     for _ in range(45):
         stats.on_created()
         stats.on_dropped(DropCause.HARQ_EXHAUSTED)
-    _, loss, _ = finalize(stats, 1.0)
+    _, loss, _ = finalize([stats], 1.0)
     assert loss + stats.rx_packets / stats.tx_packets == pytest.approx(1.0, abs=1e-15)
+
+
+def test_finalize_pools_packets_over_flows():
+    fast = _delivered_flow(300, delay=0.01)
+    slow = _delivered_flow(100, delay=0.05)
+    for _ in range(100):
+        slow.on_created()
+        slow.on_dropped(DropCause.QUEUE_OVERFLOW)
+    throughput, loss, delay = finalize([fast, slow], 2.0)
+    assert throughput == 400 * 1250 * 8.0 / 2.0
+    assert loss == pytest.approx(100 / 500)
+    assert delay == pytest.approx((300 * 0.01 + 100 * 0.05) / 400)
+    assert finalize([], 1.0) == (0.0, 0.0, None)
 
 
 def _result(rep: int, thr: float, loss: float = 0.0, delay=0.002,
@@ -91,6 +104,22 @@ def test_aggregate_is_permutation_invariant_bit_exact():
     fwd = aggregate_replications(list(reps))
     rev = aggregate_replications(list(reversed(reps)))
     assert fwd == rev
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_aggregate_matches_numpy_bit_for_bit_below_eight_replications(n):
+    # The CSV bytes were first produced with numpy's mean and std(ddof=1);
+    # below 8 values numpy sums left to right, as aggregation does now.
+    np = pytest.importorskip("numpy")
+    rng = np.random.default_rng(n)
+    for _ in range(200):
+        thr = rng.uniform(0.0, 5e7, n).tolist()
+        delays = (rng.uniform(0.0, 1.0, n) * rng.uniform(1e-4, 1.0)).tolist()
+        agg = aggregate_replications(
+            [_result(i, thr[i], delay=delays[i]) for i in range(n)])
+        assert agg.throughput_bps == float(np.mean(thr))
+        assert agg.mean_delay_s == float(np.mean(delays))
+        assert agg.delay_stddev_s == float(np.std(delays, ddof=1))
 
 
 def test_aggregate_rejects_mixed_sweep_points():

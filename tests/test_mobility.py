@@ -1,11 +1,11 @@
-"""Corridor patrol motion and distance geometry."""
+"""Corridor patrol motion."""
 
 import math
 
 import numpy as np
 import pytest
 
-from sitelink.mobility import MobilityState, distance_m, position_at
+from sitelink.mobility import MobilityState, position_at
 
 
 def test_static_ue_stays_put():
@@ -17,22 +17,22 @@ def test_static_ue_stays_put():
 def test_outward_radial_motion_is_linear_inside_the_corridor():
     state = MobilityState(x=20.0, y=0.0, vx=10.0, vy=0.0, min_r=20.0, max_r=200.0)
     pos = position_at(state, 3.0)
-    assert distance_m(pos, (0.0, 0.0)) == pytest.approx(50.0)
+    assert math.hypot(*pos) == pytest.approx(50.0)
 
 
 def test_reflection_at_the_outer_wall():
     # 190 m + 10 m/s * 2 s = 210 m, reflected at 200 m back to 190 m.
     state = MobilityState(x=190.0, y=0.0, vx=10.0, vy=0.0, min_r=20.0, max_r=200.0)
     pos = position_at(state, 2.0)
-    assert distance_m(pos, (0.0, 0.0)) == pytest.approx(190.0)
+    assert math.hypot(*pos) == pytest.approx(190.0)
 
 
 def test_patrol_covers_the_corridor_and_returns():
     state = MobilityState(x=20.0, y=0.0, vx=9.0, vy=0.0, min_r=20.0, max_r=200.0)
     span = 200.0 - 20.0
     period = 2.0 * span / 9.0
-    assert distance_m(position_at(state, span / 9.0), (0, 0)) == pytest.approx(200.0)
-    assert distance_m(position_at(state, period), (0, 0)) == pytest.approx(20.0)
+    assert math.hypot(*position_at(state, span / 9.0)) == pytest.approx(200.0)
+    assert math.hypot(*position_at(state, period)) == pytest.approx(20.0)
 
 
 def test_radial_distance_always_inside_bounds():
@@ -45,21 +45,8 @@ def test_radial_distance_always_inside_bounds():
             vx=float(rng.uniform(-30.0, 30.0)), vy=float(rng.uniform(-30.0, 30.0)),
             min_r=20.0, max_r=200.0)
         t = float(rng.uniform(0.0, 120.0))
-        r = distance_m(position_at(state, t), (0.0, 0.0))
+        r = math.hypot(*position_at(state, t))
         assert 20.0 - 1e-9 <= r <= 200.0 + 1e-9
-
-
-def test_distance_basics():
-    assert distance_m((0.0, 0.0), (0.0, 0.0)) == 0.0
-    assert distance_m((0.0, 0.0), (3.0, 4.0)) == 5.0
-
-
-def test_distance_symmetry():
-    rng = np.random.default_rng(12)
-    for _ in range(100):
-        a = tuple(rng.uniform(-100, 100, 2))
-        b = tuple(rng.uniform(-100, 100, 2))
-        assert distance_m(a, b) == distance_m(b, a)
 
 
 def test_corridor_bounds_validated():

@@ -9,7 +9,6 @@ from sitelink.engine import rng_stream
 from sitelink.phymac import (HarqProcess, LinkAdaptation, SchedulerState,
                              achievable_rate_bps, bler, harq_transmit,
                              nr_slot_schedule, pf_schedule, slot_duration_s)
-from sitelink.traffic import Packet
 
 
 # -- numerology ---------------------------------------------------------------
@@ -180,23 +179,17 @@ def test_bler_monotone_nonincreasing_in_snr():
         bler(0.0, steepness_db=0.0)
 
 
-def _pkt() -> Packet:
-    return Packet(0, 0, 1250, 0.0)
-
-
 def test_harq_high_snr_first_attempt_no_added_delay():
     harq = HarqProcess(max_retx=3, rtt_s=0.008)
-    out = harq_transmit(_pkt(), 60.0, harq, rng_stream("harq", 1))
+    out = harq_transmit(60.0, harq, rng_stream("harq", 1))
     assert out == (True, 1, 0.0)
 
 
 def test_harq_hopeless_snr_drops_after_all_attempts():
     harq = HarqProcess(max_retx=3, combining_gain_db=2.0, rtt_s=0.008)
-    pkt = _pkt()
-    out = harq_transmit(pkt, -200.0, harq, rng_stream("harq", 1))
+    out = harq_transmit(-200.0, harq, rng_stream("harq", 1))
     assert out.delivered is False
     assert out.attempts == 4
-    assert pkt.attempts == 4
 
 
 def test_harq_each_retransmission_adds_one_rtt():
@@ -205,7 +198,7 @@ def test_harq_each_retransmission_adds_one_rtt():
     rng = rng_stream("harq", 7)
     seen = set()
     for _ in range(2000):
-        out = harq_transmit(_pkt(), 3.0, harq, rng)   # per-attempt p = 0.5
+        out = harq_transmit(3.0, harq, rng)   # per-attempt p = 0.5
         if out.delivered:
             assert out.added_delay_s == pytest.approx((out.attempts - 1) * 0.008)
             seen.add(out.attempts)
@@ -227,7 +220,7 @@ def test_harq_monte_carlo_matches_analytic_delivery_rate(p):
     delivered = 0
     attempts_total = 0
     for _ in range(n):
-        out = harq_transmit(_pkt(), snr, harq, rng)
+        out = harq_transmit(snr, harq, rng)
         delivered += out.delivered
         attempts_total += out.attempts
     expect = 1.0 - p ** 4

@@ -4,15 +4,14 @@ These use shortened durations; the full default-scale studies live in
 test_acceptance.py.
 """
 
-import os
-
 import pytest
 
+from sitelink import runner
 from sitelink.config import parse_config
-from sitelink.metrics import export_csv
+from sitelink.metrics import export_csv, finalize
 from sitelink.runner import (SWEEP_SEED_STRIDE, _Run, derive_run_seed,
                              run_metadata, run_scenario, run_single)
-from sitelink.traffic import DropCause
+from sitelink.traffic import DropCause, cbr_emit_times
 
 LIGHT = """
 preset=custom
@@ -232,11 +231,10 @@ def test_throughput_never_exceeds_offered_load():
 
 
 def test_aggregate_throughput_equals_sum_of_flow_throughputs():
-    from sitelink.metrics import finalize
     cfg = parse_config(OVERLOAD)
     result = run_single(cfg, "lte", 0, 0)
     window = cfg.duration_s - cfg.warmup_s
-    per_flow = sum(finalize(f, window)[0] for f in result.flows)
+    per_flow = sum(finalize([f], window)[0] for f in result.flows)
     assert result.throughput_bps == pytest.approx(per_flow, rel=1e-9)
 
 
@@ -246,3 +244,62 @@ def test_static_lte_channel_is_time_invariant():
     first = run.ues[0].snr_la_db
     run.sim.run(1.0)    # several refresh periods elapse
     assert run.ues[0].snr_la_db == first
+
+
+def test_arrivals_follow_the_cbr_grid():
+    cfg = parse_config(LIGHT, overrides={"warmup_s": "0",
+                                         "traffic.app_start_s": "0.3",
+                                         "traffic.app_stop_s": "2.2"})
+    run = _Run(cfg, "nr", 2.0, 0, seed=1)
+    result = run.execute()
+    for ue, flow in zip(run.ues, result.flows):
+        assert flow.tx_packets == len(cbr_emit_times(ue.stream)) == 380
+
+
+def test_trace_names_keep_close_sweep_values_apart(tmp_path):
+    cfg = parse_config(LIGHT + "rats=lte",
+                       overrides={"sweep": "2,2.0000001,1000000,1000001",
+                                  "sweep_variable": "offered_mbps",
+                                  "duration_s": "1.5"})
+    run_single(cfg, "lte", 0, 0, trace_dir=str(tmp_path))
+    run_single(cfg, "lte", 1, 0, trace_dir=str(tmp_path))
+    names = {p.name for p in tmp_path.iterdir()}
+    assert names == {"custom_lte_2_0.trace", "custom_lte_2.0000001_0.trace"}
+    assert runner._sweep_label(1000000.0) == "1000000"
+    assert runner._sweep_label(1000001.0) == "1000001"
+
+
+class _InlinePool:
+    """Stands in for multiprocessing.Pool: maps in-process, spawns nothing."""
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, jobs):
+        return [fn(j) for j in jobs]
+
+
+@pytest.mark.parametrize("cpus, workers, expect", [
+    (2, 64, 2),       # capped at the CPU count
+    (16, 64, 4),      # capped at the job count
+    (16, 3, 3),       # the request itself
+    (1, 8, None),     # one CPU: no pool at all
+    (None, 8, None),  # unknown CPU count counts as one
+])
+def test_pool_size_is_capped_by_cpus_and_jobs(monkeypatch, cpus, workers,
+                                               expect):
+    sizes = []
+
+    def pool(processes):
+        sizes.append(processes)
+        return _InlinePool()
+    monkeypatch.setattr(runner.multiprocessing, "Pool", pool)
+    monkeypatch.setattr(runner.os, "cpu_count", lambda: cpus)
+    cfg = parse_config(LIGHT, overrides={"replications": "2",
+                                         "duration_s": "1"})
+    rows = run_scenario(cfg, workers=workers)     # 2 rats x 2 reps = 4 jobs
+    assert len(rows) == 2
+    assert sizes == ([] if expect is None else [expect])

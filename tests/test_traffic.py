@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from sitelink.traffic import (DropCause, DuplicateDeliveryError, FlowQueue,
-                              Packet, Sink, VideoStream, cbr_emit_times)
+from sitelink.traffic import (DuplicateDeliveryError, FlowQueue, Packet, Sink,
+                              VideoStream, cbr_emit_times)
 
 
 def test_cbr_2mbps_gives_5ms_spacing_and_200_packets_per_second():
@@ -54,15 +54,15 @@ def test_stream_invariants_enforced():
         VideoStream(0, rate_bps=1e6, start_s=2.0, stop_s=1.0)
 
 
-def test_queue_accepts_until_capacity_then_drops_with_cause():
+def test_queue_accepts_until_capacity_then_rejects():
     q = FlowQueue(capacity=3)
     pkts = [Packet(0, i, 1250, 0.0) for i in range(4)]
     assert all(q.offer(p) for p in pkts[:3])
     assert len(q) == 3
     assert q.bytes == 3 * 1250
     assert q.offer(pkts[3]) is False
-    assert pkts[3].drop_cause is DropCause.QUEUE_OVERFLOW
     assert len(q) == 3
+    assert q.bytes == 3 * 1250
 
 
 def test_queue_fifo_order_and_byte_accounting():
@@ -85,6 +85,15 @@ def test_sink_records_delay_and_rejects_duplicates():
     dup = Packet(3, 17, 1250, t_created=1.005)
     with pytest.raises(DuplicateDeliveryError):
         sink.receive(dup, 1.02)
+
+
+def test_sink_accepts_skipped_seqs_and_rejects_reordering():
+    sink = Sink()
+    sink.receive(Packet(0, 0, 1250, 0.0), 0.01)
+    sink.receive(Packet(0, 5, 1250, 0.0), 0.02)    # seqs 1-4 were dropped
+    sink.receive(Packet(1, 0, 1250, 0.0), 0.02)    # flows are independent
+    with pytest.raises(DuplicateDeliveryError):
+        sink.receive(Packet(0, 3, 1250, 0.0), 0.03)
 
 
 def test_sink_rejects_delivery_before_creation():
