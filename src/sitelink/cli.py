@@ -6,6 +6,7 @@ import argparse
 import contextlib
 import os
 import sys
+import tempfile
 
 from .config import (ConfigError, ScenarioConfig, default_config,
                      parse_config, render_config)
@@ -111,12 +112,19 @@ def main(argv=None) -> int:
         return 1
 
     out_dir = os.path.dirname(os.path.abspath(args.out))
-    trace_dir = out_dir if args.trace else None
     meta_path = args.out + ".meta"
     try:
-        results = run_scenario(cfg, workers=max(args.workers, 1),
-                               trace_dir=trace_dir)
-        _write_outputs(results, cfg, args.out, meta_path)
+        # Traces go to a temp directory beside the CSV and move into place
+        # only once the CSV and .meta are written; a failed run leaves none.
+        with (tempfile.TemporaryDirectory(dir=out_dir, prefix=".sitelink-trace-")
+              if args.trace else contextlib.nullcontext()) as trace_tmp:
+            results = run_scenario(cfg, workers=max(args.workers, 1),
+                                   trace_dir=trace_tmp)
+            _write_outputs(results, cfg, args.out, meta_path)
+            if trace_tmp is not None:
+                for name in os.listdir(trace_tmp):
+                    os.replace(os.path.join(trace_tmp, name),
+                               os.path.join(out_dir, name))
     except (SimulationError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

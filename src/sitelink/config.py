@@ -10,7 +10,7 @@ explicitly set keys always win over preset values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from typing import Optional
 
 from .channel import (MmWavePathLossParams, RadioConfig, Rat,
@@ -46,7 +46,6 @@ class MobilityConfig:
     speed_kmh: float = 0.0
     corridor_min_m: float = 20.0
     corridor_max_m: float = 200.0
-    sweep: str = "speed"          # scenario 3 interpretation: speed | start_distance
 
 
 @dataclass(frozen=True)
@@ -192,66 +191,43 @@ class ScenarioConfig:
 # Flat key schema
 # ---------------------------------------------------------------------------
 
-_TOP_KEYS = ("preset", "rats", "sweep_variable", "sweep", "ue_count",
-             "duration_s", "warmup_s", "replications", "seed_base",
-             "drain_max_s")
-
-_SECTIONS = (
-    ("traffic", "traffic", TrafficConfig),
-    ("mobility", "mobility", MobilityConfig),
-    ("radio.lte", "radio_lte", LteRadio),
-    ("radio.nr", "radio_nr", NrRadio),
-    ("phy.lte", "phy_lte", PhyConfig),
-    ("phy.nr", "phy_nr", PhyConfig),
-)
-
-
-def _schema() -> dict:
-    """key -> (attr path tuple, python type or 'floats'/'strs')."""
-    schema: dict[str, tuple] = {
-        "preset": (("preset",), str),
-        "rats": (("rats",), "strs"),
-        "sweep_variable": (("sweep_variable",), str),
-        "sweep": (("sweep",), "floats"),
-        "ue_count": (("ue_count",), int),
-        "duration_s": (("duration_s",), float),
-        "warmup_s": (("warmup_s",), float),
-        "replications": (("replications",), int),
-        "seed_base": (("seed_base",), int),
-        "drain_max_s": (("drain_max_s",), float),
-    }
-    for prefix, attr, cls in _SECTIONS:
-        for f in fields(cls):
-            schema[f"{prefix}.{f.name}"] = ((attr, f.name), f.type)
-    return schema
+def _walk():
+    """Yield (flat key, section attr or None, field name, default) for every
+    config key in field order: a bare field is a bare key, a section field is
+    ``<attr with _ -> .>.<field>`` (``radio_lte.earfcn`` -> ``radio.lte.earfcn``)."""
+    root = ScenarioConfig()
+    for f in fields(root):
+        value = getattr(root, f.name)
+        if is_dataclass(value):
+            prefix = f.name.replace("_", ".")
+            for sf in fields(value):
+                yield f"{prefix}.{sf.name}", f.name, sf.name, getattr(value, sf.name)
+        else:
+            yield f.name, None, f.name, value
 
 
-_SCHEMA = _schema()
+_SCHEMA = {key: (section, name, default)
+           for key, section, name, default in _walk()}
 
 
-def _coerce(key: str, raw: str, typ):
+def _coerce(key: str, raw: str, default):
+    """Parse *raw* as the type of *default*; a tuple default parses as a
+    non-empty comma list of its first element's type."""
     raw = raw.strip()
     try:
-        if typ in (int, "int"):
-            return int(raw)
-        if typ in (float, "float"):
-            return float(raw)
-        if typ == "floats":
-            vals = tuple(float(v) for v in raw.split(",") if v.strip())
+        if isinstance(default, tuple):
+            vals = tuple(type(default[0])(v.strip())
+                         for v in raw.split(",") if v.strip())
             if not vals:
                 raise ValueError("empty list")
             return vals
-        if typ == "strs":
-            vals = tuple(v.strip() for v in raw.split(",") if v.strip())
-            if not vals:
-                raise ValueError("empty list")
-            return vals
-        return raw
+        return type(default)(raw)
     except ValueError as exc:
         raise ConfigError([f"{key}: cannot parse {raw!r} ({exc})"]) from None
 
 
-def _preset_overlay(preset: str, mobility_sweep: str) -> dict:
+def _preset_overlay(preset: Optional[str],
+                    sweep_variable: Optional[str]) -> dict:
     if preset == "scenario1":
         return {"sweep_variable": "ue_count",
                 "sweep": tuple(float(n) for n in range(2, 21, 2)),
@@ -264,7 +240,7 @@ def _preset_overlay(preset: str, mobility_sweep: str) -> dict:
                 "mobility.speed_kmh": 0.0}
     if preset == "scenario3":
         overlay = {"ue_count": 8, "traffic.data_volume_mbps": 2.0}
-        if mobility_sweep == "start_distance":
+        if sweep_variable == "start_distance":
             overlay["sweep_variable"] = "start_distance"
             overlay["sweep"] = tuple(float(d) for d in range(20, 201, 20))
         else:
@@ -305,32 +281,20 @@ def parse_config(text: str, overrides: Optional[dict] = None) -> ScenarioConfig:
             raise ConfigError([f"unknown key {key!r}"])
         user[key] = str(value)
 
-    typed = {k: _coerce(k, v, _SCHEMA[k][1]) for k, v in user.items()}
+    typed = {k: _coerce(k, v, _SCHEMA[k][2]) for k, v in user.items()}
+    # explicit keys beat the preset expansion
+    effective = {**_preset_overlay(typed.get("preset"),
+                                   typed.get("sweep_variable")), **typed}
 
-    preset = typed.get("preset", "custom")
-    if preset not in PRESET_NAMES:
-        raise ConfigError(
-            [f"preset: expected one of {', '.join(PRESET_NAMES)}, got {preset!r}"])
-    mob_sweep = typed.get("mobility.sweep", MobilityConfig.sweep)
-    overlay = _preset_overlay(preset, mob_sweep)
-    effective = dict(overlay)
-    effective.update(typed)   # explicit keys beat the preset expansion
-
-    top = {k: effective[k] for k in _TOP_KEYS if k in effective}
-    sections = {}
-    for prefix, attr, cls in _SECTIONS:
-        kwargs = {}
-        for f in fields(cls):
-            key = f"{prefix}.{f.name}"
-            if key in effective:
-                kwargs[f.name] = effective[key]
-        if attr == "phy_lte":
-            sections[attr] = replace(_LTE_PHY_DEFAULT, **kwargs)
-        elif attr == "phy_nr":
-            sections[attr] = replace(_NR_PHY_DEFAULT, **kwargs)
-        else:
-            sections[attr] = cls(**kwargs)
-    cfg = ScenarioConfig(**top, **sections)
+    by_section: dict[Optional[str], dict] = {}
+    for key, value in effective.items():
+        section, name, _ = _SCHEMA[key]
+        by_section.setdefault(section, {})[name] = value
+    base = ScenarioConfig()
+    top = by_section.pop(None, {})
+    for section, kwargs in by_section.items():
+        top[section] = replace(getattr(base, section), **kwargs)
+    cfg = replace(base, **top)
     validate_config(cfg)
     return cfg
 
@@ -342,12 +306,9 @@ def default_config(preset: str = "custom") -> ScenarioConfig:
 def render_config(cfg: ScenarioConfig) -> str:
     """Serialise every effective key; parse(render(cfg)) == cfg."""
     lines = []
-    for key in _TOP_KEYS:
-        lines.append(f"{key}={_render_value(getattr(cfg, key))}")
-    for prefix, attr, cls in _SECTIONS:
-        section = getattr(cfg, attr)
-        for f in fields(cls):
-            lines.append(f"{prefix}.{f.name}={_render_value(getattr(section, f.name))}")
+    for key, (section, name, _) in _SCHEMA.items():
+        owner = cfg if section is None else getattr(cfg, section)
+        lines.append(f"{key}={_render_value(getattr(owner, name))}")
     return "\n".join(lines) + "\n"
 
 
@@ -426,9 +387,6 @@ def validate_config(cfg: ScenarioConfig) -> None:
                     f"mmWave coverage range {cfg.radio_nr.max_range_m}")
     if m.speed_kmh < 0:
         errs.append(f"mobility.speed_kmh: must be >= 0, got {m.speed_kmh}")
-    if m.sweep not in ("speed", "start_distance"):
-        errs.append(f"mobility.sweep: expected speed or start_distance, "
-                    f"got {m.sweep!r}")
     try:
         radii = cfg.placement_radii(max(cfg.ue_count, 1))
     except (ValueError, IndexError):

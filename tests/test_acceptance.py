@@ -50,19 +50,20 @@ def _by_point(results):
     return {(r.rat, r.sweep_value): r for r in results}
 
 
+# Two workers: criterion 10 shows the CSV does not depend on the worker count.
 @pytest.fixture(scope="module")
 def scenario1():
-    return _by_point(run_scenario(default_config("scenario1")))
+    return _by_point(run_scenario(default_config("scenario1"), workers=2))
 
 
 @pytest.fixture(scope="module")
 def scenario2():
-    return _by_point(run_scenario(default_config("scenario2")))
+    return _by_point(run_scenario(default_config("scenario2"), workers=2))
 
 
 @pytest.fixture(scope="module")
 def scenario3():
-    return _by_point(run_scenario(default_config("scenario3")))
+    return _by_point(run_scenario(default_config("scenario3"), workers=2))
 
 
 def test_sweep_cardinalities_and_light_load_point(scenario1, scenario2):

@@ -77,8 +77,9 @@ def test_run_with_trace_writes_per_run_trace_files(tmp_path):
     out = tmp_path / "t.csv"
     assert main(["run", "--config", str(cfg_path), "--trace",
                  "--out", str(out)]) == 0
-    names = {p.name for p in tmp_path.glob("*.trace")}
-    assert names == {"custom_lte_2_0.trace", "custom_lte_4_0.trace"}
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "custom_lte_2_0.trace", "custom_lte_4_0.trace", "t.csv", "t.csv.meta",
+        "tiny.cfg"]
 
 
 def test_run_preset_flag_expands_sweep(tmp_path):
@@ -113,12 +114,14 @@ def test_missing_subcommand_exits_2():
     assert exc.value.code == 2
 
 
-def test_run_with_unwritable_metadata_leaves_no_csv(tmp_path, capsys):
+@pytest.mark.parametrize("trace", [[], ["--trace"]], ids=["plain", "trace"])
+def test_run_with_unwritable_metadata_leaves_no_csv(tmp_path, capsys, trace):
     cfg_path = tmp_path / "tiny.cfg"
     cfg_path.write_text(TINY)
     out = tmp_path / "m.csv"
     (tmp_path / "m.csv.meta").mkdir()
-    assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 1
+    assert main(["run", "--config", str(cfg_path), "--out", str(out),
+                 *trace]) == 1
     assert capsys.readouterr().err.startswith("error:")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["m.csv.meta",
                                                           "tiny.cfg"]

@@ -1,9 +1,11 @@
 """Config parsing, preset expansion, round-tripping, and validation."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sitelink.config import (ConfigError, default_config, parse_config,
-                             render_config)
+from sitelink.config import (PRESET_NAMES, ConfigError, default_config,
+                             parse_config, render_config)
 
 
 def test_minimal_preset_expands_to_full_scenario1():
@@ -34,7 +36,7 @@ def test_scenario3_preset_sweeps_speed_by_default():
 
 
 def test_scenario3_distance_interpretation_selectable():
-    cfg = parse_config("preset=scenario3\nmobility.sweep=start_distance")
+    cfg = parse_config("preset=scenario3\nsweep_variable=start_distance")
     assert cfg.sweep_variable == "start_distance"
     assert cfg.sweep == tuple(float(d) for d in range(20, 201, 20))
 
@@ -48,6 +50,11 @@ def test_explicit_keys_override_preset_values():
 def test_unknown_key_rejected_with_line_number():
     with pytest.raises(ConfigError, match="line 3.*unknown key"):
         parse_config("preset=custom\nduration_s=5\nbogus_key=1\n")
+
+
+def test_removed_mobility_sweep_key_rejected():
+    with pytest.raises(ConfigError, match="line 2: unknown key 'mobility.sweep'"):
+        parse_config("preset=scenario3\nmobility.sweep=start_distance\n")
 
 
 def test_duplicate_key_rejected():
@@ -102,6 +109,57 @@ def test_round_trip_preserves_non_default_values():
     assert again == cfg
     assert again.radio_nr.tx_power_dbm == 27.5
     assert again.phy_lte.la_eff_max == 4.8
+
+
+_FLOATS = dict(allow_nan=False, allow_infinity=False)
+_SWEEPS = {
+    "ue_count": st.integers(1, 40).map(float),
+    "offered_mbps": st.floats(min_value=0.01, max_value=50, **_FLOATS),
+    "speed_kmh": st.floats(min_value=0, max_value=120, **_FLOATS),
+    "start_distance": st.floats(min_value=20, max_value=200, **_FLOATS),
+}
+
+
+@st.composite
+def _valid_config_text(draw):
+    variable = draw(st.sampled_from(sorted(_SWEEPS)))
+    sweep = draw(st.lists(_SWEEPS[variable], min_size=1, max_size=6,
+                          unique=True))
+    warmup = draw(st.floats(min_value=0, max_value=5, **_FLOATS))
+    keys = {
+        "preset": draw(st.sampled_from(PRESET_NAMES)),
+        "rats": ",".join(draw(st.sampled_from([["lte"], ["nr"], ["lte", "nr"],
+                                               ["nr", "lte"]]))),
+        "sweep_variable": variable,
+        "sweep": ",".join(repr(v) for v in sweep),
+        "warmup_s": repr(warmup),
+        "duration_s": repr(warmup + draw(st.floats(min_value=0.5,
+                                                   max_value=60, **_FLOATS))),
+        "seed_base": str(draw(st.integers(0, 2**31))),
+    }
+    optional = {
+        "traffic.queue_capacity_pkts": st.integers(1, 1000).map(str),
+        "traffic.packet_size_bytes": st.integers(1, 1500).map(str),
+        "mobility.speed_kmh": st.floats(min_value=0, max_value=120,
+                                        **_FLOATS).map(repr),
+        "radio.nr.tx_power_dbm": st.floats(min_value=-10, max_value=40,
+                                           **_FLOATS).map(repr),
+        "radio.lte.noise_figure_db": st.floats(min_value=0, max_value=15,
+                                               **_FLOATS).map(repr),
+        "phy.lte.la_eff_max": st.floats(min_value=0.1, max_value=8,
+                                        **_FLOATS).map(repr),
+        "phy.nr.harq_max_retx": st.integers(0, 8).map(str),
+    }
+    for key in draw(st.lists(st.sampled_from(sorted(optional)), unique=True)):
+        keys[key] = draw(optional[key])
+    return "\n".join(f"{k}={v}" for k, v in keys.items())
+
+
+@settings(max_examples=200, deadline=None)
+@given(_valid_config_text())
+def test_round_trip_property(text):
+    cfg = parse_config(text)
+    assert parse_config(render_config(cfg)) == cfg
 
 
 def test_overrides_behave_like_explicit_keys():

@@ -205,7 +205,7 @@ def test_speed_column_hidden_for_static_presets():
 
 
 def test_start_distance_sweep_places_static_ues_at_distance():
-    cfg = parse_config("preset=scenario3\nmobility.sweep=start_distance\n"
+    cfg = parse_config("preset=scenario3\nsweep_variable=start_distance\n"
                        "sweep=40,200\nduration_s=2\nwarmup_s=0.5\n"
                        "replications=1\nrats=nr\nue_count=2")
     results = run_scenario(cfg)
