@@ -1,10 +1,12 @@
-"""Golden output pins: sha256 of the CSV per preset and of one event trace.
+"""Golden output pins: sha256 of the CSV per preset and of an event trace per RAT.
 
 The determinism tests elsewhere compare runs with each other, so a change
 that shifted every number consistently would pass them.  These digests pin
 the bytes themselves.  Each config is a shortened version of its preset
 study on both RATs; scenario1 averages three replications, which pins the
-summation order of the replication mean and the delay std-dev.
+summation order of the replication mean and the delay std-dev.  One small
+config is traced on each RAT, which pins the event order of both slot
+chains.
 
 A refactor must leave every digest unchanged.  A change that alters output
 on purpose updates the digests in the same commit and says why.  The
@@ -40,6 +42,9 @@ TRACE_CONFIG = ("preset=custom\nsweep_variable=speed_kmh\nsweep=50\n"
 GOLDEN_TRACE = (
     "custom_nr_50_0.trace",
     "8f9b3334ac68cddcb4b0de82e4885c08c427e8d994c8913be6717cf2133c8985")
+GOLDEN_LTE_TRACE = (
+    "custom_lte_50_0.trace",
+    "b0514a379729bfed584af909864707818e4b94f1628bf1f214e257b4b33eeccc")
 
 
 def _sha256(path) -> str:
@@ -58,4 +63,11 @@ def test_preset_csv_digest(preset, tmp_path):
 def test_trace_digest(tmp_path):
     name, digest = GOLDEN_TRACE
     run_single(parse_config(TRACE_CONFIG), "nr", 0, 0, trace_dir=str(tmp_path))
+    assert _sha256(tmp_path / name) == digest
+
+
+def test_lte_trace_digest(tmp_path):
+    name, digest = GOLDEN_LTE_TRACE
+    run_single(parse_config(TRACE_CONFIG), "lte", 0, 0,
+               trace_dir=str(tmp_path))
     assert _sha256(tmp_path / name) == digest
