@@ -68,9 +68,7 @@ lte, nr = cfg.radio_config("lte"), cfg.radio_config("nr")
 print("\nSNR vs distance with the default link budgets:")
 print("  distance    LTE SNR    5G SNR")
 for d in (20.0, 50.0, 100.0, 150.0, 200.0):
-    print(f"  {d:6.1f} m {snr_db(lte, d).snr_db:8.2f} dB"
-          f" {snr_db(nr, d).snr_db:8.2f} dB")
+    print(f"  {d:6.1f} m {snr_db(lte, d):8.2f} dB {snr_db(nr, d):8.2f} dB")
 
-sample = snr_db(nr, 250.0)
 print(f"\nBeyond the {nr.mmwave.max_range_m:.0f} m mmWave range the link is in "
-      f"outage: in_coverage={sample.in_coverage}, snr={sample.snr_db}")
+      f"outage: snr={snr_db(nr, 250.0)}")

@@ -15,16 +15,15 @@ from sitelink import SchedulerState, nr_slot_schedule, pf_schedule
 # ---------------------------------------------------------------------------
 
 state = SchedulerState(3, window_slots=10, slot_s=0.001)
-state.backlog_bytes = [50_000, 50_000, 50_000]
+backlogs = [50_000, 50_000, 50_000]        # every UE stays backlogged
 rates = [12e6, 12e6, 12e6]                 # identical channels
 
 print("PF on identical channels: the smoothed averages equalise the grants")
 print("  subframe  allocation    smoothed averages (kb/s)")
 for subframe in range(6):
-    alloc = pf_schedule(state, rates, 25)
+    alloc = pf_schedule(state, rates, backlogs, 25)
     avgs = ", ".join(f"{a / 1e3:7.1f}" for a in state.avg_bps)
     print(f"  {subframe:>8}  {alloc}   [{avgs}]")
-    state.backlog_bytes = [50_000, 50_000, 50_000]
 
 # ---------------------------------------------------------------------------
 # 2. A better channel wins resources, but only until its average catches up
@@ -34,8 +33,7 @@ state = SchedulerState(2, window_slots=5, slot_s=0.001)
 print("\nPF with UE0 at twice the spectral efficiency of UE1:")
 print("  subframe  allocation")
 for subframe in range(8):
-    state.backlog_bytes = [50_000, 50_000]
-    alloc = pf_schedule(state, [16e6, 8e6], 25)
+    alloc = pf_schedule(state, [16e6, 8e6], [50_000, 50_000], 25)
     print(f"  {subframe:>8}  {alloc}")
 
 # ---------------------------------------------------------------------------
@@ -43,13 +41,13 @@ for subframe in range(8):
 # ---------------------------------------------------------------------------
 
 state = SchedulerState(4, slot_s=0.000125)
-state.backlog_bytes = [1, 1, 0, 1]         # UE2 idle
+backlogs = [1, 1, 0, 1]                    # UE2 idle
 print("\nRound-robin slot grants (UE2 idle, then joining at slot 5):")
 picks = []
 for slot in range(10):
     if slot == 5:
-        state.backlog_bytes[2] = 1
-    picks.append(nr_slot_schedule(state, slot))
+        backlogs[2] = 1
+    picks.append(nr_slot_schedule(state, backlogs))
 print(f"  slots 0-9 -> {picks}")
 print("  UE2 is inserted right after its backlog appears; nobody waits more"
       " than one rotation.")

@@ -6,14 +6,12 @@ rate, mean delay) as the number of cameras, the per-camera video rate, and
 the machine speed vary.
 """
 
-from .channel import (ChannelSample, MmWavePathLossParams, OutOfCoverageError,
-                      RadioConfig, Rat, earfcn_to_freq_mhz, friis_rx_power,
-                      mmwave_pathloss_db, noise_power_dbm,
+from .channel import (MmWavePathLossParams, RadioConfig, earfcn_to_freq_mhz,
+                      friis_rx_power, mmwave_pathloss_db, noise_power_dbm,
                       nr_arfcn_to_freq_mhz, nr_outage_probability, snr_db)
 from .config import (ConfigError, ScenarioConfig, default_config,
                      parse_config, render_config, validate_config)
-from .engine import (RngStream, SchedulingInPastError, SimEvent, Simulator,
-                     rng_stream)
+from .engine import SchedulingInPastError, SimEvent, Simulator, rng_stream
 from .metrics import (FlowStats, RunResult, aggregate_replications,
                       export_csv, finalize)
 from .mobility import MobilityState, position_at

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from typing import Optional
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s
@@ -27,22 +26,6 @@ _BAND1_UL_RANGE = (18000, 18599)
 _NR_RASTER_START = 2016667
 _NR_RASTER_END = 3279165
 _NR_BASE_MHZ = 24250.08
-
-
-class Rat(str, Enum):
-    LTE = "lte"
-    NR = "nr"
-
-
-class OutOfCoverageError(Exception):
-    """Link distance exceeds the configured mmWave coverage range."""
-
-    def __init__(self, distance_m: float, max_range_m: float):
-        super().__init__(
-            f"distance {distance_m:.1f} m exceeds mmWave coverage range "
-            f"{max_range_m:.1f} m")
-        self.distance_m = distance_m
-        self.max_range_m = max_range_m
 
 
 def earfcn_to_freq_mhz(earfcn: int, direction: str = "downlink") -> float:
@@ -116,14 +99,14 @@ class MmWavePathLossParams:
 
 def mmwave_pathloss_db(distance_m: float, params: MmWavePathLossParams,
                        shadow_db: float = 0.0) -> float:
-    """LOS mmWave path loss in dB; raises OutOfCoverageError past max range.
+    """LOS mmWave path loss in dB; infinite past the coverage range.
 
     The shadowing draw is supplied by the caller (from the shadowing RNG
     stream) so the function itself stays pure.  Distances below 1 m clamp to
     the 1 m intercept.
     """
     if distance_m > params.max_range_m:
-        raise OutOfCoverageError(distance_m, params.max_range_m)
+        return math.inf
     d = max(distance_m, 1.0)
     return params.alpha_db + 10.0 * params.beta * math.log10(d) + shadow_db
 
@@ -139,7 +122,7 @@ def noise_power_dbm(bandwidth_hz: float, noise_figure_db: float) -> float:
 class RadioConfig:
     """Physical-layer parameters of one serving link (uplink direction)."""
 
-    rat: Rat
+    rat: str                      # "lte" or "nr"
     carrier_freq_hz: float
     bandwidth_hz: float
     tx_power_dbm: float
@@ -156,7 +139,9 @@ class RadioConfig:
             raise ValueError("bandwidth must be > 0")
         if self.system_loss < 1.0:
             raise ValueError("system loss must be >= 1")
-        if self.rat is Rat.NR and self.mmwave is None:
+        if self.rat not in ("lte", "nr"):
+            raise ValueError(f"rat must be 'lte' or 'nr', got {self.rat!r}")
+        if self.rat == "nr" and self.mmwave is None:
             object.__setattr__(self, "mmwave", MmWavePathLossParams())
 
     @property
@@ -168,44 +153,25 @@ class RadioConfig:
         return noise_power_dbm(self.bandwidth_hz, self.noise_figure_db)
 
 
-@dataclass(frozen=True, slots=True)
-class ChannelSample:
-    """One link-budget evaluation at a given distance."""
-
-    distance_m: float
-    pathloss_db: float
-    rx_power_dbm: float
-    noise_dbm: float
-    penalties_db: float
-    snr_db: float
-    in_coverage: bool = True
-
-
 def snr_db(cfg: RadioConfig, distance_m: float, penalties_db: float = 0.0,
-           shadow_db: float = 0.0) -> ChannelSample:
-    """Compose path loss, antenna gains and noise into an SNR sample.
+           shadow_db: float = 0.0) -> float:
+    """Compose path loss, antenna gains and noise into the link SNR in dB.
 
     LTE uses Friis free-space loss (shadow ignored); NR uses the statistical
-    LOS model.  Out-of-coverage propagates as a sample with snr = -inf rather
-    than an exception so that the simulation treats it as outage.
+    LOS model.  Beyond the mmWave coverage range the SNR is -inf rather than
+    an exception, so that the simulation treats it as outage.
     """
     if distance_m <= 0.0:
         raise ValueError(f"distance must be > 0, got {distance_m}")
-    noise = cfg.noise_dbm
-    if cfg.rat is Rat.LTE:
+    if cfg.rat == "lte":
         rx_unit = friis_rx_power(1.0, 1.0, 1.0, cfg.wavelength_m, distance_m,
                                  cfg.system_loss)
         pathloss = -10.0 * math.log10(rx_unit)
     else:
-        try:
-            pathloss = mmwave_pathloss_db(distance_m, cfg.mmwave, shadow_db)
-        except OutOfCoverageError:
-            return ChannelSample(distance_m, math.inf, -math.inf, noise,
-                                 penalties_db, -math.inf, in_coverage=False)
-        pathloss += 10.0 * math.log10(cfg.system_loss)
+        pathloss = (mmwave_pathloss_db(distance_m, cfg.mmwave, shadow_db)
+                    + 10.0 * math.log10(cfg.system_loss))
     rx_power = cfg.tx_power_dbm + cfg.tx_gain_dbi + cfg.rx_gain_dbi - pathloss
-    snr = rx_power - penalties_db - noise
-    return ChannelSample(distance_m, pathloss, rx_power, noise, penalties_db, snr)
+    return rx_power - penalties_db - cfg.noise_dbm
 
 
 def nr_outage_probability(speed_kmh: float, v_mid_kmh: float = 45.0,

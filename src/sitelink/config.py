@@ -13,9 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from typing import Optional
 
-from .channel import (MmWavePathLossParams, RadioConfig, Rat,
-                      earfcn_direction, earfcn_to_freq_mhz,
-                      nr_arfcn_to_freq_mhz)
+from .channel import (MmWavePathLossParams, RadioConfig, earfcn_direction,
+                      earfcn_to_freq_mhz, nr_arfcn_to_freq_mhz)
 from .phymac import SUPPORTED_SCS_KHZ, HarqProcess, LinkAdaptation
 
 PRESET_NAMES = ("scenario1", "scenario2", "scenario3", "custom")
@@ -144,13 +143,13 @@ class ScenarioConfig:
         if rat == "lte":
             r = self.radio_lte
             return RadioConfig(
-                rat=Rat.LTE, carrier_freq_hz=self.lte_carrier_mhz() * 1e6,
+                rat="lte", carrier_freq_hz=self.lte_carrier_mhz() * 1e6,
                 bandwidth_hz=r.bandwidth_mhz * 1e6, tx_power_dbm=r.tx_power_dbm,
                 tx_gain_dbi=r.tx_gain_dbi, rx_gain_dbi=r.rx_gain_dbi,
                 system_loss=r.system_loss, noise_figure_db=r.noise_figure_db)
         r = self.radio_nr
         return RadioConfig(
-            rat=Rat.NR, carrier_freq_hz=self.nr_carrier_mhz() * 1e6,
+            rat="nr", carrier_freq_hz=self.nr_carrier_mhz() * 1e6,
             bandwidth_hz=r.bandwidth_mhz * 1e6, tx_power_dbm=r.tx_power_dbm,
             tx_gain_dbi=r.tx_gain_dbi, rx_gain_dbi=r.rx_gain_dbi,
             system_loss=r.system_loss, noise_figure_db=r.noise_figure_db,
@@ -328,6 +327,9 @@ def validate_config(cfg: ScenarioConfig) -> None:
         errs.append(f"preset: expected one of {PRESET_NAMES}, got {cfg.preset!r}")
     if not cfg.rats or any(r not in ("lte", "nr") for r in cfg.rats):
         errs.append(f"rats: expected a non-empty subset of lte,nr, got {cfg.rats}")
+    dups = sorted({r for r in cfg.rats if cfg.rats.count(r) > 1})
+    if dups:
+        errs.append(f"rats: values must be distinct, repeated {dups}")
     if cfg.sweep_variable not in SWEEP_VARIABLES:
         errs.append(f"sweep_variable: expected one of {SWEEP_VARIABLES}, "
                     f"got {cfg.sweep_variable!r}")

@@ -34,31 +34,14 @@ def _label_seed(label: str, seed: int) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-class RngStream:
-    """Named deterministic random substream.
+def rng_stream(label: str, seed: int) -> random.Random:
+    """Return the deterministic substream identified by (label, seed).
 
     Identical (label, seed) pairs always yield the identical draw sequence;
     distinct labels are seeded independently so that adding draws to one
     subsystem never perturbs another's sequence.
     """
-
-    __slots__ = ("label", "seed", "_rng", "random", "gauss")
-
-    def __init__(self, label: str, seed: int):
-        self.label = label
-        self.seed = seed
-        self._rng = random.Random(_label_seed(label, seed))
-        # Bound methods cached for the hot paths.
-        self.random = self._rng.random
-        self.gauss = self._rng.gauss
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"RngStream(label={self.label!r}, seed={self.seed})"
-
-
-def rng_stream(label: str, seed: int) -> RngStream:
-    """Return the deterministic substream identified by (label, seed)."""
-    return RngStream(label, seed)
+    return random.Random(_label_seed(label, seed))
 
 
 class Simulator:

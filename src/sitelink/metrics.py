@@ -1,8 +1,9 @@
 """Flow statistics, replication averaging, and CSV export.
 
-Throughput, loss rate and mean delay are computed over a run's flows in the
-measured window (warm-up excluded); replications of one sweep point are
-averaged arithmetically with the sample std-dev of the delay retained.
+Each flow's ledger counts only the packets created after warm-up, and
+throughput, loss rate and mean delay are computed over a run's ledgers;
+replications of one sweep point are averaged arithmetically with the sample
+std-dev of the delay retained.
 """
 
 from __future__ import annotations
@@ -23,26 +24,34 @@ CSV_COLUMNS = (
 
 @dataclass
 class FlowStats:
-    """Counters for one flow; loss and delay metrics derive from these."""
+    """Counters for one flow; loss and delay metrics derive from these.
+
+    Packets created before ``warmup_s`` are ignored by every counter, so the
+    ledger alone decides which packets the measured window holds.
+    """
 
     flow_id: int
+    warmup_s: float = 0.0
     tx_packets: int = 0
     rx_packets: int = 0
     rx_bytes: int = 0
     delay_sum_s: float = 0.0
     drops_by_cause: dict = field(default_factory=dict)
 
-    def on_created(self) -> None:
-        self.tx_packets += 1
+    def on_created(self, pkt: Packet) -> None:
+        if pkt.t_created >= self.warmup_s:
+            self.tx_packets += 1
 
-    def on_delivered(self, pkt: Packet) -> None:
-        self.rx_packets += 1
-        self.rx_bytes += pkt.size_bytes
-        self.delay_sum_s += pkt.t_delivered - pkt.t_created
+    def on_delivered(self, pkt: Packet, t: float) -> None:
+        if pkt.t_created >= self.warmup_s:
+            self.rx_packets += 1
+            self.rx_bytes += pkt.size_bytes
+            self.delay_sum_s += t - pkt.t_created
 
-    def on_dropped(self, cause: DropCause) -> None:
-        key = cause.value
-        self.drops_by_cause[key] = self.drops_by_cause.get(key, 0) + 1
+    def on_dropped(self, pkt: Packet, cause: DropCause) -> None:
+        if pkt.t_created >= self.warmup_s:
+            key = cause.value
+            self.drops_by_cause[key] = self.drops_by_cause.get(key, 0) + 1
 
     @property
     def dropped_packets(self) -> int:

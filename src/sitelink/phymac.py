@@ -9,10 +9,9 @@ to ``max_retx`` times with a fixed soft-combining gain per attempt.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
-
-from .engine import RngStream
 
 SUPPORTED_SCS_KHZ = (15, 30, 60, 120)
 
@@ -57,7 +56,7 @@ def achievable_rate_bps(snr_db: float, bandwidth_hz: float,
 
 
 class SchedulerState:
-    """Per-cell scheduler bookkeeping: smoothed served rates and backlogs."""
+    """Per-cell scheduler memory: smoothed served rates and the RR pointer."""
 
     def __init__(self, n_ues: int, window_slots: int = 100,
                  slot_s: float = 0.001, init_avg_bps: float = 1000.0):
@@ -69,12 +68,11 @@ class SchedulerState:
         self.window = window_slots
         self.slot_s = slot_s
         self.avg_bps = [float(init_avg_bps)] * n_ues
-        self.backlog_bytes = [0] * n_ues
         self.rr_pos = 0
 
 
 def pf_schedule(state: SchedulerState, rates_bps: Sequence[float],
-                rb_count: int) -> list[int]:
+                backlog_bytes: Sequence[int], rb_count: int) -> list[int]:
     """Proportional-fair resource-block allocation for one subframe.
 
     Every RB goes to the backlogged UE maximising instantaneous rate over
@@ -86,21 +84,22 @@ def pf_schedule(state: SchedulerState, rates_bps: Sequence[float],
     if rb_count < 1:
         raise ValueError("resource budget must be >= 1 RB")
     n = state.n_ues
-    if len(rates_bps) != n:
-        raise ValueError(f"expected {n} rates, got {len(rates_bps)}")
+    if len(rates_bps) != n or len(backlog_bytes) != n:
+        raise ValueError(f"expected {n} rates and backlogs, got "
+                         f"{len(rates_bps)} and {len(backlog_bytes)}")
     alloc = [0] * n
     slot_s = state.slot_s
     avg = state.avg_bps
 
     order = sorted(
-        (i for i in range(n) if state.backlog_bytes[i] > 0 and rates_bps[i] > 0.0),
+        (i for i in range(n) if backlog_bytes[i] > 0 and rates_bps[i] > 0.0),
         key=lambda i: (-rates_bps[i] / avg[i], i))
     rb_left = rb_count
     for i in order:
         if rb_left == 0:
             break
         rb_bits = rates_bps[i] * slot_s / rb_count
-        need = math.ceil(state.backlog_bytes[i] * 8.0 / rb_bits)
+        need = math.ceil(backlog_bytes[i] * 8.0 / rb_bits)
         grant = min(need, rb_left)
         alloc[i] = grant
         rb_left -= grant
@@ -110,7 +109,7 @@ def pf_schedule(state: SchedulerState, rates_bps: Sequence[float],
     for i in range(n):
         if alloc[i]:
             served_bits = min(alloc[i] * rates_bps[i] * slot_s / rb_count,
-                              state.backlog_bytes[i] * 8.0)
+                              backlog_bytes[i] * 8.0)
             served_bps = served_bits / slot_s
         else:
             served_bps = 0.0
@@ -118,7 +117,8 @@ def pf_schedule(state: SchedulerState, rates_bps: Sequence[float],
     return alloc
 
 
-def nr_slot_schedule(state: SchedulerState, slot: int) -> Optional[int]:
+def nr_slot_schedule(state: SchedulerState,
+                     backlog_bytes: Sequence[int]) -> Optional[int]:
     """Round-robin pick of one backlogged UE for a whole slot; None when idle.
 
     A UE that becomes backlogged mid-rotation joins at its fixed position, so
@@ -126,12 +126,11 @@ def nr_slot_schedule(state: SchedulerState, slot: int) -> Optional[int]:
     """
     n = state.n_ues
     pos = state.rr_pos
-    backlog = state.backlog_bytes
     for j in range(n):
         i = pos + j
         if i >= n:
             i -= n
-        if backlog[i] > 0:
+        if backlog_bytes[i] > 0:
             state.rr_pos = i + 1 if i + 1 < n else 0
             return i
     return None
@@ -174,7 +173,7 @@ class HarqOutcome(NamedTuple):
 
 
 def harq_transmit(snr_db: float, harq: HarqProcess,
-                  rng: RngStream) -> HarqOutcome:
+                  rng: random.Random) -> HarqOutcome:
     """Run one packet through the HARQ chain at a fixed channel SNR.
 
     Attempt k (1-based) fails with probability bler(snr + (k-1) * gain);

@@ -139,6 +139,10 @@ class _Run:
         self.backlog_pkts = 0
         self.slot_index = 0
         self.slot_running = False
+        # LTE subframes tick through the measured window even when every
+        # queue is empty; the mmWave slot chain runs only while data waits.
+        self.idle_slots = not self.is_nr
+        self._step = self._nr_step if self.is_nr else self._lte_step
 
         if start_distance is not None:
             radii = [float(start_distance)] * ue_count
@@ -148,7 +152,6 @@ class _Run:
         stop_s = cfg.app_stop_effective_s()
         m = cfg.mobility
         self.ues = []
-        self.stats = []
         for i in range(ue_count):
             mob = MobilityState(x=radii[i], y=0.0, vx=speed_mps, vy=0.0,
                                 min_r=m.corridor_min_m, max_r=m.corridor_max_m)
@@ -156,21 +159,18 @@ class _Run:
                 flow_id=i, rate_bps=offered * 1e6,
                 packet_size_bytes=cfg.traffic.packet_size_bytes,
                 start_s=cfg.traffic.app_start_s, stop_s=stop_s)
-            stats = FlowStats(i)
-            ue = _Ue(i, mob, FlowQueue(cfg.traffic.queue_capacity_pkts),
-                     stats, stream)
-            self.ues.append(ue)
-            self.stats.append(stats)
-        self._rates = [0.0] * ue_count
+            self.ues.append(_Ue(i, mob,
+                                FlowQueue(cfg.traffic.queue_capacity_pkts),
+                                FlowStats(i, warmup_s=self.warmup), stream))
 
         # Channel state first, then the slot chain, then the sources, so that
         # simultaneous events resolve in that order.
         for ue in self.ues:
             self._update_channel(ue, 0.0)
             self._schedule_refresh(ue)
-        if not self.is_nr:
+        if self.idle_slots:
             self.slot_running = True
-            self.sim.schedule(0.0, self._lte_slot, "slot", "lte")
+            self.sim.schedule(0.0, self._slot, "slot", self.rat)
         for ue in self.ues:
             grid = cbr_grid(ue.stream)
             t_first = next(grid, None)
@@ -185,21 +185,28 @@ class _Run:
         d = math.hypot(pos[0], pos[1])
         shadow = (self.shadow_rng.gauss(0.0, self.shadow_sigma)
                   if self.is_nr else 0.0)
-        sample = snr_db(self.radio, d, penalties_db=self.lte_penalty_db,
-                        shadow_db=shadow)
-        ue.in_coverage = sample.in_coverage
-        ue.snr_la_db = sample.snr_db
-        ue.rate_full_bps = (achievable_rate_bps(sample.snr_db,
-                                                self.bandwidth_hz, self.la)
-                            if sample.in_coverage else 0.0)
+        snr = snr_db(self.radio, d, penalties_db=self.lte_penalty_db,
+                     shadow_db=shadow)
+        ue.in_coverage = snr > -math.inf
+        ue.snr_la_db = snr
+        ue.rate_full_bps = achievable_rate_bps(snr, self.bandwidth_hz, self.la)
+
+    def _continues(self, nxt: float, idle: bool) -> bool:
+        """Whether a periodic chain schedules its next instant *nxt*.
+
+        Nothing runs past the drain window.  Before it, a chain goes on while
+        any packet is queued; an *idle* chain (LTE subframes, channel refresh)
+        also goes on to the end of the measured window.
+        """
+        return nxt <= self.stop_time and (
+            self.backlog_pkts > 0 or (idle and nxt <= self.duration))
 
     def _schedule_refresh(self, ue: _Ue) -> None:
         def refresh():
             t = self.sim.now
             self._update_channel(ue, t)
             nxt = t + self.refresh_s
-            if nxt <= self.stop_time and (nxt <= self.duration
-                                          or self.backlog_pkts > 0):
+            if self._continues(nxt, True):
                 self.sim.schedule(nxt, refresh, "refresh", f"ue={ue.idx}")
         self.sim.schedule(self.refresh_s, refresh, "refresh", f"ue={ue.idx}")
 
@@ -214,15 +221,13 @@ class _Run:
             t = sim.now
             pkt = Packet(ue.idx, ue.seq, size, t)
             ue.seq += 1
-            counted = t >= self.warmup
-            if counted:
-                ue.stats.on_created()
+            ue.stats.on_created(pkt)
             if ue.queue.offer(pkt):
                 self.backlog_pkts += 1
                 if not self.slot_running:
                     self._wake_slots(t)
-            elif counted:
-                ue.stats.on_dropped(DropCause.QUEUE_OVERFLOW)
+            else:
+                ue.stats.on_dropped(pkt, DropCause.QUEUE_OVERFLOW)
             t_next = next(grid, None)
             if t_next is not None:
                 sim.schedule(t_next, arrival, "arrival", detail)
@@ -230,13 +235,13 @@ class _Run:
         return arrival
 
     def _wake_slots(self, t: float) -> None:
-        # The mmWave slot chain sleeps while every queue is empty; align the
-        # wake-up to the slot grid.
+        # The slot chain sleeps once it has nothing to do; align the wake-up
+        # to the slot grid.
         self.slot_running = True
         k = math.ceil(t / self.slot_s - 1e-9)
         self.slot_index = k
         # Grid arithmetic can land an ulp before the clock; same-instant is fine.
-        self.sim.schedule(max(k * self.slot_s, t), self._nr_slot, "slot", "nr")
+        self.sim.schedule(max(k * self.slot_s, t), self._slot, "slot", self.rat)
 
     # -- serving ------------------------------------------------------------
 
@@ -245,9 +250,7 @@ class _Run:
         ue.credit_bits += capacity_bits
         queue = ue.queue
         stats = ue.stats
-        warmup = self.warmup
-        while len(queue):
-            pkt = queue.head()
+        while (pkt := queue.head()) is not None:
             bits = pkt.size_bytes * 8.0
             if ue.credit_bits < bits:
                 return
@@ -255,67 +258,51 @@ class _Run:
             self.backlog_pkts -= 1
             ue.credit_bits -= bits
             outcome = harq_transmit(snr_tx_db, self.harq, self.harq_rng)
-            counted = pkt.t_created >= warmup
             if outcome.delivered:
-                self.sink.receive(pkt, slot_end + outcome.added_delay_s
-                                  + self.core_s)
-                if counted:
-                    stats.on_delivered(pkt)
-            elif counted:
-                stats.on_dropped(DropCause.HARQ_EXHAUSTED)
+                t_rx = slot_end + outcome.added_delay_s + self.core_s
+                self.sink.receive(pkt, t_rx)
+                stats.on_delivered(pkt, t_rx)
+            else:
+                stats.on_dropped(pkt, DropCause.HARQ_EXHAUSTED)
         # No banking of idle airtime.
         ue.credit_bits = 0.0
 
-    def _lte_slot(self) -> None:
-        t = self.sim.now
-        sched = self.sched
-        backlog = sched.backlog_bytes
-        rates = self._rates
+    def _lte_step(self, t: float) -> None:
         ues = self.ues
-        for ue in ues:
-            backlog[ue.idx] = ue.queue.bytes
-            rates[ue.idx] = ue.rate_full_bps
-        alloc = pf_schedule(sched, rates, self.rb_count)
+        rates = [ue.rate_full_bps for ue in ues]
+        alloc = pf_schedule(self.sched, rates, [ue.queue.bytes for ue in ues],
+                            self.rb_count)
         slot_end = t + self.slot_s
         share = self.slot_s / self.rb_count
         for i, rbs in enumerate(alloc):
             if rbs:
                 ue = ues[i]
                 self._serve(ue, rates[i] * share * rbs, ue.snr_la_db, slot_end)
-        self.slot_index += 1
-        nxt = self.slot_index * self.slot_s
-        if nxt <= self.duration or (self.backlog_pkts > 0
-                                    and nxt <= self.stop_time):
-            self.sim.schedule(nxt, self._lte_slot, "slot", "lte")
-        else:
-            self.slot_running = False
 
-    def _nr_slot(self) -> None:
-        t = self.sim.now
-        sched = self.sched
-        backlog = sched.backlog_bytes
+    def _nr_step(self, t: float) -> None:
         ues = self.ues
-        for ue in ues:
-            backlog[ue.idx] = ue.queue.bytes
-        pick = nr_slot_schedule(sched, self.slot_index)
-        if pick is not None:
-            ue = ues[pick]
-            if not ue.in_coverage:
-                # Transmission into a dead link: the head packet is lost.
-                pkt = ue.queue.pop()
-                self.backlog_pkts -= 1
-                if pkt.t_created >= self.warmup:
-                    ue.stats.on_dropped(DropCause.OUT_OF_COVERAGE)
-            elif ue.rate_full_bps > 0.0:
-                snr_tx = ue.snr_la_db
-                if self.outage_rng.random() < self.p_out:
-                    snr_tx -= self.outage_penalty_db
-                self._serve(ue, ue.rate_full_bps * self.slot_s, snr_tx,
-                            t + self.slot_s)
+        pick = nr_slot_schedule(self.sched, [ue.queue.bytes for ue in ues])
+        if pick is None:
+            return
+        ue = ues[pick]
+        if not ue.in_coverage:
+            # Transmission into a dead link: the head packet is lost.
+            pkt = ue.queue.pop()
+            self.backlog_pkts -= 1
+            ue.stats.on_dropped(pkt, DropCause.OUT_OF_COVERAGE)
+        elif ue.rate_full_bps > 0.0:
+            snr_tx = ue.snr_la_db
+            if self.outage_rng.random() < self.p_out:
+                snr_tx -= self.outage_penalty_db
+            self._serve(ue, ue.rate_full_bps * self.slot_s, snr_tx,
+                        t + self.slot_s)
+
+    def _slot(self) -> None:
+        self._step(self.sim.now)
         self.slot_index += 1
         nxt = self.slot_index * self.slot_s
-        if self.backlog_pkts > 0 and nxt <= self.stop_time:
-            self.sim.schedule(nxt, self._nr_slot, "slot", "nr")
+        if self._continues(nxt, self.idle_slots):
+            self.sim.schedule(nxt, self._slot, "slot", self.rat)
         else:
             self.slot_running = False
 
@@ -323,20 +310,20 @@ class _Run:
 
     def execute(self) -> RunResult:
         self.sim.run(self.stop_time)
+        flows = [ue.stats for ue in self.ues]
         # Whatever is still queued could not be served within the drain
         # window: the link never carried it, so it counts as coverage loss.
         for ue in self.ues:
             for pkt in ue.queue.drain():
-                if pkt.t_created >= self.warmup:
-                    ue.stats.on_dropped(DropCause.OUT_OF_COVERAGE)
+                ue.stats.on_dropped(pkt, DropCause.OUT_OF_COVERAGE)
         self.backlog_pkts = 0
 
-        for stats in self.stats:
+        for stats in flows:
             if not stats.conservation_holds():
                 raise SimulationError(
                     f"flow {stats.flow_id}: created {stats.tx_packets} != "
                     f"delivered {stats.rx_packets} + dropped {stats.dropped_packets}")
-        throughput, loss, mean_delay = finalize(self.stats,
+        throughput, loss, mean_delay = finalize(flows,
                                                 self.duration - self.warmup)
         speed_col = (None if self.cfg.preset in ("scenario1", "scenario2")
                      else self.speed_kmh)
@@ -346,7 +333,7 @@ class _Run:
             ue_count=self.ue_count, offered_mbps_per_ue=self.offered_mbps,
             speed_kmh=speed_col, throughput_bps=throughput, loss_rate=loss,
             mean_delay_s=mean_delay, seed=self.seed, rep_index=self.rep_index,
-            flows=self.stats)
+            flows=flows)
 
 
 def run_single(cfg: ScenarioConfig, rat: str, sweep_index: int,
@@ -373,11 +360,6 @@ def run_single(cfg: ScenarioConfig, rat: str, sweep_index: int,
             trace_file.close()
 
 
-def _job(args) -> RunResult:
-    cfg, rat, sweep_index, rep_index, trace_dir = args
-    return run_single(cfg, rat, sweep_index, rep_index, trace_dir)
-
-
 def run_scenario(cfg: ScenarioConfig, workers: int = 1,
                  trace_dir: Optional[str] = None) -> list[RunResult]:
     """Run the full sweep and return one averaged RunResult per (rat, point).
@@ -394,9 +376,9 @@ def run_scenario(cfg: ScenarioConfig, workers: int = 1,
     processes = min(workers, len(jobs), os.cpu_count() or 1)
     if processes > 1:
         with multiprocessing.Pool(processes=processes) as pool:
-            raw = pool.map(_job, jobs)
+            raw = pool.starmap(run_single, jobs)
     else:
-        raw = [_job(j) for j in jobs]
+        raw = [run_single(*job) for job in jobs]
 
     grouped: dict[tuple, list[RunResult]] = {}
     for res in raw:

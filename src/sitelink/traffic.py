@@ -67,7 +67,6 @@ class Packet:
     seq: int
     size_bytes: int
     t_created: float
-    t_delivered: Optional[float] = None
 
 
 class FlowQueue:
@@ -113,7 +112,7 @@ class DuplicateDeliveryError(Exception):
 
 
 class Sink:
-    """Receiving endpoint; stamps deliveries and rejects duplicates.
+    """Receiving endpoint; rejects early, duplicate and reordered deliveries.
 
     Service is FIFO per flow, so delivered seqs strictly increase (drops only
     skip seqs); remembering the last seq per flow catches any duplicate.
@@ -130,4 +129,3 @@ class Sink:
             raise DuplicateDeliveryError(
                 f"flow {pkt.flow_id} seq {pkt.seq} delivered after seq {last}")
         self._last_seq[pkt.flow_id] = pkt.seq
-        pkt.t_delivered = t

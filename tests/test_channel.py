@@ -11,8 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from sitelink.channel import (ChannelSample, MmWavePathLossParams,
-                              OutOfCoverageError, RadioConfig, Rat,
+from sitelink.channel import (MmWavePathLossParams, RadioConfig,
                               earfcn_direction, earfcn_to_freq_mhz,
                               friis_rx_power, mmwave_pathloss_db,
                               noise_power_dbm, nr_arfcn_to_freq_mhz,
@@ -169,8 +168,8 @@ def test_mmwave_decade_adds_10_beta_db():
 
 def test_mmwave_beyond_max_range_signals_outage():
     params = MmWavePathLossParams(max_range_m=200.0)
-    with pytest.raises(OutOfCoverageError):
-        mmwave_pathloss_db(201.0, params)
+    assert mmwave_pathloss_db(200.0, params) < math.inf
+    assert mmwave_pathloss_db(201.0, params) == math.inf
 
 
 def test_mmwave_shadow_enters_additively():
@@ -191,7 +190,7 @@ def test_noise_floor_anchors():
 
 
 def _nr_cfg(**kw) -> RadioConfig:
-    defaults = dict(rat=Rat.NR, carrier_freq_hz=28.00008e9, bandwidth_hz=1e8,
+    defaults = dict(rat="nr", carrier_freq_hz=28.00008e9, bandwidth_hz=1e8,
                     tx_power_dbm=30.0, tx_gain_dbi=10.0, rx_gain_dbi=24.0,
                     noise_figure_db=7.0)
     defaults.update(kw)
@@ -199,7 +198,7 @@ def _nr_cfg(**kw) -> RadioConfig:
 
 
 def _lte_cfg(**kw) -> RadioConfig:
-    defaults = dict(rat=Rat.LTE, carrier_freq_hz=1.93e9, bandwidth_hz=5e6,
+    defaults = dict(rat="lte", carrier_freq_hz=1.93e9, bandwidth_hz=5e6,
                     tx_power_dbm=23.0, noise_figure_db=9.0)
     defaults.update(kw)
     return RadioConfig(**defaults)
@@ -212,27 +211,31 @@ def test_radio_config_wavelength_consistency():
         _lte_cfg(bandwidth_hz=-1.0)
     with pytest.raises(ValueError):
         _lte_cfg(system_loss=0.5)
+    with pytest.raises(ValueError):
+        _lte_cfg(rat="umts")
 
 
 def test_snr_composes_the_worked_nr_link_budget():
     # 30 dBm + 34 dBi - 101.4 dB PL - (-87 dBm) noise = 49.6 dB.
-    sample = snr_db(_nr_cfg(), 100.0)
-    assert sample.snr_db == pytest.approx(49.6, abs=1e-9)
-    assert sample.pathloss_db == pytest.approx(101.4, abs=1e-9)
-    assert sample.noise_dbm == pytest.approx(-87.0, abs=1e-9)
-    assert sample.in_coverage
+    cfg = _nr_cfg()
+    assert snr_db(cfg, 100.0) == pytest.approx(49.6, abs=1e-9)
+    assert mmwave_pathloss_db(100.0, cfg.mmwave) == pytest.approx(101.4,
+                                                                 abs=1e-9)
+    assert cfg.noise_dbm == pytest.approx(-87.0, abs=1e-9)
 
 
 def test_snr_sample_identity_holds():
-    sample = snr_db(_nr_cfg(), 70.0, penalties_db=3.5, shadow_db=-2.0)
-    assert sample.snr_db == pytest.approx(
-        sample.rx_power_dbm - sample.penalties_db - sample.noise_dbm, abs=1e-12)
+    # snr = tx power + antenna gains - shadowed path loss - penalties - noise
+    cfg = _nr_cfg()
+    rx_power = 30.0 + 10.0 + 24.0 - mmwave_pathloss_db(70.0, cfg.mmwave, -2.0)
+    assert snr_db(cfg, 70.0, penalties_db=3.5, shadow_db=-2.0) == pytest.approx(
+        rx_power - 3.5 - cfg.noise_dbm, abs=1e-12)
 
 
 def test_lte_snr_doubling_distance_costs_inverse_square():
     cfg = _lte_cfg()
     for d in (25.0, 80.0):
-        diff = snr_db(cfg, d).snr_db - snr_db(cfg, 2 * d).snr_db
+        diff = snr_db(cfg, d) - snr_db(cfg, 2 * d)
         assert diff == pytest.approx(20.0 * math.log10(2.0), abs=1e-9)
         assert round(diff, 2) == 6.02
 
@@ -241,18 +244,15 @@ def test_snr_monotone_in_distance_and_penalties():
     rng = np.random.default_rng(11)
     for cfg in (_lte_cfg(), _nr_cfg()):
         distances = np.sort(rng.uniform(1.0, 190.0, size=20))
-        snrs = [snr_db(cfg, float(d)).snr_db for d in distances]
+        snrs = [snr_db(cfg, float(d)) for d in distances]
         assert all(a >= b for a, b in zip(snrs, snrs[1:]))
         pens = np.sort(rng.uniform(0.0, 40.0, size=10))
-        vals = [snr_db(cfg, 90.0, penalties_db=float(p)).snr_db for p in pens]
+        vals = [snr_db(cfg, 90.0, penalties_db=float(p)) for p in pens]
         assert all(a >= b for a, b in zip(vals, vals[1:]))
 
 
 def test_nr_out_of_coverage_propagates_as_outage_sample():
-    sample = snr_db(_nr_cfg(), 201.0)
-    assert not sample.in_coverage
-    assert sample.snr_db == -math.inf
-    assert isinstance(sample, ChannelSample)
+    assert snr_db(_nr_cfg(), 201.0) == -math.inf
 
 
 # -- velocity degradation, as the runner applies it ------------------------

@@ -199,3 +199,11 @@ def test_duplicate_sweep_values_rejected():
     with pytest.raises(ConfigError, match="distinct"):
         parse_config("sweep_variable=offered_mbps\nsweep=1,1.0")
     assert parse_config("sweep=2,4").sweep == (2.0, 4.0)
+
+
+def test_repeated_rats_rejected():
+    # One RAT listed twice would run each sweep point twice on the same
+    # seeds and report the copies as independent replications.
+    with pytest.raises(ConfigError, match="rats: values must be distinct"):
+        parse_config("rats=lte,lte\nreplications=1")
+    assert parse_config("rats=nr,lte").rats == ("nr", "lte")

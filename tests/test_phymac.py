@@ -60,36 +60,36 @@ def test_rate_monotone_in_snr_and_linear_in_bandwidth():
 
 # -- proportional fair ----------------------------------------------------------
 
-def _state(avgs, backlogs, slot_s=0.001, window=100):
+def _state(avgs, slot_s=0.001, window=100):
     st = SchedulerState(len(avgs), window_slots=window, slot_s=slot_s)
     st.avg_bps = list(avgs)
-    st.backlog_bytes = list(backlogs)
     return st
 
 
 def test_single_backlogged_ue_gets_all_rbs():
-    st = _state([1.0, 1.0, 1.0], [100000, 0, 0])
-    alloc = pf_schedule(st, [1e6, 1e6, 1e6], 25)
+    st = _state([1.0, 1.0, 1.0])
+    alloc = pf_schedule(st, [1e6, 1e6, 1e6], [100000, 0, 0], 25)
     assert alloc == [25, 0, 0]
 
 
 def test_pf_argmax_picks_highest_rate_over_average():
-    st = _state([1.0, 2.0], [10000, 10000])
-    alloc = pf_schedule(st, [10.0, 10.0], 1)   # ratios 10 vs 5
+    st = _state([1.0, 2.0])
+    alloc = pf_schedule(st, [10.0, 10.0], [10000, 10000], 1)   # ratios 10 vs 5
     assert alloc == [1, 0]
 
 
 def test_pf_scaling_all_averages_leaves_allocation_unchanged():
     rates = [3e6, 1e6, 2e6, 2.5e6]
     backlogs = [5000, 2500, 12500, 1250]
-    base = pf_schedule(_state([1e3, 2e3, 5e2, 4e3], backlogs), rates, 25)
-    scaled = pf_schedule(_state([3.7e3, 7.4e3, 1.85e3, 14.8e3], backlogs), rates, 25)
+    base = pf_schedule(_state([1e3, 2e3, 5e2, 4e3]), rates, backlogs, 25)
+    scaled = pf_schedule(_state([3.7e3, 7.4e3, 1.85e3, 14.8e3]), rates,
+                         backlogs, 25)
     assert base == scaled
 
 
 def test_pf_tie_breaks_to_lowest_index():
-    st = _state([1.0, 1.0], [10, 10])
-    alloc = pf_schedule(st, [8e4, 8e4], 1)
+    st = _state([1.0, 1.0])
+    alloc = pf_schedule(st, [8e4, 8e4], [10, 10], 1)
     assert alloc == [1, 0]
 
 
@@ -97,12 +97,12 @@ def test_pf_never_exceeds_rb_budget_and_serves_only_backlogged():
     rng = np.random.default_rng(21)
     for _ in range(200):
         n = int(rng.integers(1, 12))
-        st = _state(rng.uniform(1e2, 1e6, n).tolist(),
-                    rng.integers(0, 30000, n).tolist())
-        backlogged = [b > 0 for b in st.backlog_bytes]
+        st = _state(rng.uniform(1e2, 1e6, n).tolist())
+        backlogs = rng.integers(0, 30000, n).tolist()
+        backlogged = [b > 0 for b in backlogs]
         rates = rng.uniform(0, 2e7, n).tolist()
         rb = int(rng.integers(1, 50))
-        alloc = pf_schedule(st, rates, rb)
+        alloc = pf_schedule(st, rates, backlogs, rb)
         assert sum(alloc) <= rb
         assert all(a == 0 for a, b in zip(alloc, backlogged) if not b)
         assert all(a == 0 for a, r in zip(alloc, rates) if r == 0.0)
@@ -110,55 +110,58 @@ def test_pf_never_exceeds_rb_budget_and_serves_only_backlogged():
 
 
 def test_pf_no_backlog_gives_empty_allocation():
-    st = _state([1e3, 1e3], [0, 0])
-    assert pf_schedule(st, [1e6, 1e6], 25) == [0, 0]
+    st = _state([1e3, 1e3])
+    assert pf_schedule(st, [1e6, 1e6], [0, 0], 25) == [0, 0]
+    with pytest.raises(ValueError):
+        pf_schedule(st, [1e6, 1e6], [0], 25)
 
 
 def test_pf_smoothing_moves_average_toward_served_rate():
-    st = _state([1e3], [125000], window=10)
-    pf_schedule(st, [1e6], 25)   # serves the full 1 Mb/s for one subframe
+    st = _state([1e3], window=10)
+    pf_schedule(st, [1e6], [125000], 25)   # serves 1 Mb/s for one subframe
     assert st.avg_bps[0] == pytest.approx(0.9 * 1e3 + 0.1 * 1e6)
 
 
 # -- round-robin slot scheduler -------------------------------------------------
 
 def test_rr_three_ues_six_slots_each_served_twice():
-    st = _state([1.0] * 3, [100, 100, 100])
-    served = [nr_slot_schedule(st, slot) for slot in range(6)]
+    st = _state([1.0] * 3)
+    served = [nr_slot_schedule(st, [100, 100, 100]) for _ in range(6)]
     assert served == [0, 1, 2, 0, 1, 2]
 
 
 def test_rr_single_ue_served_every_slot():
-    st = _state([1.0], [10])
-    assert [nr_slot_schedule(st, s) for s in range(4)] == [0, 0, 0, 0]
+    st = _state([1.0])
+    assert [nr_slot_schedule(st, [10]) for _ in range(4)] == [0, 0, 0, 0]
 
 
 def test_rr_idle_when_no_backlog():
-    st = _state([1.0, 1.0], [0, 0])
-    assert nr_slot_schedule(st, 0) is None
+    st = _state([1.0, 1.0])
+    assert nr_slot_schedule(st, [0, 0]) is None
 
 
 def test_rr_ue_joining_mid_rotation_waits_at_most_one_rotation():
-    st = _state([1.0] * 3, [100, 0, 100])
-    assert nr_slot_schedule(st, 0) == 0
-    st.backlog_bytes[1] = 100   # joins while the pointer is past UE 0
-    assert nr_slot_schedule(st, 1) == 1
-    assert nr_slot_schedule(st, 2) == 2
-    assert nr_slot_schedule(st, 3) == 0
+    st = _state([1.0] * 3)
+    assert nr_slot_schedule(st, [100, 0, 100]) == 0
+    backlogs = [100, 100, 100]  # UE 1 joins while the pointer is past UE 0
+    assert nr_slot_schedule(st, backlogs) == 1
+    assert nr_slot_schedule(st, backlogs) == 2
+    assert nr_slot_schedule(st, backlogs) == 0
 
 
 def test_rr_no_starvation_over_random_backlog_patterns():
     rng = np.random.default_rng(8)
     n = 5
-    st = _state([1.0] * n, [1] * n)
+    st = _state([1.0] * n)
+    backlogs = [1] * n
     waits = [0] * n
-    for slot in range(500):
-        pick = nr_slot_schedule(st, slot)
+    for _ in range(500):
+        pick = nr_slot_schedule(st, backlogs)
         for i in range(n):
             waits[i] = 0 if i == pick else waits[i] + 1
             assert waits[i] <= n   # continuously backlogged => served within n slots
         # keep everyone backlogged, jitter the amounts
-        st.backlog_bytes = [int(rng.integers(1, 100)) for _ in range(n)]
+        backlogs = [int(rng.integers(1, 100)) for _ in range(n)]
 
 
 # -- BLER and HARQ ---------------------------------------------------------------

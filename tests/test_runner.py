@@ -5,6 +5,8 @@ test_acceptance.py.
 """
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sitelink import runner
 from sitelink.config import parse_config
@@ -278,8 +280,8 @@ class _InlinePool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, jobs):
-        return [fn(j) for j in jobs]
+    def starmap(self, fn, jobs):
+        return [fn(*j) for j in jobs]
 
 
 @pytest.mark.parametrize("cpus, workers, expect", [
@@ -303,3 +305,61 @@ def test_pool_size_is_capped_by_cpus_and_jobs(monkeypatch, cpus, workers,
     rows = run_scenario(cfg, workers=workers)     # 2 rats x 2 reps = 4 jobs
     assert len(rows) == 2
     assert sizes == ([] if expect is None else [expect])
+
+
+def test_lte_run_never_calls_the_nr_scheduler(monkeypatch):
+    # 700 * 1 ms lands an ulp past duration_s=0.7, so the LTE subframe chain
+    # goes idle one subframe early and the arrival at 0.6995 s must wake it.
+    def nr_scheduler(*args):
+        raise AssertionError("NR scheduler called in an LTE run")
+    monkeypatch.setattr(runner, "nr_slot_schedule", nr_scheduler)
+    cfg = parse_config(LIGHT + "rats=lte",
+                       overrides={"duration_s": "0.7", "warmup_s": "0.1",
+                                  "traffic.app_start_s": "0.0045",
+                                  "drain_max_s": "0.5"})
+    result = run_single(cfg, "lte", 0, 0)
+    assert result.loss_rate == 0.0
+
+
+def _counting(monkeypatch, name, calls):
+    original = getattr(runner, name)
+
+    def counted(*args):
+        calls[name] += 1
+        return original(*args)
+    monkeypatch.setattr(runner, name, counted)
+
+
+@settings(max_examples=40, deadline=None)
+@given(rat=st.sampled_from(["lte", "nr"]), ue_count=st.integers(1, 4),
+       duration=st.floats(0.3, 1.0), warmup=st.floats(0.0, 0.05),
+       app_start=st.floats(0.0, 0.005, exclude_max=True),
+       speed=st.floats(0.0, 60.0), mbps=st.floats(5.0, 8.0),
+       seed=st.integers(1, 10_000))
+# The LTE wake-up case above (5 ms interval, 0.7 s window: still under 1%).
+@example(rat="lte", ue_count=2, duration=0.7, warmup=0.0, app_start=0.0045,
+         speed=0.0, mbps=2.0, seed=1)
+def test_run_invariants_over_random_small_configs(rat, ue_count, duration,
+                                                  warmup, app_start, speed,
+                                                  mbps, seed):
+    # Rates of 5-8 Mb/s keep the packet interval (<= 2 ms) below 1% of the
+    # measured window (>= 0.25 s), so a window may hold at most 1% more CBR
+    # packets than rate * window: throughput <= 1.01 * offered load.
+    cfg = parse_config(
+        f"preset=custom\nrats={rat}\nsweep_variable=speed_kmh\nsweep={speed!r}\n"
+        f"ue_count={ue_count}\nduration_s={duration!r}\nwarmup_s={warmup!r}\n"
+        f"drain_max_s=0.5\nreplications=1\nseed_base={seed}\n"
+        f"traffic.app_start_s={app_start!r}\n"
+        f"traffic.data_volume_mbps={mbps!r}\n")
+    calls = {"pf_schedule": 0, "nr_slot_schedule": 0}
+    with pytest.MonkeyPatch.context() as mp:
+        for name in calls:
+            _counting(mp, name, calls)
+        result = run_single(cfg, rat, 0, 0)
+    for flow in result.flows:
+        assert flow.tx_packets == flow.rx_packets + flow.dropped_packets
+    assert result.throughput_bps <= 1.01 * ue_count * mbps * 1e6
+    if result.mean_delay_s is not None:
+        assert result.mean_delay_s >= cfg.traffic.core_latency_ms * 1e-3
+    used = {name for name, n in calls.items() if n}
+    assert used == {"pf_schedule" if rat == "lte" else "nr_slot_schedule"}

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from sitelink.metrics import FlowStats
 from sitelink.traffic import (DuplicateDeliveryError, FlowQueue, Packet, Sink,
                               VideoStream, cbr_emit_times)
 
@@ -78,10 +79,13 @@ def test_queue_fifo_order_and_byte_accounting():
 
 
 def test_sink_records_delay_and_rejects_duplicates():
+    # The runner hands one delivery time to the sink and to the flow ledger.
     sink = Sink()
+    stats = FlowStats(3)
     pkt = Packet(3, 17, 1250, t_created=1.000)
     sink.receive(pkt, 1.012)
-    assert pkt.t_delivered - pkt.t_created == pytest.approx(0.012)
+    stats.on_delivered(pkt, 1.012)
+    assert stats.delay_sum_s == pytest.approx(0.012)
     dup = Packet(3, 17, 1250, t_created=1.005)
     with pytest.raises(DuplicateDeliveryError):
         sink.receive(dup, 1.02)
