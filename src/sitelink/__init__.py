@@ -11,7 +11,7 @@ from .channel import (MmWavePathLossParams, RadioConfig, earfcn_to_freq_mhz,
                       nr_arfcn_to_freq_mhz, nr_outage_probability, snr_db)
 from .config import (ConfigError, ScenarioConfig, default_config,
                      parse_config, render_config, validate_config)
-from .engine import SchedulingInPastError, SimEvent, Simulator, rng_stream
+from .engine import SchedulingInPastError, Simulator, rng_stream
 from .metrics import (FlowStats, RunResult, aggregate_replications,
                       export_csv, finalize)
 from .mobility import MobilityState, position_at

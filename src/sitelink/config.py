@@ -124,6 +124,20 @@ class ScenarioConfig:
 
     # -- derived builders ---------------------------------------------------
 
+    def at(self, value: float) -> "ScenarioConfig":
+        """The study at one sweep point: the swept parameter set to *value*.
+        A start distance is a one-radius placement: every UE at that radius."""
+        var, mob = self.sweep_variable, self.mobility
+        if var == "ue_count":
+            return replace(self, ue_count=int(value))
+        if var == "offered_mbps":
+            return replace(self, traffic=replace(self.traffic,
+                                                 data_volume_mbps=value))
+        if var == "speed_kmh":
+            return replace(self, mobility=replace(mob, speed_kmh=value))
+        placement = repr(float(value))
+        return replace(self, mobility=replace(mob, placement=placement))
+
     def app_stop_effective_s(self) -> float:
         stop = self.traffic.app_stop_s
         return self.duration_s if stop < 0 else min(stop, self.duration_s)

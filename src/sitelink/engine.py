@@ -9,22 +9,11 @@ from __future__ import annotations
 import hashlib
 import heapq
 import random
-from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, TextIO
 
 
 class SchedulingInPastError(ValueError):
     """Raised when an event is scheduled before the current virtual clock."""
-
-
-@dataclass(frozen=True, slots=True)
-class SimEvent:
-    """One timestamped action; (time, sequence) gives the total processing order."""
-
-    time: float
-    sequence: int
-    kind: str
-    detail: str
 
 
 def _label_seed(label: str, seed: int) -> int:
@@ -48,11 +37,11 @@ class Simulator:
     """Single-threaded event loop over a (time, sequence)-ordered queue.
 
     Simultaneous events are processed in insertion order, which makes every
-    run reproducible bit for bit.  An optional trace sink receives one
-    ``SimEvent`` per processed event.
+    run reproducible bit for bit.  An optional *trace* text stream receives
+    one line per processed event: ``time<TAB>sequence<TAB>kind<TAB>detail``.
     """
 
-    def __init__(self, trace: Optional[Callable[[SimEvent], None]] = None):
+    def __init__(self, trace: Optional[TextIO] = None):
         self._heap: list[tuple[float, int, Callable[[], None], str, str]] = []
         self._now = 0.0
         self._seq = 0
@@ -86,13 +75,9 @@ class Simulator:
             time, seq, action, kind, detail = pop(heap)
             self._now = time
             if trace is not None:
-                trace(SimEvent(time, seq, kind, detail))
+                trace.write(f"{time:.9f}\t{seq}\t{kind}\t{detail}\n")
             action()
             count += 1
         self._now = until
         return count
 
-
-def format_trace_line(event: SimEvent) -> str:
-    """Canonical trace format: time<TAB>sequence<TAB>kind<TAB>detail."""
-    return f"{event.time:.9f}\t{event.sequence}\t{event.kind}\t{event.detail}"

@@ -150,19 +150,31 @@ def aggregate_replications(results: Sequence[RunResult],
         replications=len(ordered), delay_stddev_s=stddev)
 
 
-def _fmt(value, spec: str = ".6f") -> str:
+def sweep_label(value: Optional[float]) -> str:
+    """Text of a dimension value in CSV cells and trace names: the shortest
+    repr minus a trailing ".0", so 2.0 reads "2" and distinct values never
+    share a label.  None, a dimension the study does not exercise, is ""."""
     if value is None:
         return ""
-    return format(value, spec)
+    text = repr(float(value))
+    return text[:-2] if text.endswith(".0") else text
 
 
-def result_row(r: RunResult) -> list[str]:
-    return [
+def _fmt(value) -> str:
+    return "" if value is None else format(value, ".6f")
+
+
+def _start_distance(r: RunResult) -> Optional[float]:
+    return r.sweep_value if r.sweep_variable == "start_distance" else None
+
+
+def result_row(r: RunResult, distance_column: bool = False) -> list[str]:
+    row = [
         r.scenario,
         r.rat,
         str(r.ue_count),
-        _fmt(r.offered_mbps_per_ue, "g"),
-        _fmt(r.speed_kmh, "g"),
+        sweep_label(r.offered_mbps_per_ue),
+        sweep_label(r.speed_kmh),
         str(r.replications),
         _fmt(r.throughput_bps / 1e6),
         _fmt(r.loss_rate),
@@ -170,19 +182,27 @@ def result_row(r: RunResult) -> list[str]:
         _fmt(None if r.delay_stddev_s is None else r.delay_stddev_s * 1e3),
         str(r.seed),
     ]
+    if distance_column:
+        row.append(sweep_label(_start_distance(r)))
+    return row
 
 
 def export_csv(results: Iterable[RunResult], path: str) -> None:
-    """Write one row per (sweep point, rat), ordered by (rat, sweep value)."""
+    """Write one row per (sweep point, rat), ordered by (rat, sweep value).
+
+    A start-distance study gets one trailing column, ``start_distance_m``.
+    """
     rows = sorted(results, key=lambda r: (r.rat, r.sweep_value))
     if not rows:
         raise ValueError("no results to export")
+    distance_column = any(_start_distance(r) is not None for r in rows)
+    columns = CSV_COLUMNS + (("start_distance_m",) if distance_column else ())
     try:
         out = open(path, "w", newline="")
     except OSError as exc:
         raise OSError(f"cannot write results to {path!r}: {exc}") from exc
     with out:
         writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(CSV_COLUMNS)
+        writer.writerow(columns)
         for r in rows:
-            writer.writerow(result_row(r))
+            writer.writerow(result_row(r, distance_column))

@@ -18,6 +18,7 @@ Model notes
 
 from __future__ import annotations
 
+import contextlib
 import math
 import multiprocessing
 import os
@@ -25,8 +26,9 @@ from typing import Optional
 
 from .channel import nr_outage_probability, snr_db
 from .config import ScenarioConfig, render_config, validate_config
-from .engine import Simulator, format_trace_line, rng_stream
-from .metrics import FlowStats, RunResult, aggregate_replications, finalize
+from .engine import Simulator, rng_stream
+from .metrics import (FlowStats, RunResult, aggregate_replications, finalize,
+                      sweep_label)
 from .mobility import MobilityState, position_at
 from .phymac import (SchedulerState, achievable_rate_bps, harq_transmit,
                      nr_slot_schedule, pf_schedule, slot_duration_s)
@@ -44,31 +46,6 @@ class SimulationError(RuntimeError):
 
 def derive_run_seed(seed_base: int, sweep_index: int, rep_index: int) -> int:
     return seed_base + rep_index + SWEEP_SEED_STRIDE * sweep_index
-
-
-def _sweep_label(sweep_value: float) -> str:
-    # The shortest round-trip repr minus a trailing ".0": distinct values
-    # never share a label, and 2.0 still reads "2".
-    text = repr(float(sweep_value))
-    return text[:-2] if text.endswith(".0") else text
-
-
-def _resolve_point(cfg: ScenarioConfig, sweep_value: float):
-    """(ue_count, offered_mbps, speed_kmh, start_distance) for one sweep point."""
-    ue_count = cfg.ue_count
-    offered = cfg.traffic.data_volume_mbps
-    speed = cfg.mobility.speed_kmh
-    start_distance = None
-    var = cfg.sweep_variable
-    if var == "ue_count":
-        ue_count = int(sweep_value)
-    elif var == "offered_mbps":
-        offered = sweep_value
-    elif var == "speed_kmh":
-        speed = sweep_value
-    else:
-        start_distance = sweep_value
-    return ue_count, offered, speed, start_distance
 
 
 class _Ue:
@@ -90,21 +67,19 @@ class _Ue:
 
 
 class _Run:
-    """One (rat, sweep point, replication) simulation."""
+    """One (rat, sweep point, replication) simulation of
+    ``cfg.at(sweep_value)``; *trace_sink* is an optional text stream."""
 
     def __init__(self, cfg: ScenarioConfig, rat: str, sweep_value: float,
                  rep_index: int, seed: int, trace_sink=None):
+        cfg = cfg.at(sweep_value)
         self.cfg = cfg
         self.rat = rat
         self.is_nr = rat == "nr"
         self.sweep_value = sweep_value
         self.rep_index = rep_index
         self.seed = seed
-
-        ue_count, offered, speed, start_distance = _resolve_point(cfg, sweep_value)
-        self.ue_count = ue_count
-        self.offered_mbps = offered
-        self.speed_kmh = speed
+        speed = cfg.mobility.speed_kmh
 
         phy = cfg.phy(rat)
         self.radio = cfg.radio_config(rat)
@@ -126,7 +101,7 @@ class _Run:
         self.outage_penalty_db = nr.outage_penalty_db
         self.lte_penalty_db = (0.0 if self.is_nr
                                else cfg.radio_lte.velocity_db_per_kmh * speed)
-        self.shadow_sigma = nr.mmwave_sigma if self.is_nr else 0.0
+        self.shadow_sigma = self.radio.mmwave.sigma_db if self.is_nr else 0.0
 
         self.harq_rng = rng_stream("harq", seed)
         self.shadow_rng = rng_stream("shadowing", seed)
@@ -134,7 +109,7 @@ class _Run:
 
         self.sim = Simulator(trace=trace_sink)
         self.sink = Sink()
-        self.sched = SchedulerState(ue_count, window_slots=phy.pf_window,
+        self.sched = SchedulerState(cfg.ue_count, window_slots=phy.pf_window,
                                     slot_s=self.slot_s)
         self.backlog_pkts = 0
         self.slot_index = 0
@@ -144,19 +119,16 @@ class _Run:
         self.idle_slots = not self.is_nr
         self._step = self._nr_step if self.is_nr else self._lte_step
 
-        if start_distance is not None:
-            radii = [float(start_distance)] * ue_count
-        else:
-            radii = cfg.placement_radii(ue_count)
+        radii = cfg.placement_radii(cfg.ue_count)
         speed_mps = speed / 3.6
         stop_s = cfg.app_stop_effective_s()
         m = cfg.mobility
         self.ues = []
-        for i in range(ue_count):
+        for i in range(cfg.ue_count):
             mob = MobilityState(x=radii[i], y=0.0, vx=speed_mps, vy=0.0,
                                 min_r=m.corridor_min_m, max_r=m.corridor_max_m)
             stream = VideoStream(
-                flow_id=i, rate_bps=offered * 1e6,
+                flow_id=i, rate_bps=cfg.traffic.data_volume_mbps * 1e6,
                 packet_size_bytes=cfg.traffic.packet_size_bytes,
                 start_s=cfg.traffic.app_start_s, stop_s=stop_s)
             self.ues.append(_Ue(i, mob,
@@ -325,13 +297,16 @@ class _Run:
                     f"delivered {stats.rx_packets} + dropped {stats.dropped_packets}")
         throughput, loss, mean_delay = finalize(flows,
                                                 self.duration - self.warmup)
-        speed_col = (None if self.cfg.preset in ("scenario1", "scenario2")
-                     else self.speed_kmh)
+        cfg = self.cfg
+        speed = cfg.mobility.speed_kmh
+        if speed == 0 and cfg.sweep_variable != "speed_kmh":
+            speed = None    # no UE of the study moves
         return RunResult(
-            scenario=self.cfg.preset, rat=self.rat,
-            sweep_variable=self.cfg.sweep_variable, sweep_value=self.sweep_value,
-            ue_count=self.ue_count, offered_mbps_per_ue=self.offered_mbps,
-            speed_kmh=speed_col, throughput_bps=throughput, loss_rate=loss,
+            scenario=cfg.preset, rat=self.rat,
+            sweep_variable=cfg.sweep_variable, sweep_value=self.sweep_value,
+            ue_count=cfg.ue_count,
+            offered_mbps_per_ue=cfg.traffic.data_volume_mbps,
+            speed_kmh=speed, throughput_bps=throughput, loss_rate=loss,
             mean_delay_s=mean_delay, seed=self.seed, rep_index=self.rep_index,
             flows=flows)
 
@@ -340,53 +315,44 @@ def run_single(cfg: ScenarioConfig, rat: str, sweep_index: int,
                rep_index: int, trace_dir: Optional[str] = None) -> RunResult:
     """Execute one replication of one sweep point."""
     sweep_value = cfg.sweep[sweep_index]
-    label = _sweep_label(sweep_value)
+    label = sweep_label(sweep_value)
     seed = derive_run_seed(cfg.seed_base, sweep_index, rep_index)
-    trace_file = None
-    trace_sink = None
-    if trace_dir is not None:
-        name = f"{cfg.preset}_{rat}_{label}_{rep_index}.trace"
-        trace_file = open(os.path.join(trace_dir, name), "w")
-        trace_sink = lambda ev: trace_file.write(format_trace_line(ev) + "\n")
-    try:
-        run = _Run(cfg, rat, sweep_value, rep_index, seed, trace_sink)
-        return run.execute()
-    except SimulationError as exc:
-        raise SimulationError(
-            f"run failed at rat={rat} {cfg.sweep_variable}={label} "
-            f"replication={rep_index}: {exc}") from exc
-    finally:
-        if trace_file is not None:
-            trace_file.close()
+    name = f"{cfg.preset}_{rat}_{label}_{rep_index}.trace"
+    with (open(os.path.join(trace_dir, name), "w") if trace_dir is not None
+          else contextlib.nullcontext()) as trace:
+        try:
+            run = _Run(cfg, rat, sweep_value, rep_index, seed, trace)
+            return run.execute()
+        except SimulationError as exc:
+            raise SimulationError(
+                f"run failed at rat={rat} {cfg.sweep_variable}={label} "
+                f"replication={rep_index}: {exc}") from exc
 
 
 def run_scenario(cfg: ScenarioConfig, workers: int = 1,
                  trace_dir: Optional[str] = None) -> list[RunResult]:
-    """Run the full sweep and return one averaged RunResult per (rat, point).
+    """Run the full sweep and return one averaged RunResult per (rat, point),
+    in CSV order: by RAT, then by sweep value.
 
     ``workers > 1`` fans replications out to worker processes, at most one
-    per CPU and per job; results are re-ordered deterministically, so the
+    per CPU and per job; ``starmap`` returns results in job order, so the
     parallelism degree never changes the output.
     """
     validate_config(cfg)
+    reps = cfg.replications
+    points = sorted(range(len(cfg.sweep)), key=cfg.sweep.__getitem__)
     jobs = [(cfg, rat, si, rep, trace_dir)
-            for rat in cfg.rats
-            for si in range(len(cfg.sweep))
-            for rep in range(cfg.replications)]
+            for rat in sorted(cfg.rats)
+            for si in points
+            for rep in range(reps)]
     processes = min(workers, len(jobs), os.cpu_count() or 1)
     if processes > 1:
         with multiprocessing.Pool(processes=processes) as pool:
             raw = pool.starmap(run_single, jobs)
     else:
         raw = [run_single(*job) for job in jobs]
-
-    grouped: dict[tuple, list[RunResult]] = {}
-    for res in raw:
-        grouped.setdefault((res.rat, res.sweep_value), []).append(res)
-    aggregated = [aggregate_replications(group, seed_base=cfg.seed_base)
-                  for group in grouped.values()]
-    aggregated.sort(key=lambda r: (r.rat, r.sweep_value))
-    return aggregated
+    return [aggregate_replications(raw[i:i + reps], seed_base=cfg.seed_base)
+            for i in range(0, len(raw), reps)]
 
 
 _METADATA_NOTES = (
@@ -399,7 +365,7 @@ _METADATA_NOTES = (
     "#     defaults, not measured values.",
     "#   - mobility degradation is an empirical beam-tracking outage model;",
     "#     UEs patrol the corridor radially at the configured speed.",
-    "#   - scenario 1/2 UEs are static at the placement radii.",
+    "#   - UEs start at the placement radii; at speed 0 they stay there.",
 )
 
 

@@ -1,12 +1,12 @@
 """Event queue ordering, clock semantics, and RNG substream determinism."""
 
 import hashlib
+import io
 import random
 
 import pytest
 
-from sitelink.engine import (SchedulingInPastError, SimEvent, Simulator,
-                             format_trace_line, rng_stream)
+from sitelink.engine import SchedulingInPastError, Simulator, rng_stream
 
 
 def test_schedule_on_empty_queue_returns_first_id():
@@ -82,8 +82,8 @@ def test_processed_timestamps_are_nondecreasing():
 
 
 def _scripted_trace(seed: int) -> list[str]:
-    lines = []
-    sim = Simulator(trace=lambda ev: lines.append(format_trace_line(ev)))
+    out = io.StringIO()
+    sim = Simulator(trace=out)
     rng = rng_stream("script", seed)
 
     def emit():
@@ -92,7 +92,7 @@ def _scripted_trace(seed: int) -> list[str]:
 
     sim.schedule(0.0, emit, "tick", "scripted")
     sim.run(5.0)
-    return lines
+    return out.getvalue().splitlines()
 
 
 def test_replay_gives_byte_identical_event_traces():
@@ -103,8 +103,14 @@ def test_replay_gives_byte_identical_event_traces():
 
 
 def test_trace_line_format():
-    line = format_trace_line(SimEvent(1.25, 7, "slot", "lte"))
-    assert line == "1.250000000\t7\tslot\tlte"
+    # One line per processed event: time, insertion sequence, kind, detail.
+    out = io.StringIO()
+    sim = Simulator(trace=out)
+    sim.schedule(1.25, lambda: None, "slot", "lte")
+    sim.schedule(0.5, lambda: None)
+    sim.run(2.0)
+    assert out.getvalue() == ("0.500000000\t1\tevent\t\n"
+                              "1.250000000\t0\tslot\tlte\n")
 
 
 def test_rng_stream_same_inputs_same_draws():

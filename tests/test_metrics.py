@@ -3,6 +3,8 @@
 import csv
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sitelink.metrics import (CSV_COLUMNS, FlowStats, RunResult,
                               aggregate_replications, export_csv, finalize)
@@ -111,11 +113,24 @@ def test_aggregate_mean_of_two_throughputs():
     assert agg.throughput_bps == pytest.approx(17e6)
 
 
-def test_aggregate_is_permutation_invariant_bit_exact():
-    reps = [_result(i, 10e6 + i * 0.1, delay=0.001 * (i + 1)) for i in range(5)]
-    fwd = aggregate_replications(list(reps))
-    rev = aggregate_replications(list(reversed(reps)))
-    assert fwd == rev
+@st.composite
+def _replications_in_any_order(draw):
+    n = draw(st.integers(1, 7))
+    thr = draw(st.lists(st.floats(0.0, 5e7), min_size=n, max_size=n))
+    delays = draw(st.lists(st.none() | st.floats(1e-4, 1.0),
+                           min_size=n, max_size=n))
+    order = draw(st.permutations(range(n)))
+    reps = [_result(i, thr[i], delay=delays[i]) for i in range(n)]
+    return reps, [reps[i] for i in order]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_replications_in_any_order())
+def test_aggregate_is_permutation_invariant_bit_exact(case):
+    # Some replications deliver nothing (delay None); the order the results
+    # arrive in must not change a single bit of the aggregate.
+    reps, shuffled = case
+    assert aggregate_replications(shuffled) == aggregate_replications(reps)
 
 
 @pytest.mark.parametrize("n", range(2, 8))

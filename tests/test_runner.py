@@ -4,13 +4,17 @@ These use shortened durations; the full default-scale studies live in
 test_acceptance.py.
 """
 
+import csv
+import os
+import tempfile
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sitelink import runner
 from sitelink.config import parse_config
-from sitelink.metrics import export_csv, finalize
+from sitelink.metrics import export_csv, finalize, sweep_label
 from sitelink.runner import (SWEEP_SEED_STRIDE, _Run, derive_run_seed,
                              run_metadata, run_scenario, run_single)
 from sitelink.traffic import DropCause, cbr_emit_times
@@ -197,13 +201,75 @@ def test_trace_logs_expected_event_kinds(tmp_path):
     assert {"arrival", "slot", "refresh"} <= kinds
 
 
-def test_speed_column_hidden_for_static_presets():
-    s1 = parse_config("preset=scenario1\nduration_s=2\nwarmup_s=0.5\n"
-                      "replications=1\nsweep=2\nrats=lte")
-    assert run_scenario(s1)[0].speed_kmh is None
-    s3 = parse_config("preset=scenario3\nduration_s=2\nwarmup_s=0.5\n"
-                      "replications=1\nsweep=10\nrats=lte")
-    assert run_scenario(s3)[0].speed_kmh == 10.0
+@pytest.mark.parametrize("study, speeds", [
+    ("preset=scenario1\nsweep=2", [None]),
+    ("preset=scenario3\nsweep=10", [10.0]),
+    # Speed swept in a static preset: each row names its own speed.
+    ("preset=scenario1\nsweep_variable=speed_kmh\nsweep=0,60", [0.0, 60.0]),
+    # Moving UEs in a static preset.
+    ("preset=scenario1\nsweep=2\nmobility.speed_kmh=35", [35.0]),
+    # A custom study whose UEs never move.
+    ("preset=custom\nsweep=2", [None]),
+], ids=["scenario1", "scenario3", "scenario1-speed-swept",
+        "scenario1-moving", "custom-static"])
+def test_speed_column_hidden_for_static_presets(study, speeds):
+    # The speed dimension is empty exactly when no UE of the study moves.
+    cfg = parse_config(study + "\nduration_s=2\nwarmup_s=0.5\n"
+                       "replications=1\nrats=lte\nue_count=2")
+    assert [r.speed_kmh for r in run_scenario(cfg)] == speeds
+
+
+# Legal values per sweep variable, inside the default 20-200 m corridor.
+_SWEEP_VALUES = {
+    "ue_count": st.integers(1, 4).map(float),
+    "offered_mbps": st.floats(0.5, 8.0),
+    "speed_kmh": st.floats(0.0, 60.0),
+    "start_distance": st.floats(20.0, 200.0),
+}
+# The CSV column that names each sweep variable's value.
+_SWEEP_COLUMN = {"ue_count": "ue_count", "offered_mbps": "offered_mbps_per_ue",
+                 "speed_kmh": "speed_kmh", "start_distance": "start_distance_m"}
+
+
+@st.composite
+def _studies(draw):
+    preset = draw(st.sampled_from(["scenario1", "scenario2", "scenario3",
+                                   "custom"]))
+    var = draw(st.sampled_from(sorted(_SWEEP_VALUES)))
+    values = draw(st.lists(_SWEEP_VALUES[var], min_size=2, max_size=4,
+                           unique=True))
+    return preset, var, values, draw(st.booleans())
+
+
+@settings(max_examples=60, deadline=None)
+@given(study=_studies())
+@example(study=("scenario3", "start_distance", [40.0, 120.0], False))
+@example(study=("scenario2", "offered_mbps", [1.0000001, 1.0000002], False))
+def test_csv_rows_name_their_sweep_point(study):
+    preset, var, values, moving = study
+    cfg = parse_config(
+        f"preset={preset}\nsweep_variable={var}\n"
+        f"sweep={','.join(map(repr, values))}\nrats=lte\nue_count=2\n"
+        f"duration_s=0.2\nwarmup_s=0.05\ndrain_max_s=0.1\nreplications=1\n"
+        + ("mobility.speed_kmh=35\n" if moving else ""))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "out.csv")
+        export_csv(run_scenario(cfg), path)
+        with open(path, newline="") as fh:
+            reader = csv.DictReader(fh)
+            header = reader.fieldnames
+            rows = list(reader)
+    assert ("start_distance_m" in header) == (var == "start_distance")
+    label_cells = [c for c in header if c in (
+        "scenario", "rat", "ue_count", "offered_mbps_per_ue", "speed_kmh",
+        "start_distance_m")]
+    labels = {tuple(row[c] for c in label_cells) for row in rows}
+    assert len(labels) == len(rows) == len(values)
+    column = _SWEEP_COLUMN[var]
+    assert sorted(float(row[column]) for row in rows) == sorted(values)
+    someone_moves = moving or var == "speed_kmh"
+    for row in rows:
+        assert (row["speed_kmh"] == "") == (not someone_moves)
 
 
 def test_start_distance_sweep_places_static_ues_at_distance():
@@ -267,8 +333,8 @@ def test_trace_names_keep_close_sweep_values_apart(tmp_path):
     run_single(cfg, "lte", 1, 0, trace_dir=str(tmp_path))
     names = {p.name for p in tmp_path.iterdir()}
     assert names == {"custom_lte_2_0.trace", "custom_lte_2.0000001_0.trace"}
-    assert runner._sweep_label(1000000.0) == "1000000"
-    assert runner._sweep_label(1000001.0) == "1000001"
+    assert sweep_label(1000000.0) == "1000000"
+    assert sweep_label(1000001.0) == "1000001"
 
 
 class _InlinePool:
