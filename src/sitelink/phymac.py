@@ -64,6 +64,9 @@ class SchedulerState:
             raise ValueError("need at least one UE")
         if window_slots < 1:
             raise ValueError("smoothing window must be >= 1 slot")
+        if not init_avg_bps > 0.0:
+            # PF divides every UE's rate by its average.
+            raise ValueError("initial served-rate average must be > 0")
         self.n_ues = n_ues
         self.window = window_slots
         self.slot_s = slot_s
@@ -76,10 +79,13 @@ def pf_schedule(state: SchedulerState, rates_bps: Sequence[float],
     """Proportional-fair resource-block allocation for one subframe.
 
     Every RB goes to the backlogged UE maximising instantaneous rate over
-    smoothed served rate, ties to the lowest index.  Because the ratios are
-    fixed within a subframe this reduces to walking UEs in ratio order and
-    granting each enough RBs to cover its backlog.  Averages are then
-    smoothed with the allocation-implied service (zero for unserved UEs).
+    smoothed served rate.  Because the ratios are fixed within a subframe
+    this reduces to walking UEs in ratio order and granting each enough RBs
+    to cover its backlog.  The walk is a stable sort on the ratio with
+    ``reverse=True``, which keeps equal ratios in index order: ties go to
+    the lowest index.  Averages are then smoothed with the
+    allocation-implied service (zero for unserved UEs) and floored at
+    ``_AVG_FLOOR_BPS``.
     """
     if rb_count < 1:
         raise ValueError("resource budget must be >= 1 RB")
@@ -91,38 +97,42 @@ def pf_schedule(state: SchedulerState, rates_bps: Sequence[float],
     slot_s = state.slot_s
     avg = state.avg_bps
 
-    order = sorted(
-        (i for i in range(n) if backlog_bytes[i] > 0 and rates_bps[i] > 0.0),
-        key=lambda i: (-rates_bps[i] / avg[i], i))
+    ratio = [r / a for r, a in zip(rates_bps, avg)]
+    order = sorted([i for i in range(n)
+                    if backlog_bytes[i] > 0 and rates_bps[i] > 0.0],
+                   key=ratio.__getitem__, reverse=True)
     rb_left = rb_count
     for i in order:
-        if rb_left == 0:
-            break
         rb_bits = rates_bps[i] * slot_s / rb_count
         need = math.ceil(backlog_bytes[i] * 8.0 / rb_bits)
-        grant = min(need, rb_left)
-        alloc[i] = grant
-        rb_left -= grant
+        if need >= rb_left:
+            alloc[i] = rb_left
+            break
+        alloc[i] = need
+        rb_left -= need
 
     w = state.window
     keep = 1.0 - 1.0 / w
-    for i in range(n):
-        if alloc[i]:
-            served_bits = min(alloc[i] * rates_bps[i] * slot_s / rb_count,
+    floor = _AVG_FLOOR_BPS
+    for i, grant in enumerate(alloc):
+        v = keep * avg[i]
+        if grant:
+            served_bits = min(grant * rates_bps[i] * slot_s / rb_count,
                               backlog_bytes[i] * 8.0)
-            served_bps = served_bits / slot_s
-        else:
-            served_bps = 0.0
-        avg[i] = max(keep * avg[i] + served_bps / w, _AVG_FLOOR_BPS)
+            v += served_bits / slot_s / w
+        avg[i] = v if v >= floor else floor
     return alloc
 
 
 def nr_slot_schedule(state: SchedulerState,
-                     backlog_bytes: Sequence[int]) -> Optional[int]:
+                     backlogs: Sequence) -> Optional[int]:
     """Round-robin pick of one backlogged UE for a whole slot; None when idle.
 
-    A UE that becomes backlogged mid-rotation joins at its fixed position, so
-    no continuously backlogged UE waits more than one full rotation.
+    A UE counts as backlogged when its entry in *backlogs* is truthy: a
+    positive byte count, or a non-empty ``FlowQueue``.  Only the entries from
+    the rotation pointer up to the pick are read.  A UE that becomes
+    backlogged mid-rotation joins at its fixed position, so no continuously
+    backlogged UE waits more than one full rotation.
     """
     n = state.n_ues
     pos = state.rr_pos
@@ -130,7 +140,7 @@ def nr_slot_schedule(state: SchedulerState,
         i = pos + j
         if i >= n:
             i -= n
-        if backlog_bytes[i] > 0:
+        if backlogs[i]:
             state.rr_pos = i + 1 if i + 1 < n else 0
             return i
     return None

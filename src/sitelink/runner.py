@@ -50,7 +50,7 @@ def derive_run_seed(seed_base: int, sweep_index: int, rep_index: int) -> int:
 
 class _Ue:
     __slots__ = ("idx", "mob", "queue", "credit_bits", "snr_la_db",
-                 "rate_full_bps", "in_coverage", "stats", "stream", "seq")
+                 "in_coverage", "stats", "stream", "seq")
 
     def __init__(self, idx: int, mob: MobilityState, queue: FlowQueue,
                  stats: FlowStats, stream: VideoStream):
@@ -59,7 +59,6 @@ class _Ue:
         self.queue = queue
         self.credit_bits = 0.0
         self.snr_la_db = -math.inf
-        self.rate_full_bps = 0.0
         self.in_coverage = True
         self.stats = stats
         self.stream = stream
@@ -134,6 +133,11 @@ class _Run:
             self.ues.append(_Ue(i, mob,
                                 FlowQueue(cfg.traffic.queue_capacity_pkts),
                                 FlowStats(i, warmup_s=self.warmup), stream))
+        # Per-UE serving rates, indexed like ``ues``: set at channel refresh
+        # and handed to the scheduler as is.  Round robin takes the queues
+        # themselves, since an empty FlowQueue is falsy.
+        self.rates = [0.0] * cfg.ue_count
+        self.queues = [ue.queue for ue in self.ues]
 
         # Channel state first, then the slot chain, then the sources, so that
         # simultaneous events resolve in that order.
@@ -161,7 +165,8 @@ class _Run:
                      shadow_db=shadow)
         ue.in_coverage = snr > -math.inf
         ue.snr_la_db = snr
-        ue.rate_full_bps = achievable_rate_bps(snr, self.bandwidth_hz, self.la)
+        self.rates[ue.idx] = achievable_rate_bps(snr, self.bandwidth_hz,
+                                                 self.la)
 
     def _continues(self, nxt: float, idle: bool) -> bool:
         """Whether a periodic chain schedules its next instant *nxt*.
@@ -241,8 +246,8 @@ class _Run:
 
     def _lte_step(self, t: float) -> None:
         ues = self.ues
-        rates = [ue.rate_full_bps for ue in ues]
-        alloc = pf_schedule(self.sched, rates, [ue.queue.bytes for ue in ues],
+        rates = self.rates
+        alloc = pf_schedule(self.sched, rates, [q.bytes for q in self.queues],
                             self.rb_count)
         slot_end = t + self.slot_s
         share = self.slot_s / self.rb_count
@@ -252,22 +257,20 @@ class _Run:
                 self._serve(ue, rates[i] * share * rbs, ue.snr_la_db, slot_end)
 
     def _nr_step(self, t: float) -> None:
-        ues = self.ues
-        pick = nr_slot_schedule(self.sched, [ue.queue.bytes for ue in ues])
+        pick = nr_slot_schedule(self.sched, self.queues)
         if pick is None:
             return
-        ue = ues[pick]
+        ue = self.ues[pick]
         if not ue.in_coverage:
             # Transmission into a dead link: the head packet is lost.
             pkt = ue.queue.pop()
             self.backlog_pkts -= 1
             ue.stats.on_dropped(pkt, DropCause.OUT_OF_COVERAGE)
-        elif ue.rate_full_bps > 0.0:
+        elif (rate := self.rates[pick]) > 0.0:
             snr_tx = ue.snr_la_db
             if self.outage_rng.random() < self.p_out:
                 snr_tx -= self.outage_penalty_db
-            self._serve(ue, ue.rate_full_bps * self.slot_s, snr_tx,
-                        t + self.slot_s)
+            self._serve(ue, rate * self.slot_s, snr_tx, t + self.slot_s)
 
     def _slot(self) -> None:
         self._step(self.sim.now)
@@ -335,8 +338,10 @@ def run_scenario(cfg: ScenarioConfig, workers: int = 1,
     in CSV order: by RAT, then by sweep value.
 
     ``workers > 1`` fans replications out to worker processes, at most one
-    per CPU and per job; ``starmap`` returns results in job order, so the
-    parallelism degree never changes the output.
+    per CPU and per job.  Jobs are handed out one at a time, so a worker
+    that finishes early takes the next job instead of idling while another
+    works through a pre-assigned chunk.  ``starmap`` returns results in job
+    order, so the parallelism degree never changes the output.
     """
     validate_config(cfg)
     reps = cfg.replications
@@ -348,7 +353,7 @@ def run_scenario(cfg: ScenarioConfig, workers: int = 1,
     processes = min(workers, len(jobs), os.cpu_count() or 1)
     if processes > 1:
         with multiprocessing.Pool(processes=processes) as pool:
-            raw = pool.starmap(run_single, jobs)
+            raw = pool.starmap(run_single, jobs, chunksize=1)
     else:
         raw = [run_single(*job) for job in jobs]
     return [aggregate_replications(raw[i:i + reps], seed_base=cfg.seed_base)

@@ -4,11 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sitelink.engine import rng_stream
-from sitelink.phymac import (HarqProcess, LinkAdaptation, SchedulerState,
-                             achievable_rate_bps, bler, harq_transmit,
-                             nr_slot_schedule, pf_schedule, slot_duration_s)
+from sitelink.phymac import (_AVG_FLOOR_BPS, HarqProcess, LinkAdaptation,
+                             SchedulerState, achievable_rate_bps, bler,
+                             harq_transmit, nr_slot_schedule, pf_schedule,
+                             slot_duration_s)
+from sitelink.traffic import FlowQueue, Packet
 
 
 # -- numerology ---------------------------------------------------------------
@@ -109,6 +113,13 @@ def test_pf_never_exceeds_rb_budget_and_serves_only_backlogged():
         assert all(v > 0 for v in st.avg_bps)
 
 
+@pytest.mark.parametrize("kwargs", [{"n_ues": 0}, {"window_slots": 0},
+                                    {"init_avg_bps": 0.0}])
+def test_scheduler_state_rejects_degenerate_parameters(kwargs):
+    with pytest.raises(ValueError):
+        SchedulerState(**{"n_ues": 2, **kwargs})
+
+
 def test_pf_no_backlog_gives_empty_allocation():
     st = _state([1e3, 1e3])
     assert pf_schedule(st, [1e6, 1e6], [0, 0], 25) == [0, 0]
@@ -120,6 +131,86 @@ def test_pf_smoothing_moves_average_toward_served_rate():
     st = _state([1e3], window=10)
     pf_schedule(st, [1e6], [125000], 25)   # serves 1 Mb/s for one subframe
     assert st.avg_bps[0] == pytest.approx(0.9 * 1e3 + 0.1 * 1e6)
+
+
+def _pf_schedule_oracle(state, rates_bps, backlog_bytes, rb_count):
+    """The sort-keyed PF body that pf_schedule must match bit for bit."""
+    n = state.n_ues
+    alloc = [0] * n
+    slot_s = state.slot_s
+    avg = state.avg_bps
+    order = sorted(
+        (i for i in range(n) if backlog_bytes[i] > 0 and rates_bps[i] > 0.0),
+        key=lambda i: (-rates_bps[i] / avg[i], i))
+    rb_left = rb_count
+    for i in order:
+        if rb_left == 0:
+            break
+        rb_bits = rates_bps[i] * slot_s / rb_count
+        need = math.ceil(backlog_bytes[i] * 8.0 / rb_bits)
+        grant = min(need, rb_left)
+        alloc[i] = grant
+        rb_left -= grant
+    w = state.window
+    keep = 1.0 - 1.0 / w
+    for i in range(n):
+        if alloc[i]:
+            served_bits = min(alloc[i] * rates_bps[i] * slot_s / rb_count,
+                              backlog_bytes[i] * 8.0)
+            served_bps = served_bits / slot_s
+        else:
+            served_bps = 0.0
+        avg[i] = max(keep * avg[i] + served_bps / w, _AVG_FLOOR_BPS)
+    return alloc
+
+
+# Small pools of exact values make equal ratios (and equal averages) common;
+# the free draws cover everything in between.
+_PF_RATES = st.sampled_from([0.0, 8e4, 1e6, 2e6, 16_875_000.0]) | st.floats(
+    1e-3, 2e7)
+_PF_AVGS = st.sampled_from([_AVG_FLOOR_BPS, 1.0, 1000.0, 2e6]) | st.floats(
+    _AVG_FLOOR_BPS, 1e7)
+_PF_BACKLOGS = st.sampled_from([0, 1, 1250, 50_000]) | st.integers(0, 200_000)
+
+
+@st.composite
+def _pf_subframes(draw):
+    """Initial averages plus 1-6 subframes of (rates, backlogs), 1-25 UEs."""
+    n = draw(st.integers(1, 25))
+
+    def per_ue(values):
+        return st.lists(values, min_size=n, max_size=n)
+    avgs = draw(per_ue(_PF_AVGS))
+    subframes = draw(st.lists(st.tuples(per_ue(_PF_RATES),
+                                        per_ue(_PF_BACKLOGS)),
+                              min_size=1, max_size=6))
+    return avgs, subframes
+
+
+_TIE = ([1000.0] * 4, [([1e6] * 4, [50_000, 50_000, 0, 50_000])] * 3)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_pf_subframes(), rb_count=st.integers(1, 50),
+       window=st.integers(1, 200),
+       slot_s=st.sampled_from([0.001, 0.0005, 0.000125]))
+# Three UEs tied on the ratio, one zero backlog, over consecutive subframes.
+@example(case=_TIE, rb_count=1, window=100, slot_s=0.001)
+@example(case=_TIE, rb_count=25, window=10, slot_s=0.001)
+# Window 1 keeps nothing, so every unserved average drops to the floor.
+@example(case=([_AVG_FLOOR_BPS, 5.0, 5.0],
+               [([0.0, 1e6, 1e6], [100, 0, 100]),
+                ([1e6, 1e6, 1e6], [100, 100, 0])]),
+         rb_count=50, window=1, slot_s=0.001)
+def test_pf_matches_the_sort_keyed_oracle_bit_for_bit(case, rb_count, window,
+                                                      slot_s):
+    avgs, subframes = case
+    fast = _state(avgs, slot_s=slot_s, window=window)
+    oracle = _state(avgs, slot_s=slot_s, window=window)
+    for rates, backlogs in subframes:
+        assert (pf_schedule(fast, rates, backlogs, rb_count)
+                == _pf_schedule_oracle(oracle, rates, backlogs, rb_count))
+        assert fast.avg_bps == oracle.avg_bps
 
 
 # -- round-robin slot scheduler -------------------------------------------------
@@ -162,6 +253,25 @@ def test_rr_no_starvation_over_random_backlog_patterns():
             assert waits[i] <= n   # continuously backlogged => served within n slots
         # keep everyone backlogged, jitter the amounts
         backlogs = [int(rng.integers(1, 100)) for _ in range(n)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.lists(st.integers(0, 2), min_size=6, max_size=6),
+                min_size=1, max_size=20))
+def test_rr_picks_the_same_ue_from_queues_as_from_byte_counts(steps):
+    # The runner hands round robin its FlowQueues; an empty one is falsy.
+    by_queue, by_bytes = _state([1.0] * 6), _state([1.0] * 6)
+    for counts in steps:
+        queues = [FlowQueue(4) for _ in counts]
+        for i, k in enumerate(counts):
+            for seq in range(k):
+                queues[i].offer(Packet(i, seq, 1250, 0.0))
+        pos = by_bytes.rr_pos
+        expect = next((i % 6 for i in range(pos, pos + 6) if counts[i % 6]),
+                      None)
+        assert nr_slot_schedule(by_queue, queues) == expect
+        assert nr_slot_schedule(by_bytes, [q.bytes for q in queues]) == expect
+        assert by_queue.rr_pos == by_bytes.rr_pos
 
 
 # -- BLER and HARQ ---------------------------------------------------------------

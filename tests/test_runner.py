@@ -5,6 +5,7 @@ test_acceptance.py.
 """
 
 import csv
+import io
 import os
 import tempfile
 
@@ -101,7 +102,7 @@ def _force_channel(run, ue_idx, in_coverage):
         original(ue, t)
         if ue.idx == ue_idx:
             ue.in_coverage = in_coverage
-            ue.rate_full_bps = 0.0
+            run.rates[ue_idx] = 0.0
     run._update_channel = patched
     patched(run.ues[ue_idx], 0.0)
 
@@ -338,7 +339,11 @@ def test_trace_names_keep_close_sweep_values_apart(tmp_path):
 
 
 class _InlinePool:
-    """Stands in for multiprocessing.Pool: maps in-process, spawns nothing."""
+    """Stands in for multiprocessing.Pool: maps in-process, spawns nothing,
+    and records the chunk size of every ``starmap`` call."""
+
+    def __init__(self, chunksizes):
+        self.chunksizes = chunksizes
 
     def __enter__(self):
         return self
@@ -346,7 +351,8 @@ class _InlinePool:
     def __exit__(self, *exc):
         return False
 
-    def starmap(self, fn, jobs):
+    def starmap(self, fn, jobs, chunksize=None):
+        self.chunksizes.append(chunksize)
         return [fn(*j) for j in jobs]
 
 
@@ -359,11 +365,11 @@ class _InlinePool:
 ])
 def test_pool_size_is_capped_by_cpus_and_jobs(monkeypatch, cpus, workers,
                                                expect):
-    sizes = []
+    sizes, chunksizes = [], []
 
     def pool(processes):
         sizes.append(processes)
-        return _InlinePool()
+        return _InlinePool(chunksizes)
     monkeypatch.setattr(runner.multiprocessing, "Pool", pool)
     monkeypatch.setattr(runner.os, "cpu_count", lambda: cpus)
     cfg = parse_config(LIGHT, overrides={"replications": "2",
@@ -371,6 +377,9 @@ def test_pool_size_is_capped_by_cpus_and_jobs(monkeypatch, cpus, workers,
     rows = run_scenario(cfg, workers=workers)     # 2 rats x 2 reps = 4 jobs
     assert len(rows) == 2
     assert sizes == ([] if expect is None else [expect])
+    # One job per task: a default chunk would idle one worker while another
+    # works through the rest of its chunk.
+    assert chunksizes == ([] if expect is None else [1])
 
 
 def test_lte_run_never_calls_the_nr_scheduler(monkeypatch):
@@ -394,6 +403,27 @@ def _counting(monkeypatch, name, calls):
         calls[name] += 1
         return original(*args)
     monkeypatch.setattr(runner, name, counted)
+
+
+@pytest.mark.parametrize("text, rat, scheduler", [
+    (LIGHT, "lte", "pf_schedule"),        # idle subframes tick on
+    (OVERLOAD, "lte", "pf_schedule"),     # every subframe saturated
+    (LIGHT, "nr", "nr_slot_schedule"),
+    (MOBILE, "nr", "nr_slot_schedule"),   # outage and HARQ retries
+])
+def test_scheduler_is_called_once_per_processed_slot_event(monkeypatch, text,
+                                                           rat, scheduler):
+    # The benchmark's phymac.pf_calls and phymac.nr_sched_calls count these
+    # calls; one per slot event keeps them comparable between versions.
+    cfg = parse_config(text, overrides={"duration_s": "1.5",
+                                        "warmup_s": "0.5"})
+    calls = {scheduler: 0}
+    _counting(monkeypatch, scheduler, calls)
+    trace = io.StringIO()
+    _Run(cfg, rat, cfg.sweep[0], 0, seed=1, trace_sink=trace).execute()
+    kinds = [line.split("\t")[2] for line in trace.getvalue().splitlines()]
+    assert kinds.count("slot") > 0
+    assert calls[scheduler] == kinds.count("slot")
 
 
 @settings(max_examples=40, deadline=None)
