@@ -64,7 +64,7 @@ print(f"  LTE  5 MHz, NF 9 dB: {noise_power_dbm(5e6, 9.0):8.2f} dBm")
 print(f"  NR 100 MHz, NF 7 dB: {noise_power_dbm(1e8, 7.0):8.2f} dBm")
 
 cfg = default_config()
-lte, nr = cfg.radio_config("lte"), cfg.radio_config("nr")
+lte, nr = cfg.radio_lte, cfg.radio_nr
 print("\nSNR vs distance with the default link budgets:")
 print("  distance    LTE SNR    5G SNR")
 for d in (20.0, 50.0, 100.0, 150.0, 200.0):

@@ -6,17 +6,18 @@ rate, mean delay) as the number of cameras, the per-camera video rate, and
 the machine speed vary.
 """
 
-from .channel import (MmWavePathLossParams, RadioConfig, earfcn_to_freq_mhz,
-                      friis_rx_power, mmwave_pathloss_db, noise_power_dbm,
-                      nr_arfcn_to_freq_mhz, nr_outage_probability, snr_db)
+from .channel import (LteRadio, MmWavePathLossParams, NrRadio,
+                      earfcn_to_freq_mhz, friis_rx_power, mmwave_pathloss_db,
+                      noise_power_dbm, nr_arfcn_to_freq_mhz,
+                      nr_outage_probability, snr_db)
 from .config import (ConfigError, ScenarioConfig, default_config,
                      parse_config, render_config, validate_config)
 from .engine import SchedulingInPastError, Simulator, rng_stream
 from .metrics import (FlowStats, RunResult, aggregate_replications,
                       export_csv, finalize)
 from .mobility import MobilityState, position_at
-from .phymac import (HarqOutcome, HarqProcess, LinkAdaptation, SchedulerState,
-                     achievable_rate_bps, bler, harq_transmit,
+from .phymac import (HarqOutcome, HarqProcess, LinkAdaptation, LtePhy, NrPhy,
+                     SchedulerState, achievable_rate_bps, bler, harq_transmit,
                      nr_slot_schedule, pf_schedule, slot_duration_s)
 from .runner import (SimulationError, derive_run_seed, run_metadata,
                      run_scenario, run_single)

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from functools import cached_property
+from typing import ClassVar
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s
 
@@ -90,11 +91,11 @@ class MmWavePathLossParams:
 
     def __post_init__(self):
         if self.beta <= 0.0:
-            raise ValueError("path-loss exponent must be > 0")
+            raise ValueError(f"beta: must be > 0, got {self.beta}")
         if self.sigma_db < 0.0:
-            raise ValueError("shadowing std-dev must be >= 0")
+            raise ValueError(f"sigma_db: must be >= 0, got {self.sigma_db}")
         if self.max_range_m <= 0.0:
-            raise ValueError("coverage range must be > 0")
+            raise ValueError(f"max_range_m: must be > 0, got {self.max_range_m}")
 
 
 def mmwave_pathloss_db(distance_m: float, params: MmWavePathLossParams,
@@ -118,42 +119,101 @@ def noise_power_dbm(bandwidth_hz: float, noise_figure_db: float) -> float:
     return -174.0 + 10.0 * math.log10(bandwidth_hz) + noise_figure_db
 
 
-@dataclass(frozen=True)
-class RadioConfig:
-    """Physical-layer parameters of one serving link (uplink direction)."""
-
-    rat: str                      # "lte" or "nr"
-    carrier_freq_hz: float
-    bandwidth_hz: float
-    tx_power_dbm: float
-    tx_gain_dbi: float = 0.0
-    rx_gain_dbi: float = 0.0
-    system_loss: float = 1.0
-    noise_figure_db: float = 9.0
-    mmwave: Optional[MmWavePathLossParams] = None
+class _Radio:
+    """What the LTE and NR radio sections share: the checks on their common
+    fields and the SI-unit link quantities derived from the MHz fields."""
 
     def __post_init__(self):
-        if self.carrier_freq_hz <= 0.0:
-            raise ValueError("carrier frequency must be > 0")
-        if self.bandwidth_hz <= 0.0:
-            raise ValueError("bandwidth must be > 0")
+        if self.carrier_freq_mhz < 0.0:
+            raise ValueError(
+                f"carrier_freq_mhz: must be >= 0, got {self.carrier_freq_mhz}")
+        if self.bandwidth_mhz <= 0.0:
+            raise ValueError(
+                f"bandwidth_mhz: must be > 0, got {self.bandwidth_mhz}")
         if self.system_loss < 1.0:
-            raise ValueError("system loss must be >= 1")
-        if self.rat not in ("lte", "nr"):
-            raise ValueError(f"rat must be 'lte' or 'nr', got {self.rat!r}")
-        if self.rat == "nr" and self.mmwave is None:
-            object.__setattr__(self, "mmwave", MmWavePathLossParams())
+            raise ValueError(f"system_loss: must be >= 1, got {self.system_loss}")
+        if self.carrier_freq_mhz == 0.0:
+            try:
+                self._raster_mhz()
+            except ValueError as exc:
+                raise ValueError(f"{self._raster_field}: {exc}") from None
 
     @property
+    def carrier_freq_hz(self) -> float:
+        """The explicit carrier, or the channel number's when that is 0."""
+        mhz = self.carrier_freq_mhz
+        return (mhz if mhz > 0 else self._raster_mhz()) * 1e6
+
+    @property
+    def bandwidth_hz(self) -> float:
+        return self.bandwidth_mhz * 1e6
+
+    # Cached: snr_db reads these on every channel refresh.
+    @cached_property
     def wavelength_m(self) -> float:
         return SPEED_OF_LIGHT / self.carrier_freq_hz
 
-    @property
+    @cached_property
     def noise_dbm(self) -> float:
         return noise_power_dbm(self.bandwidth_hz, self.noise_figure_db)
 
 
-def snr_db(cfg: RadioConfig, distance_m: float, penalties_db: float = 0.0,
+@dataclass(frozen=True)
+class LteRadio(_Radio):
+    """The LTE uplink (config section ``radio.lte``): Friis free-space loss."""
+
+    rat: ClassVar[str] = "lte"
+    _raster_field: ClassVar[str] = "earfcn"
+
+    earfcn: int = 18100           # Band 1 uplink carrier serves the video
+    carrier_freq_mhz: float = 0.0  # 0 derives the carrier from the EARFCN
+    bandwidth_mhz: float = 5.0     # 25 resource blocks
+    tx_power_dbm: float = 23.0
+    tx_gain_dbi: float = 0.0
+    rx_gain_dbi: float = 0.0
+    noise_figure_db: float = 9.0
+    system_loss: float = 1.0
+    velocity_db_per_kmh: float = 0.02
+
+    def _raster_mhz(self) -> float:
+        return earfcn_to_freq_mhz(self.earfcn, earfcn_direction(self.earfcn))
+
+
+@dataclass(frozen=True)
+class NrRadio(_Radio):
+    """The mmWave uplink (config section ``radio.nr``): LOS path loss plus
+    the speed-driven beam-tracking outage."""
+
+    rat: ClassVar[str] = "nr"
+    _raster_field: ClassVar[str] = "nr_arfcn"
+
+    nr_arfcn: int = 2079167        # 28.00008 GHz, inside band n257
+    carrier_freq_mhz: float = 0.0  # 0 derives the carrier from the NR-ARFCN
+    bandwidth_mhz: float = 100.0
+    tx_power_dbm: float = 30.0
+    tx_gain_dbi: float = 10.0      # UE-side array
+    rx_gain_dbi: float = 24.0      # base-station array
+    noise_figure_db: float = 7.0
+    system_loss: float = 1.0
+    mmwave: MmWavePathLossParams = MmWavePathLossParams()
+    v_mid_kmh: float = 45.0
+    s_v_kmh: float = 4.0
+    outage_penalty_db: float = 80.0
+    beam_refresh_s: float = 0.1
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.s_v_kmh <= 0.0:
+            raise ValueError(f"s_v_kmh: must be > 0, got {self.s_v_kmh}")
+        if self.beam_refresh_s <= 0.0:
+            raise ValueError(
+                f"beam_refresh_s: must be > 0, got {self.beam_refresh_s}")
+
+    def _raster_mhz(self) -> float:
+        return nr_arfcn_to_freq_mhz(self.nr_arfcn)
+
+
+def snr_db(cfg: LteRadio | NrRadio, distance_m: float, penalties_db: float = 0.0,
            shadow_db: float = 0.0) -> float:
     """Compose path loss, antenna gains and noise into the link SNR in dB.
 

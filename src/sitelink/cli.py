@@ -7,6 +7,7 @@ import contextlib
 import os
 import sys
 import tempfile
+from typing import Optional
 
 from .config import (ConfigError, ScenarioConfig, default_config,
                      parse_config, render_config)
@@ -44,11 +45,8 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_config(args) -> ScenarioConfig:
-    text = ""
-    if args.config:
-        with open(args.config) as fh:
-            text = fh.read()
+def _run_overrides(args) -> dict:
+    """The config keys that the ``run`` flags set."""
     overrides = {}
     if args.preset:
         overrides["preset"] = f"scenario{args.preset}"
@@ -58,7 +56,26 @@ def _load_config(args) -> ScenarioConfig:
         overrides["replications"] = str(args.reps)
     if args.seed is not None:
         overrides["seed_base"] = str(args.seed)
-    return parse_config(text, overrides)
+    return overrides
+
+
+def _load_config(path: Optional[str],
+                 overrides: dict) -> Optional[ScenarioConfig]:
+    """The config file at *path* (none: the defaults) with *overrides* on
+    top.  On failure it prints ``error:`` for a file it cannot read, or one
+    ``invalid:`` line per config error, and returns None."""
+    try:
+        text = ""
+        if path:
+            with open(path) as fh:
+                text = fh.read()
+        return parse_config(text, overrides)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+    except ConfigError as exc:
+        for err in exc.errors:
+            print(f"invalid: {err}", file=sys.stderr)
+    return None
 
 
 def _write_outputs(results, cfg: ScenarioConfig, out: str, meta: str) -> None:
@@ -87,28 +104,13 @@ def main(argv=None) -> int:
         return 0
 
     if args.command == "validate":
-        try:
-            with open(args.config) as fh:
-                parse_config(fh.read())
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-        except ConfigError as exc:
-            for err in exc.errors:
-                print(f"invalid: {err}", file=sys.stderr)
+        if _load_config(args.config, {}) is None:
             return 1
         print(f"{args.config}: ok")
         return 0
 
-    # run
-    try:
-        cfg = _load_config(args)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ConfigError as exc:
-        for err in exc.errors:
-            print(f"invalid: {err}", file=sys.stderr)
+    cfg = _load_config(args.config, _run_overrides(args))
+    if cfg is None:
         return 1
 
     out_dir = os.path.dirname(os.path.abspath(args.out))

@@ -39,9 +39,9 @@ class LinkAdaptation:
 
     def __post_init__(self):
         if not 0.0 < self.overhead <= 1.0:
-            raise ValueError("overhead must be in (0, 1]")
+            raise ValueError(f"overhead: must be in (0, 1], got {self.overhead}")
         if self.eff_max <= 0.0:
-            raise ValueError("eff_max must be > 0")
+            raise ValueError(f"eff_max: must be > 0, got {self.eff_max}")
 
 
 def achievable_rate_bps(snr_db: float, bandwidth_hz: float,
@@ -171,9 +171,56 @@ class HarqProcess:
 
     def __post_init__(self):
         if self.max_retx < 0:
-            raise ValueError("max_retx must be >= 0")
+            raise ValueError(f"max_retx: must be >= 0, got {self.max_retx}")
         if self.rtt_s <= 0.0:
-            raise ValueError("HARQ round-trip time must be > 0")
+            raise ValueError(f"rtt_s: must be > 0, got {self.rtt_s}")
+        if self.bler_steepness_db <= 0.0:
+            raise ValueError(f"bler_steepness_db: must be > 0, "
+                             f"got {self.bler_steepness_db}")
+
+
+@dataclass(frozen=True)
+class _Phy:
+    """What the LTE and NR PHY sections share: numerology, link adaptation
+    and HARQ."""
+
+    scs_khz: int
+    la: LinkAdaptation
+    harq: HarqProcess
+
+    def __post_init__(self):
+        if self.scs_khz not in SUPPORTED_SCS_KHZ:
+            raise ValueError(f"scs_khz: expected one of {SUPPORTED_SCS_KHZ}, "
+                             f"got {self.scs_khz}")
+
+
+@dataclass(frozen=True)
+class LtePhy(_Phy):
+    """The LTE cell (config section ``phy.lte``): PF shares ``rb_count``
+    resource blocks per subframe, smoothing over ``pf_window`` subframes."""
+
+    scs_khz: int = 15
+    la: LinkAdaptation = LinkAdaptation()
+    harq: HarqProcess = HarqProcess()
+    rb_count: int = 25
+    pf_window: int = 100
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.rb_count < 1:
+            raise ValueError(f"rb_count: must be >= 1, got {self.rb_count}")
+        if self.pf_window < 1:
+            raise ValueError(f"pf_window: must be >= 1, got {self.pf_window}")
+
+
+@dataclass(frozen=True)
+class NrPhy(_Phy):
+    """The mmWave cell (config section ``phy.nr``): whole slots go round
+    robin, so it has no resource-block or PF keys."""
+
+    scs_khz: int = 120
+    la: LinkAdaptation = LinkAdaptation(overhead=0.7, eff_max=7.0)
+    harq: HarqProcess = HarqProcess(rtt_s=0.0005)
 
 
 class HarqOutcome(NamedTuple):

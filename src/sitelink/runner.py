@@ -39,6 +39,10 @@ from .traffic import (DropCause, FlowQueue, Packet, Sink, VideoStream,
 # replication seeds are seed_base + replication index.
 SWEEP_SEED_STRIDE = 1_000_003
 
+# LTE channel-refresh period.  A static LTE UE draws no shadowing, so only a
+# moving UE's SNR changes between refreshes.
+LTE_REFRESH_S = 0.1
+
 
 class SimulationError(RuntimeError):
     """A run violated an internal invariant (e.g. packet conservation)."""
@@ -80,27 +84,26 @@ class _Run:
         self.seed = seed
         speed = cfg.mobility.speed_kmh
 
-        phy = cfg.phy(rat)
-        self.radio = cfg.radio_config(rat)
-        self.la = cfg.link_adaptation(rat)
-        self.harq = cfg.harq(rat)
+        phy = cfg.phy_nr if self.is_nr else cfg.phy_lte
+        self.radio = cfg.radio_nr if self.is_nr else cfg.radio_lte
+        self.la = phy.la
+        self.harq = phy.harq
         self.bandwidth_hz = self.radio.bandwidth_hz
         self.slot_s = slot_duration_s(phy.scs_khz)
-        self.rb_count = phy.rb_count
 
         self.duration = cfg.duration_s
         self.warmup = cfg.warmup_s
         self.stop_time = cfg.duration_s + cfg.drain_max_s
         self.core_s = cfg.traffic.core_latency_ms * 1e-3
-        self.refresh_s = cfg.radio_nr.beam_refresh_s
 
         nr = cfg.radio_nr
+        self.refresh_s = nr.beam_refresh_s if self.is_nr else LTE_REFRESH_S
         self.p_out = (nr_outage_probability(speed, nr.v_mid_kmh, nr.s_v_kmh)
                       if self.is_nr else 0.0)
         self.outage_penalty_db = nr.outage_penalty_db
         self.lte_penalty_db = (0.0 if self.is_nr
                                else cfg.radio_lte.velocity_db_per_kmh * speed)
-        self.shadow_sigma = self.radio.mmwave.sigma_db if self.is_nr else 0.0
+        self.shadow_sigma = nr.mmwave.sigma_db if self.is_nr else 0.0
 
         self.harq_rng = rng_stream("harq", seed)
         self.shadow_rng = rng_stream("shadowing", seed)
@@ -108,8 +111,13 @@ class _Run:
 
         self.sim = Simulator(trace=trace_sink)
         self.sink = Sink()
-        self.sched = SchedulerState(cfg.ue_count, window_slots=phy.pf_window,
-                                    slot_s=self.slot_s)
+        if self.is_nr:
+            self.sched = SchedulerState(cfg.ue_count, slot_s=self.slot_s)
+        else:
+            self.rb_count = phy.rb_count
+            self.sched = SchedulerState(cfg.ue_count,
+                                        window_slots=phy.pf_window,
+                                        slot_s=self.slot_s)
         self.backlog_pkts = 0
         self.slot_index = 0
         self.slot_running = False

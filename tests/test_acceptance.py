@@ -111,8 +111,8 @@ def test_criterion_2_nr_tracks_offered_load(scenario1):
 
 def test_criterion_3_lte_overload_loss(scenario2):
     cfg = default_config("scenario2")
-    plateau_mbps = (cfg.radio_lte.bandwidth_mhz * cfg.phy_lte.la_overhead
-                    * cfg.phy_lte.la_eff_max)
+    plateau_mbps = (cfg.radio_lte.bandwidth_mhz * cfg.phy_lte.la.overhead
+                    * cfg.phy_lte.la.eff_max)
     r = scenario2[("lte", 5.0)]
     offered = 5.0 * 8
     oracle = 1.0 - plateau_mbps / offered

@@ -7,11 +7,12 @@ against direct math evaluation.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from sitelink.channel import (MmWavePathLossParams, RadioConfig,
+from sitelink.channel import (LteRadio, MmWavePathLossParams, NrRadio,
                               earfcn_direction, earfcn_to_freq_mhz,
                               friis_rx_power, mmwave_pathloss_db,
                               noise_power_dbm, nr_arfcn_to_freq_mhz,
@@ -189,30 +190,23 @@ def test_noise_floor_anchors():
         noise_power_dbm(0.0, 5.0)
 
 
-def _nr_cfg(**kw) -> RadioConfig:
-    defaults = dict(rat="nr", carrier_freq_hz=28.00008e9, bandwidth_hz=1e8,
-                    tx_power_dbm=30.0, tx_gain_dbi=10.0, rx_gain_dbi=24.0,
-                    noise_figure_db=7.0)
-    defaults.update(kw)
-    return RadioConfig(**defaults)
+def _nr_cfg(**kw) -> NrRadio:
+    # The default section: 28.00008 GHz, 100 MHz, 30 dBm, 10 + 24 dBi, NF 7 dB.
+    return replace(NrRadio(), **kw)
 
 
-def _lte_cfg(**kw) -> RadioConfig:
-    defaults = dict(rat="lte", carrier_freq_hz=1.93e9, bandwidth_hz=5e6,
-                    tx_power_dbm=23.0, noise_figure_db=9.0)
-    defaults.update(kw)
-    return RadioConfig(**defaults)
+def _lte_cfg(**kw) -> LteRadio:
+    # The default section: 1930 MHz, 5 MHz, 23 dBm, 0 dBi, NF 9 dB.
+    return replace(LteRadio(), **kw)
 
 
 def test_radio_config_wavelength_consistency():
     cfg = _nr_cfg()
     assert cfg.wavelength_m * cfg.carrier_freq_hz == pytest.approx(C, rel=1e-6)
-    with pytest.raises(ValueError):
-        _lte_cfg(bandwidth_hz=-1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^bandwidth_mhz: "):
+        _lte_cfg(bandwidth_mhz=-1.0)
+    with pytest.raises(ValueError, match="^system_loss: "):
         _lte_cfg(system_loss=0.5)
-    with pytest.raises(ValueError):
-        _lte_cfg(rat="umts")
 
 
 def test_snr_composes_the_worked_nr_link_budget():

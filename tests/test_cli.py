@@ -40,6 +40,18 @@ def test_validate_reports_field_level_diagnostics(tmp_path, capsys):
     assert "duration_s" in err
 
 
+def test_validate_reports_one_line_per_bad_section(tmp_path, capsys):
+    path = tmp_path / "bad.cfg"
+    path.write_text("traffic.queue_capacity_pkts=0\nradio.nr.mmwave.beta=0\n"
+                    "phy.lte.la.overhead=2\n")
+    assert main(["validate", "--config", str(path)]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert [line.split(":")[1] for line in lines] == [
+        " traffic.queue_capacity_pkts", " radio.nr.mmwave.beta",
+        " phy.lte.la.overhead"]
+    assert all(line.startswith("invalid: ") for line in lines)
+
+
 def test_validate_missing_file_fails(capsys):
     assert main(["validate", "--config", "/no/such/file.cfg"]) == 1
     assert "error" in capsys.readouterr().err

@@ -57,6 +57,69 @@ def test_removed_mobility_sweep_key_rejected():
         parse_config("preset=scenario3\nmobility.sweep=start_distance\n")
 
 
+# Keys of the format before the model classes became the config sections,
+# each mapped to its new key (None: dropped, it did nothing).
+_RENAMED = {
+    "phy.nr.rb_count": None,
+    "phy.nr.pf_window": None,
+    "radio.nr.mmwave_alpha": "radio.nr.mmwave.alpha_db",
+    "radio.nr.mmwave_beta": "radio.nr.mmwave.beta",
+    "radio.nr.mmwave_sigma": "radio.nr.mmwave.sigma_db",
+    "radio.nr.max_range_m": "radio.nr.mmwave.max_range_m",
+    **{f"phy.{rat}.{old}": f"phy.{rat}.{new}" for rat in ("lte", "nr")
+       for old, new in (("la_overhead", "la.overhead"),
+                        ("la_eff_max", "la.eff_max"),
+                        ("la_snr_floor_db", "la.snr_floor_db"),
+                        ("harq_max_retx", "harq.max_retx"),
+                        ("harq_combining_gain_db", "harq.combining_gain_db"),
+                        ("harq_rtt_ms", "harq.rtt_s"),
+                        ("bler_threshold_db", "harq.bler_threshold_db"),
+                        ("bler_steepness_db", "harq.bler_steepness_db"))},
+}
+
+
+@pytest.mark.parametrize("old", sorted(_RENAMED))
+def test_dropped_or_renamed_key_rejected(old):
+    with pytest.raises(ConfigError, match=f"line 2: unknown key '{old}'"):
+        parse_config(f"preset=custom\n{old}=1\n")
+    new = _RENAMED[old]
+    if new is not None:
+        assert f"\n{new}=" in render_config(default_config())
+
+
+def test_key_set_shrank_by_the_dropped_keys():
+    keys = render_config(default_config()).splitlines()
+    assert len(keys) == 65
+
+
+def test_section_errors_name_the_flat_key():
+    with pytest.raises(ConfigError) as exc:
+        parse_config("radio.nr.mmwave.beta=0\ntraffic.queue_capacity_pkts=0\n"
+                     "phy.lte.harq.rtt_s=0\nphy.lte.harq.max_retx=-1\n")
+    # One error per section: the first bad field each section's check meets.
+    assert sorted(exc.value.errors) == [
+        "phy.lte.harq.max_retx: must be >= 0, got -1",
+        "radio.nr.mmwave.beta: must be > 0, got 0.0",
+        "traffic.queue_capacity_pkts: must be >= 1, got 0"]
+
+
+def test_app_start_must_fall_inside_the_run():
+    with pytest.raises(ConfigError, match="traffic.app_start_s: must be below "
+                                          "duration_s"):
+        parse_config("duration_s=2\nwarmup_s=0.5\ntraffic.app_start_s=3")
+    assert parse_config("duration_s=4\ntraffic.app_start_s=3"
+                        ).traffic.app_start_s == 3.0
+
+
+def test_app_stop_is_the_sentinel_or_after_start():
+    with pytest.raises(ConfigError, match="traffic.app_stop_s: must be -1"):
+        parse_config("traffic.app_stop_s=-5")
+    with pytest.raises(ConfigError, match="traffic.app_stop_s"):
+        parse_config("traffic.app_start_s=2\ntraffic.app_stop_s=2")
+    assert parse_config("traffic.app_stop_s=-1").app_stop_effective_s() == 20.0
+    assert parse_config("traffic.app_stop_s=5").app_stop_effective_s() == 5.0
+
+
 def test_duplicate_key_rejected():
     with pytest.raises(ConfigError, match="duplicate key"):
         parse_config("duration_s=5\nduration_s=6")
@@ -104,11 +167,11 @@ def test_round_trip_identity():
 
 def test_round_trip_preserves_non_default_values():
     cfg = parse_config("preset=scenario2\nseed_base=77\nradio.nr.tx_power_dbm=27.5\n"
-                       "phy.lte.la_eff_max=4.8\ntraffic.queue_capacity_pkts=64")
+                       "phy.lte.la.eff_max=4.8\ntraffic.queue_capacity_pkts=64")
     again = parse_config(render_config(cfg))
     assert again == cfg
     assert again.radio_nr.tx_power_dbm == 27.5
-    assert again.phy_lte.la_eff_max == 4.8
+    assert again.phy_lte.la.eff_max == 4.8
 
 
 _FLOATS = dict(allow_nan=False, allow_infinity=False)
@@ -146,9 +209,11 @@ def _valid_config_text(draw):
                                            **_FLOATS).map(repr),
         "radio.lte.noise_figure_db": st.floats(min_value=0, max_value=15,
                                                **_FLOATS).map(repr),
-        "phy.lte.la_eff_max": st.floats(min_value=0.1, max_value=8,
+        "phy.lte.la.eff_max": st.floats(min_value=0.1, max_value=8,
                                         **_FLOATS).map(repr),
-        "phy.nr.harq_max_retx": st.integers(0, 8).map(str),
+        "phy.nr.harq.max_retx": st.integers(0, 8).map(str),
+        "radio.nr.mmwave.sigma_db": st.floats(min_value=0, max_value=12,
+                                              **_FLOATS).map(repr),
     }
     for key in draw(st.lists(st.sampled_from(sorted(optional)), unique=True)):
         keys[key] = draw(optional[key])
@@ -174,8 +239,8 @@ def test_overrides_behave_like_explicit_keys():
 
 def test_default_config_carrier_frequencies():
     cfg = default_config()
-    assert cfg.lte_carrier_mhz() == 1930.0         # uplink EARFCN 18100
-    assert cfg.nr_carrier_mhz() == pytest.approx(28000.08)
+    assert cfg.radio_lte.carrier_freq_hz == 1930e6  # uplink EARFCN 18100
+    assert cfg.radio_nr.carrier_freq_hz == pytest.approx(28000.08e6)
 
 
 def test_placement_specs():

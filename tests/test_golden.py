@@ -71,3 +71,13 @@ def test_lte_trace_digest(tmp_path):
     run_single(parse_config(TRACE_CONFIG), "lte", 0, 0,
                trace_dir=str(tmp_path))
     assert _sha256(tmp_path / name) == digest
+
+
+def test_nr_beam_refresh_leaves_the_lte_trace_alone(tmp_path):
+    # The LTE refresh period is the runner's own constant; the NR key must
+    # still move the NR trace.
+    cfg = parse_config(TRACE_CONFIG + "radio.nr.beam_refresh_s=0.05\n")
+    for rat, (name, digest), same in (("lte", GOLDEN_LTE_TRACE, True),
+                                      ("nr", GOLDEN_TRACE, False)):
+        run_single(cfg, rat, 0, 0, trace_dir=str(tmp_path))
+        assert (_sha256(tmp_path / name) == digest) == same, rat

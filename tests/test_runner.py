@@ -289,7 +289,7 @@ def test_metadata_echoes_every_effective_key():
     meta = run_metadata(cfg)
     assert reparse(meta) == cfg          # comments skipped, keys complete
     assert "seed_base=5" in meta
-    assert "phy.nr.la_eff_max" in meta
+    assert "phy.nr.la.eff_max" in meta
 
 
 def test_throughput_never_exceeds_offered_load():
