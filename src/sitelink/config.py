@@ -149,20 +149,16 @@ _SCHEMA = {key: (path, default)
            for key, path, default in _walk(ScenarioConfig())}
 
 
-def _coerce(key: str, raw: str, default):
+def _coerce(raw: str, default):
     """Parse *raw* as the type of *default*; a tuple default parses as a
     non-empty comma list of its first element's type."""
-    raw = raw.strip()
-    try:
-        if isinstance(default, tuple):
-            vals = tuple(type(default[0])(v.strip())
-                         for v in raw.split(",") if v.strip())
-            if not vals:
-                raise ValueError("empty list")
-            return vals
-        return type(default)(raw)
-    except ValueError as exc:
-        raise ConfigError([f"{key}: cannot parse {raw!r} ({exc})"]) from None
+    if isinstance(default, tuple):
+        vals = tuple(type(default[0])(v.strip())
+                     for v in raw.split(",") if v.strip())
+        if not vals:
+            raise ValueError("empty list")
+        return vals
+    return type(default)(raw)
 
 
 def _preset_overlay(preset: Optional[str],
@@ -220,7 +216,15 @@ def parse_config(text: str, overrides: Optional[dict] = None) -> ScenarioConfig:
             raise ConfigError([f"unknown key {key!r}"])
         user[key] = str(value)
 
-    typed = {k: _coerce(k, v, _SCHEMA[k][1]) for k, v in user.items()}
+    typed = {}
+    for key, raw in user.items():
+        raw = raw.strip()
+        try:
+            typed[key] = _coerce(raw, _SCHEMA[key][1])
+        except ValueError as exc:
+            errors.append(f"{key}: cannot parse {raw!r} ({exc})")
+    if errors:
+        raise ConfigError(errors)
     # explicit keys beat the preset expansion
     effective = {**_preset_overlay(typed.get("preset"),
                                    typed.get("sweep_variable")), **typed}
@@ -319,6 +323,10 @@ def validate_config(cfg: ScenarioConfig) -> None:
     if cfg.traffic.app_start_s >= cfg.duration_s:
         errs.append(f"traffic.app_start_s: must be below duration_s "
                     f"({cfg.traffic.app_start_s} >= {cfg.duration_s})")
+    stop = cfg.traffic.app_stop_s
+    if stop != -1 and stop <= cfg.warmup_s:
+        errs.append(f"traffic.app_stop_s: must exceed warmup_s "
+                    f"({stop} <= {cfg.warmup_s})")
     if cfg.replications < 1:
         errs.append(f"replications: must be >= 1, got {cfg.replications}")
     if cfg.drain_max_s < 0:

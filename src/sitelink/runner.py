@@ -54,10 +54,10 @@ def derive_run_seed(seed_base: int, sweep_index: int, rep_index: int) -> int:
 
 class _Ue:
     __slots__ = ("idx", "mob", "queue", "credit_bits", "snr_la_db",
-                 "in_coverage", "stats", "stream", "seq")
+                 "in_coverage", "stats")
 
     def __init__(self, idx: int, mob: MobilityState, queue: FlowQueue,
-                 stats: FlowStats, stream: VideoStream):
+                 stats: FlowStats):
         self.idx = idx
         self.mob = mob
         self.queue = queue
@@ -65,8 +65,6 @@ class _Ue:
         self.snr_la_db = -math.inf
         self.in_coverage = True
         self.stats = stats
-        self.stream = stream
-        self.seq = 0
 
 
 class _Run:
@@ -128,39 +126,41 @@ class _Run:
 
         radii = cfg.placement_radii(cfg.ue_count)
         speed_mps = speed / 3.6
-        stop_s = cfg.app_stop_effective_s()
         m = cfg.mobility
         self.ues = []
         for i in range(cfg.ue_count):
             mob = MobilityState(x=radii[i], y=0.0, vx=speed_mps, vy=0.0,
                                 min_r=m.corridor_min_m, max_r=m.corridor_max_m)
-            stream = VideoStream(
-                flow_id=i, rate_bps=cfg.traffic.data_volume_mbps * 1e6,
-                packet_size_bytes=cfg.traffic.packet_size_bytes,
-                start_s=cfg.traffic.app_start_s, stop_s=stop_s)
             self.ues.append(_Ue(i, mob,
                                 FlowQueue(cfg.traffic.queue_capacity_pkts),
-                                FlowStats(i, warmup_s=self.warmup), stream))
+                                FlowStats(i, warmup_s=self.warmup)))
         # Per-UE serving rates, indexed like ``ues``: set at channel refresh
         # and handed to the scheduler as is.  Round robin takes the queues
         # themselves, since an empty FlowQueue is falsy.
         self.rates = [0.0] * cfg.ue_count
         self.queues = [ue.queue for ue in self.ues]
 
-        # Channel state first, then the slot chain, then the sources, so that
-        # simultaneous events resolve in that order.
+        # Every UE streams the same CBR grid, so one stream drives the cell:
+        # the packet created at grid index k is seq k of every flow.
+        self.stream = VideoStream(
+            flow_id=0, rate_bps=cfg.traffic.data_volume_mbps * 1e6,
+            packet_size_bytes=cfg.traffic.packet_size_bytes,
+            start_s=cfg.traffic.app_start_s, stop_s=cfg.app_stop_effective_s())
+        self.grid = cbr_grid(self.stream)
+        self.grid_index = 0
+
+        # Channel state first, then the slot chain, then the source, so that
+        # simultaneous events resolve in that order.  One refresh event and
+        # one arrival event serve every UE, in UE order.
         for ue in self.ues:
             self._update_channel(ue, 0.0)
-            self._schedule_refresh(ue)
+        self.sim.schedule(self.refresh_s, self._refresh, "refresh")
         if self.idle_slots:
             self.slot_running = True
             self.sim.schedule(0.0, self._slot, "slot", self.rat)
-        for ue in self.ues:
-            grid = cbr_grid(ue.stream)
-            t_first = next(grid, None)
-            if t_first is not None:
-                self.sim.schedule(t_first, self._make_arrival(ue, grid),
-                                  "arrival", f"flow={ue.idx}")
+        t_first = next(self.grid, None)
+        if t_first is not None:
+            self.sim.schedule(t_first, self._arrival, "arrival")
 
     # -- channel ------------------------------------------------------------
 
@@ -186,38 +186,33 @@ class _Run:
         return nxt <= self.stop_time and (
             self.backlog_pkts > 0 or (idle and nxt <= self.duration))
 
-    def _schedule_refresh(self, ue: _Ue) -> None:
-        def refresh():
-            t = self.sim.now
+    def _refresh(self) -> None:
+        t = self.sim.now
+        for ue in self.ues:
             self._update_channel(ue, t)
-            nxt = t + self.refresh_s
-            if self._continues(nxt, True):
-                self.sim.schedule(nxt, refresh, "refresh", f"ue={ue.idx}")
-        self.sim.schedule(self.refresh_s, refresh, "refresh", f"ue={ue.idx}")
+        nxt = t + self.refresh_s
+        if self._continues(nxt, True):
+            self.sim.schedule(nxt, self._refresh, "refresh")
 
     # -- traffic ------------------------------------------------------------
 
-    def _make_arrival(self, ue: _Ue, grid):
-        size = ue.stream.packet_size_bytes
-        detail = f"flow={ue.idx}"
-        sim = self.sim
-
-        def arrival():
-            t = sim.now
-            pkt = Packet(ue.idx, ue.seq, size, t)
-            ue.seq += 1
+    def _arrival(self) -> None:
+        t = self.sim.now
+        seq = self.grid_index
+        self.grid_index = seq + 1
+        size = self.stream.packet_size_bytes
+        for ue in self.ues:
+            pkt = Packet(ue.idx, seq, size, t)
             ue.stats.on_created(pkt)
             if ue.queue.offer(pkt):
                 self.backlog_pkts += 1
-                if not self.slot_running:
-                    self._wake_slots(t)
             else:
                 ue.stats.on_dropped(pkt, DropCause.QUEUE_OVERFLOW)
-            t_next = next(grid, None)
-            if t_next is not None:
-                sim.schedule(t_next, arrival, "arrival", detail)
-
-        return arrival
+        if self.backlog_pkts and not self.slot_running:
+            self._wake_slots(t)
+        t_next = next(self.grid, None)
+        if t_next is not None:
+            self.sim.schedule(t_next, self._arrival, "arrival")
 
     def _wake_slots(self, t: float) -> None:
         # The slot chain sleeps once it has nothing to do; align the wake-up

@@ -52,6 +52,16 @@ def test_validate_reports_one_line_per_bad_section(tmp_path, capsys):
     assert all(line.startswith("invalid: ") for line in lines)
 
 
+def test_validate_reports_one_line_per_unparseable_value(tmp_path, capsys):
+    path = tmp_path / "bad.cfg"
+    path.write_text("replications=few\nduration_s=x\nue_count=y\n")
+    assert main(["validate", "--config", str(path)]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert [line.split(":")[1] for line in lines] == [
+        " replications", " duration_s", " ue_count"]
+    assert all(line.startswith("invalid: ") for line in lines)
+
+
 def test_validate_missing_file_fails(capsys):
     assert main(["validate", "--config", "/no/such/file.cfg"]) == 1
     assert "error" in capsys.readouterr().err

@@ -120,6 +120,18 @@ def test_app_stop_is_the_sentinel_or_after_start():
     assert parse_config("traffic.app_stop_s=5").app_stop_effective_s() == 5.0
 
 
+def test_app_stop_must_leave_a_measured_window():
+    # Every packet would be created inside the warm-up: throughput 0, no delay.
+    with pytest.raises(ConfigError, match="traffic.app_stop_s: must exceed "
+                                          "warmup_s"):
+        parse_config("rats=lte\nduration_s=2\nwarmup_s=1\n"
+                     "traffic.app_stop_s=0.5")
+    with pytest.raises(ConfigError, match="traffic.app_stop_s"):
+        parse_config("duration_s=2\nwarmup_s=1\ntraffic.app_stop_s=1")
+    assert parse_config("duration_s=2\nwarmup_s=1\ntraffic.app_stop_s=1.5"
+                        ).app_stop_effective_s() == 1.5
+
+
 def test_duplicate_key_rejected():
     with pytest.raises(ConfigError, match="duplicate key"):
         parse_config("duration_s=5\nduration_s=6")
@@ -133,6 +145,14 @@ def test_syntax_error_reports_line():
 def test_bad_value_names_the_key():
     with pytest.raises(ConfigError, match="replications"):
         parse_config("replications=few")
+
+
+def test_every_unparseable_value_is_reported():
+    with pytest.raises(ConfigError) as exc:
+        parse_config("replications=few\nduration_s=x\nue_count=y")
+    assert [err.split(":")[0] for err in exc.value.errors] == [
+        "replications", "duration_s", "ue_count"]
+    assert all("cannot parse" in err for err in exc.value.errors)
 
 
 def test_invariant_violations_name_fields():

@@ -41,10 +41,10 @@ TRACE_CONFIG = ("preset=custom\nsweep_variable=speed_kmh\nsweep=50\n"
                 "replications=1\nseed_base=7\n")
 GOLDEN_TRACE = (
     "custom_nr_50_0.trace",
-    "8f9b3334ac68cddcb4b0de82e4885c08c427e8d994c8913be6717cf2133c8985")
+    "78b1984a5c9d4b2e1f2dfcd82f1b6c9bc0c816b08f8b57428853124cf99b4d5a")
 GOLDEN_LTE_TRACE = (
     "custom_lte_50_0.trace",
-    "b0514a379729bfed584af909864707818e4b94f1628bf1f214e257b4b33eeccc")
+    "2c45d118f1b17abb0ac955a1e3ea0465106e8cec9e548406111a5137cf997209")
 
 
 def _sha256(path) -> str:

@@ -321,8 +321,31 @@ def test_arrivals_follow_the_cbr_grid():
                                          "traffic.app_stop_s": "2.2"})
     run = _Run(cfg, "nr", 2.0, 0, seed=1)
     result = run.execute()
-    for ue, flow in zip(run.ues, result.flows):
-        assert flow.tx_packets == len(cbr_emit_times(ue.stream)) == 380
+    for flow in result.flows:
+        assert flow.tx_packets == len(cbr_emit_times(run.stream)) == 380
+
+
+@pytest.mark.parametrize("rat", ["lte", "nr"])
+def test_one_arrival_and_one_refresh_event_serve_every_ue(rat):
+    # Every UE streams the cell's CBR grid and refreshes on the cell's
+    # period, so each instant is one event, not one per UE.
+    cfg = parse_config(MOBILE, overrides={"rats": rat, "duration_s": "1.5",
+                                          "warmup_s": "0"})
+    trace = io.StringIO()
+    run = _Run(cfg, rat, cfg.sweep[0], 0, seed=1, trace_sink=trace)
+    result = run.execute()
+    lines = [line.split("\t") for line in trace.getvalue().splitlines()]
+    arrivals = [t for t, _, kind, _ in lines if kind == "arrival"]
+    refreshes = [float(t) for t, _, kind, _ in lines if kind == "refresh"]
+    emit = cbr_emit_times(run.stream)
+    assert cfg.ue_count == 4
+    assert arrivals == [f"{t:.9f}" for t in emit]
+    assert all(f.tx_packets == len(emit) for f in result.flows)
+    assert len(refreshes) >= cfg.duration_s / run.refresh_s - 1
+    assert refreshes == [pytest.approx(k * run.refresh_s)
+                         for k in range(1, len(refreshes) + 1)]
+    assert all(detail == "" for _, _, kind, detail in lines
+               if kind in ("arrival", "refresh"))
 
 
 def test_trace_names_keep_close_sweep_values_apart(tmp_path):
