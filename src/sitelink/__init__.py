@@ -11,7 +11,7 @@ from .channel import (LteRadio, MmWavePathLossParams, NrRadio,
                       noise_power_dbm, nr_arfcn_to_freq_mhz,
                       nr_outage_probability, snr_db)
 from .config import (ConfigError, ScenarioConfig, default_config,
-                     parse_config, render_config, validate_config)
+                     parse_config, render_config)
 from .engine import SchedulingInPastError, Simulator, rng_stream
 from .metrics import (FlowStats, RunResult, aggregate_replications,
                       export_csv, finalize)

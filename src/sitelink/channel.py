@@ -124,35 +124,17 @@ class _Radio:
     fields and the SI-unit link quantities derived from the MHz fields."""
 
     def __post_init__(self):
-        if self.carrier_freq_mhz < 0.0:
-            raise ValueError(
-                f"carrier_freq_mhz: must be >= 0, got {self.carrier_freq_mhz}")
         if self.bandwidth_mhz <= 0.0:
             raise ValueError(
                 f"bandwidth_mhz: must be > 0, got {self.bandwidth_mhz}")
         if self.system_loss < 1.0:
             raise ValueError(f"system_loss: must be >= 1, got {self.system_loss}")
-        if self.carrier_freq_mhz == 0.0:
-            try:
-                self._raster_mhz()
-            except ValueError as exc:
-                raise ValueError(f"{self._raster_field}: {exc}") from None
-
-    @property
-    def carrier_freq_hz(self) -> float:
-        """The explicit carrier, or the channel number's when that is 0."""
-        mhz = self.carrier_freq_mhz
-        return (mhz if mhz > 0 else self._raster_mhz()) * 1e6
 
     @property
     def bandwidth_hz(self) -> float:
         return self.bandwidth_mhz * 1e6
 
-    # Cached: snr_db reads these on every channel refresh.
-    @cached_property
-    def wavelength_m(self) -> float:
-        return SPEED_OF_LIGHT / self.carrier_freq_hz
-
+    # Cached: snr_db reads it on every channel refresh.
     @cached_property
     def noise_dbm(self) -> float:
         return noise_power_dbm(self.bandwidth_hz, self.noise_figure_db)
@@ -163,7 +145,6 @@ class LteRadio(_Radio):
     """The LTE uplink (config section ``radio.lte``): Friis free-space loss."""
 
     rat: ClassVar[str] = "lte"
-    _raster_field: ClassVar[str] = "earfcn"
 
     earfcn: int = 18100           # Band 1 uplink carrier serves the video
     carrier_freq_mhz: float = 0.0  # 0 derives the carrier from the EARFCN
@@ -175,20 +156,35 @@ class LteRadio(_Radio):
     system_loss: float = 1.0
     velocity_db_per_kmh: float = 0.02
 
-    def _raster_mhz(self) -> float:
-        return earfcn_to_freq_mhz(self.earfcn, earfcn_direction(self.earfcn))
+    def __post_init__(self):
+        if self.carrier_freq_mhz < 0.0:
+            raise ValueError(
+                f"carrier_freq_mhz: must be >= 0, got {self.carrier_freq_mhz}")
+        super().__post_init__()
+        try:
+            self.carrier_freq_hz
+        except ValueError as exc:
+            raise ValueError(f"earfcn: {exc}") from None
+
+    @property
+    def carrier_freq_hz(self) -> float:
+        """The explicit carrier, or the EARFCN's when that is 0."""
+        return (self.carrier_freq_mhz or earfcn_to_freq_mhz(
+            self.earfcn, earfcn_direction(self.earfcn))) * 1e6
+
+    # Cached: snr_db reads it on every channel refresh.
+    @cached_property
+    def wavelength_m(self) -> float:
+        return SPEED_OF_LIGHT / self.carrier_freq_hz
 
 
 @dataclass(frozen=True)
 class NrRadio(_Radio):
-    """The mmWave uplink (config section ``radio.nr``): LOS path loss plus
-    the speed-driven beam-tracking outage."""
+    """The mmWave uplink (config section ``radio.nr``): LOS path loss, which
+    has no carrier term, plus the speed-driven beam-tracking outage."""
 
     rat: ClassVar[str] = "nr"
-    _raster_field: ClassVar[str] = "nr_arfcn"
 
-    nr_arfcn: int = 2079167        # 28.00008 GHz, inside band n257
-    carrier_freq_mhz: float = 0.0  # 0 derives the carrier from the NR-ARFCN
     bandwidth_mhz: float = 100.0
     tx_power_dbm: float = 30.0
     tx_gain_dbi: float = 10.0      # UE-side array
@@ -208,9 +204,6 @@ class NrRadio(_Radio):
         if self.beam_refresh_s <= 0.0:
             raise ValueError(
                 f"beam_refresh_s: must be > 0, got {self.beam_refresh_s}")
-
-    def _raster_mhz(self) -> float:
-        return nr_arfcn_to_freq_mhz(self.nr_arfcn)
 
 
 def snr_db(cfg: LteRadio | NrRadio, distance_m: float, penalties_db: float = 0.0,

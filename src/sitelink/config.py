@@ -10,6 +10,7 @@ explicitly set keys always win over preset values.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields, is_dataclass, replace
 from typing import Optional
 
@@ -67,17 +68,47 @@ class MobilityConfig:
     def __post_init__(self):
         if self.speed_kmh < 0:
             raise ValueError(f"speed_kmh: must be >= 0, got {self.speed_kmh}")
-        if self.corridor_min_m < 1:
-            raise ValueError(
-                f"corridor_min_m: must be >= 1, got {self.corridor_min_m}")
-        if self.corridor_max_m <= self.corridor_min_m:
+        # A non-finite bound fails here, under its key, not as a bad radius.
+        if not 1 <= self.corridor_min_m < math.inf:
+            raise ValueError(f"corridor_min_m: must be finite and >= 1, "
+                             f"got {self.corridor_min_m}")
+        if not self.corridor_max_m > self.corridor_min_m:
             raise ValueError(f"corridor_max_m: must exceed corridor_min_m, "
                              f"got {self.corridor_max_m}")
+        try:
+            points = self._points()
+        except ValueError:
+            raise ValueError(
+                f"placement: cannot parse {self.placement!r}") from None
+        if not points or not all(self.corridor_min_m <= r <= self.corridor_max_m
+                                 for r in points):
+            raise ValueError("placement: must name radii inside the corridor")
+
+    def _points(self) -> list[float]:
+        """The radii the placement spec names; ``uniform:lo,hi`` names two."""
+        spec = self.placement
+        if spec.startswith("uniform:"):
+            lo, hi = (float(v) for v in spec[len("uniform:"):].split(","))
+            return [lo, hi]
+        return [float(v) for v in spec.split(",") if v.strip()]
+
+    def radii(self, n_ues: int) -> list[float]:
+        """Starting radii for n UEs: evenly spaced from lo to hi under
+        ``uniform:lo,hi``, else the listed radii in turn."""
+        points = self._points()
+        if not self.placement.startswith("uniform:"):
+            return [points[i % len(points)] for i in range(n_ues)]
+        lo, hi = points
+        if n_ues == 1:
+            return [(lo + hi) / 2.0]
+        step = (hi - lo) / (n_ues - 1)
+        return [lo + i * step for i in range(n_ues)]
 
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """One sweep study: scenario preset, sweep grid, and all parameter blocks."""
+    """One sweep study: scenario preset, sweep grid, and all parameter blocks.
+    Building one checks the cross-section rules and every sweep point."""
 
     preset: str = "custom"
     rats: tuple = ("lte", "nr")
@@ -96,35 +127,77 @@ class ScenarioConfig:
     phy_lte: LtePhy = LtePhy()
     phy_nr: NrPhy = NrPhy()
 
-    def at(self, value: float) -> "ScenarioConfig":
-        """The study at one sweep point: the swept parameter set to *value*.
-        A start distance is a one-radius placement: every UE at that radius."""
-        var, mob = self.sweep_variable, self.mobility
+    def __post_init__(self):
+        errs = [f"{key}: must be finite, got {v}"
+                for key, _, value in _walk(self)
+                for v in (value if isinstance(value, tuple) else (value,))
+                if isinstance(v, float) and not math.isfinite(v)]
+        # A sweep value is legal exactly when the point it sets builds.  The
+        # points are built from finite values only, so never from int(nan).
+        if not errs and self.sweep_variable in SWEEP_VARIABLES:
+            for value in self.sweep:
+                try:
+                    self._swept(value)
+                except ValueError as exc:
+                    errs.append(f"sweep: {value!r} does not build ({exc})")
+        rats, sweep, duration, warmup = (self.rats, self.sweep,
+                                         self.duration_s, self.warmup_s)
+        start, stop = self.traffic.app_start_s, self.traffic.app_stop_s
+        corridor_max, nr_range = (self.mobility.corridor_max_m,
+                                  self.radio_nr.mmwave.max_range_m)
+        rules = (
+            (self.preset not in PRESET_NAMES, f"preset: expected one of "
+             f"{PRESET_NAMES}, got {self.preset!r}"),
+            (not rats or any(r not in ("lte", "nr") for r in rats),
+             f"rats: expected a non-empty subset of lte,nr, got {rats}"),
+            (dups := sorted({r for r in rats if rats.count(r) > 1}),
+             f"rats: values must be distinct, repeated {dups}"),
+            (self.sweep_variable not in SWEEP_VARIABLES, f"sweep_variable: "
+             f"expected one of {SWEEP_VARIABLES}, got {self.sweep_variable!r}"),
+            (not sweep, "sweep: must list at least one value"),
+            (dups := sorted({v for v in sweep if sweep.count(v) > 1}),
+             f"sweep: values must be distinct, repeated {dups}"),
+            (duration <= warmup, f"duration_s: must exceed warmup_s "
+             f"({duration} <= {warmup})"),
+            (start >= duration, f"traffic.app_start_s: must be below "
+             f"duration_s ({start} >= {duration})"),
+            (stop != -1 and stop <= warmup, f"traffic.app_stop_s: must "
+             f"exceed warmup_s ({stop} <= {warmup})"),
+            ("nr" in rats and corridor_max > nr_range,
+             f"mobility.corridor_max_m: {corridor_max} exceeds the mmWave "
+             f"coverage range {nr_range}"),
+        )
+        errs += [msg for broken, msg in rules if broken]
+        errs += [f"{name}: must be >= {low}, got {getattr(self, name)}"
+                 for name, low in (("ue_count", 1), ("warmup_s", 0),
+                                   ("replications", 1), ("drain_max_s", 0))
+                 if getattr(self, name) < low]
+        if errs:
+            raise ConfigError(errs)
+
+    def _swept(self, value: float) -> dict:
+        """The field that sweep point *value* sets, mapped to its value.  A
+        start distance is a one-radius placement: every UE at that radius."""
+        var = self.sweep_variable
         if var == "ue_count":
-            return replace(self, ue_count=int(value))
+            if value < 1 or value != int(value):
+                raise ValueError(
+                    f"ue_count: must be a positive integer, got {value}")
+            return {"ue_count": int(value)}
         if var == "offered_mbps":
-            return replace(self, traffic=replace(self.traffic,
-                                                 data_volume_mbps=value))
+            return {"traffic": replace(self.traffic, data_volume_mbps=value)}
         if var == "speed_kmh":
-            return replace(self, mobility=replace(mob, speed_kmh=value))
-        placement = repr(float(value))
-        return replace(self, mobility=replace(mob, placement=placement))
+            return {"mobility": replace(self.mobility, speed_kmh=value)}
+        return {"mobility": replace(self.mobility,
+                                    placement=repr(float(value)))}
+
+    def at(self, value: float) -> "ScenarioConfig":
+        """The study at one sweep point: the swept parameter set to *value*."""
+        return replace(self, **self._swept(value))
 
     def app_stop_effective_s(self) -> float:
         stop = self.traffic.app_stop_s
         return self.duration_s if stop < 0 else min(stop, self.duration_s)
-
-    def placement_radii(self, n_ues: int) -> list[float]:
-        """Starting radii for n UEs from the placement spec."""
-        spec = self.mobility.placement
-        if spec.startswith("uniform:"):
-            lo, hi = (float(v) for v in spec[len("uniform:"):].split(","))
-            if n_ues == 1:
-                return [(lo + hi) / 2.0]
-            step = (hi - lo) / (n_ues - 1)
-            return [lo + i * step for i in range(n_ues)]
-        radii = [float(v) for v in spec.split(",") if v.strip()]
-        return [radii[i % len(radii)] for i in range(n_ues)]
 
 
 # ---------------------------------------------------------------------------
@@ -239,14 +312,14 @@ def parse_config(text: str, overrides: Optional[dict] = None) -> ScenarioConfig:
     cfg = _build(ScenarioConfig(), tree, "", errors)
     if errors:
         raise ConfigError(errors)
-    validate_config(cfg)
     return cfg
 
 
 def _build(default, tree: dict, prefix: str, errors: list):
     """*default* with the values of *tree* (field name -> value, or -> tree
     of a nested section) set.  A section whose checks reject its values
-    adds its ``ValueError`` to *errors* under the flat key and gives None."""
+    adds its ``ValueError`` to *errors* under the flat key and gives None;
+    the study adds each message of its ``ConfigError``."""
     kwargs = {}
     for name, value in tree.items():
         if isinstance(value, dict):
@@ -257,9 +330,11 @@ def _build(default, tree: dict, prefix: str, errors: list):
         return None
     try:
         return replace(default, **kwargs)
+    except ConfigError as exc:
+        errors.extend(exc.errors)
     except ValueError as exc:
         errors.append(f"{prefix}{exc}")
-        return None
+    return None
 
 
 def default_config(preset: str = "custom") -> ScenarioConfig:
@@ -278,72 +353,3 @@ def _render_value(value) -> str:
     if isinstance(value, float):
         return repr(value)
     return str(value)
-
-
-def validate_config(cfg: ScenarioConfig) -> None:
-    """Check the study-level and cross-section rules; raises ConfigError
-    naming each bad field.  Each section checks its own fields when built."""
-    errs = []
-
-    if cfg.preset not in PRESET_NAMES:
-        errs.append(f"preset: expected one of {PRESET_NAMES}, got {cfg.preset!r}")
-    if not cfg.rats or any(r not in ("lte", "nr") for r in cfg.rats):
-        errs.append(f"rats: expected a non-empty subset of lte,nr, got {cfg.rats}")
-    dups = sorted({r for r in cfg.rats if cfg.rats.count(r) > 1})
-    if dups:
-        errs.append(f"rats: values must be distinct, repeated {dups}")
-    if cfg.sweep_variable not in SWEEP_VARIABLES:
-        errs.append(f"sweep_variable: expected one of {SWEEP_VARIABLES}, "
-                    f"got {cfg.sweep_variable!r}")
-    if not cfg.sweep:
-        errs.append("sweep: must list at least one value")
-    elif any(v < 0 for v in cfg.sweep):
-        errs.append("sweep: values must be >= 0")
-    dups = sorted({v for v in cfg.sweep if cfg.sweep.count(v) > 1})
-    if dups:
-        errs.append(f"sweep: values must be distinct, repeated {dups}")
-    if cfg.sweep_variable == "ue_count" and any(
-            v < 1 or v != int(v) for v in cfg.sweep):
-        errs.append("sweep: ue_count values must be positive integers")
-    if cfg.sweep_variable == "offered_mbps" and any(v <= 0 for v in cfg.sweep):
-        errs.append("sweep: offered_mbps values must be > 0")
-    m = cfg.mobility
-    if cfg.sweep_variable == "start_distance" and any(
-            v < m.corridor_min_m or v > m.corridor_max_m for v in cfg.sweep):
-        errs.append("sweep: start_distance values must lie inside the corridor")
-    if cfg.ue_count < 1:
-        errs.append(f"ue_count: must be >= 1, got {cfg.ue_count}")
-    if cfg.duration_s <= 0:
-        errs.append(f"duration_s: must be > 0, got {cfg.duration_s}")
-    if cfg.warmup_s < 0:
-        errs.append(f"warmup_s: must be >= 0, got {cfg.warmup_s}")
-    if cfg.duration_s <= cfg.warmup_s:
-        errs.append(f"duration_s: must exceed warmup_s "
-                    f"({cfg.duration_s} <= {cfg.warmup_s})")
-    if cfg.traffic.app_start_s >= cfg.duration_s:
-        errs.append(f"traffic.app_start_s: must be below duration_s "
-                    f"({cfg.traffic.app_start_s} >= {cfg.duration_s})")
-    stop = cfg.traffic.app_stop_s
-    if stop != -1 and stop <= cfg.warmup_s:
-        errs.append(f"traffic.app_stop_s: must exceed warmup_s "
-                    f"({stop} <= {cfg.warmup_s})")
-    if cfg.replications < 1:
-        errs.append(f"replications: must be >= 1, got {cfg.replications}")
-    if cfg.drain_max_s < 0:
-        errs.append(f"drain_max_s: must be >= 0, got {cfg.drain_max_s}")
-
-    max_range_m = cfg.radio_nr.mmwave.max_range_m
-    if "nr" in cfg.rats and m.corridor_max_m > max_range_m:
-        errs.append(f"mobility.corridor_max_m: {m.corridor_max_m} exceeds the "
-                    f"mmWave coverage range {max_range_m}")
-    try:
-        radii = cfg.placement_radii(max(cfg.ue_count, 1))
-    except (ValueError, IndexError):
-        errs.append(f"mobility.placement: cannot parse {m.placement!r}")
-    else:
-        if not radii or any(r < m.corridor_min_m or r > m.corridor_max_m
-                            for r in radii):
-            errs.append("mobility.placement: radii must lie inside the corridor")
-
-    if errs:
-        raise ConfigError(errs)

@@ -25,7 +25,7 @@ import os
 from typing import Optional
 
 from .channel import nr_outage_probability, snr_db
-from .config import ScenarioConfig, render_config, validate_config
+from .config import ScenarioConfig, render_config
 from .engine import Simulator, rng_stream
 from .metrics import (FlowStats, RunResult, aggregate_replications, finalize,
                       sweep_label)
@@ -124,9 +124,9 @@ class _Run:
         self.idle_slots = not self.is_nr
         self._step = self._nr_step if self.is_nr else self._lte_step
 
-        radii = cfg.placement_radii(cfg.ue_count)
-        speed_mps = speed / 3.6
         m = cfg.mobility
+        radii = m.radii(cfg.ue_count)
+        speed_mps = speed / 3.6
         self.ues = []
         for i in range(cfg.ue_count):
             mob = MobilityState(x=radii[i], y=0.0, vx=speed_mps, vy=0.0,
@@ -215,10 +215,10 @@ class _Run:
             self.sim.schedule(t_next, self._arrival, "arrival")
 
     def _wake_slots(self, t: float) -> None:
-        # The slot chain sleeps once it has nothing to do; align the wake-up
-        # to the slot grid.
+        # The slot chain sleeps when idle; wake it on the slot grid, but never
+        # on the slot just served, whose instant an arrival can share.
         self.slot_running = True
-        k = math.ceil(t / self.slot_s - 1e-9)
+        k = max(math.ceil(t / self.slot_s - 1e-9), self.slot_index)
         self.slot_index = k
         # Grid arithmetic can land an ulp before the clock; same-instant is fine.
         self.sim.schedule(max(k * self.slot_s, t), self._slot, "slot", self.rat)
@@ -344,9 +344,9 @@ def run_scenario(cfg: ScenarioConfig, workers: int = 1,
     per CPU and per job.  Jobs are handed out one at a time, so a worker
     that finishes early takes the next job instead of idling while another
     works through a pre-assigned chunk.  ``starmap`` returns results in job
-    order, so the parallelism degree never changes the output.
+    order, so the parallelism degree never changes the output.  A
+    ScenarioConfig is valid once built, so *cfg* is not checked again.
     """
-    validate_config(cfg)
     reps = cfg.replications
     points = sorted(range(len(cfg.sweep)), key=cfg.sweep.__getitem__)
     jobs = [(cfg, rat, si, rep, trace_dir)

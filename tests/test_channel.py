@@ -191,7 +191,7 @@ def test_noise_floor_anchors():
 
 
 def _nr_cfg(**kw) -> NrRadio:
-    # The default section: 28.00008 GHz, 100 MHz, 30 dBm, 10 + 24 dBi, NF 7 dB.
+    # The default section: 100 MHz, 30 dBm, 10 + 24 dBi, NF 7 dB.
     return replace(NrRadio(), **kw)
 
 
@@ -201,7 +201,7 @@ def _lte_cfg(**kw) -> LteRadio:
 
 
 def test_radio_config_wavelength_consistency():
-    cfg = _nr_cfg()
+    cfg = _lte_cfg()
     assert cfg.wavelength_m * cfg.carrier_freq_hz == pytest.approx(C, rel=1e-6)
     with pytest.raises(ValueError, match="^bandwidth_mhz: "):
         _lte_cfg(bandwidth_mhz=-1.0)

@@ -62,6 +62,15 @@ def test_validate_reports_one_line_per_unparseable_value(tmp_path, capsys):
     assert all(line.startswith("invalid: ") for line in lines)
 
 
+def test_validate_reports_a_non_finite_sweep_cleanly(tmp_path, capsys):
+    path = tmp_path / "bad.cfg"
+    path.write_text("sweep=nan\n")
+    assert main(["validate", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.splitlines() == ["invalid: sweep: must be finite, got nan"]
+    assert "Traceback" not in err
+
+
 def test_validate_missing_file_fails(capsys):
     assert main(["validate", "--config", "/no/such/file.cfg"]) == 1
     assert "error" in capsys.readouterr().err

@@ -1,11 +1,13 @@
 """Config parsing, preset expansion, round-tripping, and validation."""
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sitelink.config import (PRESET_NAMES, ConfigError, default_config,
-                             parse_config, render_config)
+from sitelink.config import (_SCHEMA, PRESET_NAMES, ConfigError,
+                             default_config, parse_config, render_config)
 
 
 def test_minimal_preset_expands_to_full_scenario1():
@@ -62,6 +64,8 @@ def test_removed_mobility_sweep_key_rejected():
 _RENAMED = {
     "phy.nr.rb_count": None,
     "phy.nr.pf_window": None,
+    "radio.nr.nr_arfcn": None,
+    "radio.nr.carrier_freq_mhz": None,
     "radio.nr.mmwave_alpha": "radio.nr.mmwave.alpha_db",
     "radio.nr.mmwave_beta": "radio.nr.mmwave.beta",
     "radio.nr.mmwave_sigma": "radio.nr.mmwave.sigma_db",
@@ -89,7 +93,7 @@ def test_dropped_or_renamed_key_rejected(old):
 
 def test_key_set_shrank_by_the_dropped_keys():
     keys = render_config(default_config()).splitlines()
-    assert len(keys) == 65
+    assert len(keys) == 63
 
 
 def test_section_errors_name_the_flat_key():
@@ -172,6 +176,59 @@ def test_invariant_violations_name_fields():
         parse_config("radio.lte.earfcn=9000")
     with pytest.raises(ConfigError, match="preset"):
         parse_config("preset=scenario9")
+
+
+# Each config breaks one rule; the error must name the flat key it sits on.
+_INVALID = [
+    ("sweep_variable=speed_kmh\nsweep=-5", "sweep"),
+    ("sweep_variable=offered_mbps\nsweep=0", "sweep"),
+    ("sweep_variable=start_distance\nsweep=300", "sweep"),
+    ("sweep_variable=ue_count\nsweep=2.5", "sweep"),
+    ("sweep_variable=ue_count\nsweep=0", "sweep"),
+    ("mobility.placement=uniform:5,100", "mobility.placement"),
+    ("mobility.placement=uniform:20", "mobility.placement"),
+    ("duration_s=1\nwarmup_s=2", "duration_s"),
+    ("duration_s=2\nwarmup_s=0.5\ntraffic.app_start_s=3",
+     "traffic.app_start_s"),
+    ("mobility.corridor_max_m=500", "mobility.corridor_max_m"),
+]
+
+
+@pytest.mark.parametrize("text, key", _INVALID,
+                         ids=[text.replace("\n", ";") for text, _ in _INVALID])
+def test_invalid_config_names_its_key(text, key):
+    with pytest.raises(ConfigError) as exc:
+        parse_config(text)
+    assert [err.split(":")[0] for err in exc.value.errors] == [key]
+
+
+def test_replace_checks_the_study_rules():
+    with pytest.raises(ConfigError, match="^duration_s: "):
+        replace(default_config(), warmup_s=30.0)
+
+
+_FLOAT_KEYS = sorted(key for key, (_, default) in _SCHEMA.items()
+                     if isinstance(default, float) or key == "sweep")
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("key", _FLOAT_KEYS)
+def test_non_finite_value_names_its_key(key, value):
+    with pytest.raises(ConfigError) as exc:
+        parse_config(f"{key}={value}")
+    assert any(err.startswith(f"{key}: ") for err in exc.value.errors)
+
+
+def test_a_point_that_does_not_build_is_rejected():
+    # at() builds a checked config: it neither truncates a fractional UE
+    # count nor places UEs outside the corridor.
+    with pytest.raises(ValueError, match="ue_count: must be a positive "
+                                         "integer"):
+        default_config().at(2.5)
+    cfg = parse_config("sweep_variable=start_distance\nsweep=50")
+    assert cfg.at(50.0).mobility.radii(2) == [50.0, 50.0]
+    with pytest.raises(ValueError, match="placement"):
+        cfg.at(300.0)
 
 
 def test_comments_and_blank_lines_ignored():
@@ -260,16 +317,21 @@ def test_overrides_behave_like_explicit_keys():
 def test_default_config_carrier_frequencies():
     cfg = default_config()
     assert cfg.radio_lte.carrier_freq_hz == 1930e6  # uplink EARFCN 18100
-    assert cfg.radio_nr.carrier_freq_hz == pytest.approx(28000.08e6)
 
 
 def test_placement_specs():
     cfg = parse_config("ue_count=5\nmobility.placement=uniform:20,100")
-    assert cfg.placement_radii(5) == [20.0, 40.0, 60.0, 80.0, 100.0]
+    assert cfg.mobility.radii(5) == [20.0, 40.0, 60.0, 80.0, 100.0]
     cfg2 = parse_config("mobility.placement=30,60,90")
-    assert cfg2.placement_radii(5) == [30.0, 60.0, 90.0, 30.0, 60.0]
+    assert cfg2.mobility.radii(5) == [30.0, 60.0, 90.0, 30.0, 60.0]
     with pytest.raises(ConfigError, match="placement"):
         parse_config("mobility.placement=uniform:5,100")
+
+
+def test_placement_without_radii_rejected():
+    with pytest.raises(ConfigError, match="^mobility.placement: must name "
+                                          "radii"):
+        parse_config("mobility.placement=,")
 
 
 def test_rats_subset_validation():

@@ -428,6 +428,22 @@ def _counting(monkeypatch, name, calls):
     monkeypatch.setattr(runner, name, counted)
 
 
+@pytest.mark.parametrize("mbps, size", [(100, 1250), (10, 100)])
+def test_nr_wake_up_never_serves_a_slot_twice(mbps, size):
+    # A CBR interval below one 0.125 ms slot puts arrivals on the instant of
+    # a slot that has just run; the wake-up must go to the next slot.
+    cfg = parse_config(f"rats=nr\nsweep=1\nduration_s=1\nwarmup_s=0\n"
+                       f"traffic.data_volume_mbps={mbps}\n"
+                       f"traffic.packet_size_bytes={size}")
+    trace = io.StringIO()
+    _Run(cfg, "nr", 1.0, 0, seed=1, trace_sink=trace).execute()
+    slots = [float(line.split("\t")[0])
+             for line in trace.getvalue().splitlines()
+             if line.split("\t")[2] == "slot"]
+    assert len(slots) > 1000
+    assert all(a < b for a, b in zip(slots, slots[1:]))
+
+
 @pytest.mark.parametrize("text, rat, scheduler", [
     (LIGHT, "lte", "pf_schedule"),        # idle subframes tick on
     (OVERLOAD, "lte", "pf_schedule"),     # every subframe saturated
