@@ -50,10 +50,11 @@ print("\nMonte Carlo vs closed form (per-attempt error p, 4 attempts):")
 print("      p    simulated    1 - p^4    mean attempts   (1-p^4)/(1-p)")
 for p in (0.1, 0.3, 0.5, 0.7):
     snr = 3.0 + math.log((1 - p) / p)     # invert the logistic
+    probs = harq.fail_probs(snr)          # bler per attempt, computed once
     delivered = 0
     attempts = 0
     for _ in range(trials):
-        out = harq_transmit(snr, harq, rng)
+        out = harq_transmit(probs, harq, rng)
         delivered += out.delivered
         attempts += out.attempts
     print(f"  {p:5.1f} {delivered / trials:11.4f} {1 - p ** 4:10.4f}"
@@ -66,7 +67,9 @@ for p in (0.1, 0.3, 0.5, 0.7):
 gain = HarqProcess(max_retx=3, combining_gain_db=2.0, rtt_s=0.008)
 rng2 = rng_stream("harq-demo-gain", 1)
 snr = 2.0                                  # first attempt fails 73% of the time
-delivered = sum(harq_transmit(snr, gain, rng2).delivered for _ in range(trials))
+probs = gain.fail_probs(snr)
+delivered = sum(harq_transmit(probs, gain, rng2).delivered
+                for _ in range(trials))
 analytic = 1.0 - np.prod([bler(snr + k * 2.0) for k in range(4)])
 print(f"\nWith 2 dB combining gain at snr {snr} dB: "
       f"simulated {delivered / trials:.4f}, analytic {analytic:.4f}")

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields, is_dataclass, replace
+from operator import attrgetter
 from typing import Optional
 
 from .channel import LteRadio, NrRadio
@@ -129,7 +130,8 @@ class ScenarioConfig:
 
     def __post_init__(self):
         errs = [f"{key}: must be finite, got {v}"
-                for key, _, value in _walk(self)
+                for key, get in _GETTERS
+                for value in (get(self),)
                 for v in (value if isinstance(value, tuple) else (value,))
                 if isinstance(v, float) and not math.isfinite(v)]
         # A sweep value is legal exactly when the point it sets builds.  The
@@ -206,7 +208,8 @@ class ScenarioConfig:
 
 def _walk(section, prefix: str = "", path: tuple = ()):
     """Yield (flat key, attribute path, value) for every config key of
-    *section* in field order.  A field holding a dataclass is a section, and
+    *section*, a dataclass or its class (whose values are the defaults), in
+    field order.  A field holding a dataclass is a section, and
     its keys are prefixed with the field name, ``_`` turned into ``.``:
     ``radio_nr.mmwave.alpha_db`` is the key ``radio.nr.mmwave.alpha_db``."""
     for f in fields(section):
@@ -219,7 +222,11 @@ def _walk(section, prefix: str = "", path: tuple = ()):
 
 
 _SCHEMA = {key: (path, default)
-           for key, path, default in _walk(ScenarioConfig())}
+           for key, path, default in _walk(ScenarioConfig)}
+# Every ScenarioConfig has the same tree, so one getter per key, in field
+# order, reads a config's values without walking it again.
+_GETTERS = tuple((key, attrgetter(".".join(path)))
+                 for key, (path, _) in _SCHEMA.items())
 
 
 def _coerce(raw: str, default):
@@ -343,8 +350,8 @@ def default_config(preset: str = "custom") -> ScenarioConfig:
 
 def render_config(cfg: ScenarioConfig) -> str:
     """Serialise every effective key; parse(render(cfg)) == cfg."""
-    return "".join(f"{key}={_render_value(value)}\n"
-                   for key, _, value in _walk(cfg))
+    return "".join(f"{key}={_render_value(get(cfg))}\n"
+                   for key, get in _GETTERS)
 
 
 def _render_value(value) -> str:

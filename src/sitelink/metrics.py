@@ -50,7 +50,7 @@ class FlowStats:
 
     def on_dropped(self, pkt: Packet, cause: DropCause) -> None:
         if pkt.t_created >= self.warmup_s:
-            key = cause.value
+            key = cause._value_    # the plain string; .value is a slow property
             self.drops_by_cause[key] = self.drops_by_cause.get(key, 0) + 1
 
     @property

@@ -159,9 +159,20 @@ def bler(snr_db: float, threshold_db: float = 3.0,
     return 1.0 / (1.0 + math.exp(x))
 
 
+class HarqOutcome(NamedTuple):
+    delivered: bool
+    attempts: int
+    added_delay_s: float
+
+
 @dataclass(frozen=True)
 class HarqProcess:
-    """Bounded retransmission with soft combining; each retry costs one RTT."""
+    """Bounded retransmission with soft combining; each retry costs one RTT.
+
+    ``outcomes`` holds every result a packet can have, built once: index
+    k - 1 is delivery at attempt k with (k - 1) * rtt extra delay, and the
+    last entry is exhaustion after 1 + max_retx failures.
+    """
 
     max_retx: int = 3
     combining_gain_db: float = 2.0
@@ -177,6 +188,21 @@ class HarqProcess:
         if self.bler_steepness_db <= 0.0:
             raise ValueError(f"bler_steepness_db: must be > 0, "
                              f"got {self.bler_steepness_db}")
+        rtt = self.rtt_s
+        attempts_max = self.max_retx + 1
+        object.__setattr__(self, "outcomes", tuple(
+            [HarqOutcome(True, k, (k - 1) * rtt)
+             for k in range(1, attempts_max + 1)]
+            + [HarqOutcome(False, attempts_max, self.max_retx * rtt)]))
+
+    def fail_probs(self, snr_db: float) -> tuple[float, ...]:
+        """Per-attempt failure probabilities at channel SNR *snr_db*: attempt
+        k (1-based) fails with probability bler(snr + (k - 1) * gain)."""
+        thr = self.bler_threshold_db
+        steep = self.bler_steepness_db
+        gain = self.combining_gain_db
+        return tuple(bler(snr_db + (k - 1) * gain, thr, steep)
+                     for k in range(1, self.max_retx + 2))
 
 
 @dataclass(frozen=True)
@@ -223,26 +249,19 @@ class NrPhy(_Phy):
     harq: HarqProcess = HarqProcess(rtt_s=0.0005)
 
 
-class HarqOutcome(NamedTuple):
-    delivered: bool
-    attempts: int
-    added_delay_s: float
-
-
-def harq_transmit(snr_db: float, harq: HarqProcess,
+def harq_transmit(fail_probs: Sequence[float], harq: HarqProcess,
                   rng: random.Random) -> HarqOutcome:
-    """Run one packet through the HARQ chain at a fixed channel SNR.
+    """Run one packet through the HARQ chain of *harq*.
 
-    Attempt k (1-based) fails with probability bler(snr + (k-1) * gain);
-    success on any attempt delivers the packet with (k-1) * rtt extra delay,
-    exhaustion after 1 + max_retx failures drops it.
+    *fail_probs* is ``harq.fail_probs(snr)`` at the channel SNR: one draw
+    per attempt, and the first draw at or above its attempt's failure
+    probability delivers the packet.  Exhaustion drops it.
     """
-    attempts_max = harq.max_retx + 1
-    thr = harq.bler_threshold_db
-    steep = harq.bler_steepness_db
-    gain = harq.combining_gain_db
-    for k in range(1, attempts_max + 1):
-        p_fail = bler(snr_db + (k - 1) * gain, thr, steep)
-        if rng.random() >= p_fail:
-            return HarqOutcome(True, k, (k - 1) * harq.rtt_s)
-    return HarqOutcome(False, attempts_max, harq.max_retx * harq.rtt_s)
+    outcomes = harq.outcomes
+    draw = rng.random
+    if draw() >= fail_probs[0]:    # most packets go through at once
+        return outcomes[0]
+    for k in range(1, len(fail_probs)):
+        if draw() >= fail_probs[k]:
+            return outcomes[k]
+    return outcomes[-1]

@@ -54,7 +54,7 @@ def derive_run_seed(seed_base: int, sweep_index: int, rep_index: int) -> int:
 
 class _Ue:
     __slots__ = ("idx", "mob", "queue", "credit_bits", "snr_la_db",
-                 "in_coverage", "stats")
+                 "in_coverage", "harq_probs", "harq_outage_probs", "stats")
 
     def __init__(self, idx: int, mob: MobilityState, queue: FlowQueue,
                  stats: FlowStats):
@@ -64,6 +64,10 @@ class _Ue:
         self.credit_bits = 0.0
         self.snr_la_db = -math.inf
         self.in_coverage = True
+        # HARQ failure probabilities per attempt, set at channel refresh: at
+        # the link-adaptation SNR, and (NR only) in a beam-tracking outage.
+        self.harq_probs = ()
+        self.harq_outage_probs = ()
         self.stats = stats
 
 
@@ -173,6 +177,10 @@ class _Run:
                      shadow_db=shadow)
         ue.in_coverage = snr > -math.inf
         ue.snr_la_db = snr
+        ue.harq_probs = self.harq.fail_probs(snr)
+        if self.is_nr:
+            ue.harq_outage_probs = self.harq.fail_probs(
+                snr - self.outage_penalty_db)
         self.rates[ue.idx] = achievable_rate_bps(snr, self.bandwidth_hz,
                                                  self.la)
 
@@ -225,7 +233,7 @@ class _Run:
 
     # -- serving ------------------------------------------------------------
 
-    def _serve(self, ue: _Ue, capacity_bits: float, snr_tx_db: float,
+    def _serve(self, ue: _Ue, capacity_bits: float, fail_probs: tuple,
                slot_end: float) -> None:
         ue.credit_bits += capacity_bits
         queue = ue.queue
@@ -237,7 +245,7 @@ class _Run:
             queue.pop()
             self.backlog_pkts -= 1
             ue.credit_bits -= bits
-            outcome = harq_transmit(snr_tx_db, self.harq, self.harq_rng)
+            outcome = harq_transmit(fail_probs, self.harq, self.harq_rng)
             if outcome.delivered:
                 t_rx = slot_end + outcome.added_delay_s + self.core_s
                 self.sink.receive(pkt, t_rx)
@@ -257,7 +265,8 @@ class _Run:
         for i, rbs in enumerate(alloc):
             if rbs:
                 ue = ues[i]
-                self._serve(ue, rates[i] * share * rbs, ue.snr_la_db, slot_end)
+                self._serve(ue, rates[i] * share * rbs, ue.harq_probs,
+                            slot_end)
 
     def _nr_step(self, t: float) -> None:
         pick = nr_slot_schedule(self.sched, self.queues)
@@ -270,19 +279,26 @@ class _Run:
             self.backlog_pkts -= 1
             ue.stats.on_dropped(pkt, DropCause.OUT_OF_COVERAGE)
         elif (rate := self.rates[pick]) > 0.0:
-            snr_tx = ue.snr_la_db
-            if self.outage_rng.random() < self.p_out:
-                snr_tx -= self.outage_penalty_db
-            self._serve(ue, rate * self.slot_s, snr_tx, t + self.slot_s)
+            probs = (ue.harq_outage_probs
+                     if self.outage_rng.random() < self.p_out
+                     else ue.harq_probs)
+            self._serve(ue, rate * self.slot_s, probs, t + self.slot_s)
 
     def _slot(self) -> None:
-        self._step(self.sim.now)
-        self.slot_index += 1
-        nxt = self.slot_index * self.slot_s
-        if self._continues(nxt, self.idle_slots):
-            self.sim.schedule(nxt, self._slot, "slot", self.rat)
-        else:
-            self.slot_running = False
+        # Back-to-back slots run in this one call for as long as the engine
+        # lets the next slot claim its instant; a tie or the horizon sends
+        # it through the queue.
+        sim = self.sim
+        while True:
+            self._step(sim.now)
+            self.slot_index += 1
+            nxt = self.slot_index * self.slot_s
+            if not self._continues(nxt, self.idle_slots):
+                self.slot_running = False
+                return
+            if not sim.claim(nxt, "slot", self.rat):
+                sim.schedule(nxt, self._slot, "slot", self.rat)
+                return
 
     # -- lifecycle ----------------------------------------------------------
 

@@ -210,7 +210,8 @@ def test_criterion_9_harq_analytic_match():
     for p in (0.1, 0.3, 0.5):
         snr = 3.0 + math.log((1.0 - p) / p)   # logistic inverse at defaults
         assert abs(bler(snr) - p) < 1e-12
-        delivered = sum(harq_transmit(snr, harq, rng).delivered
+        probs = harq.fail_probs(snr)
+        delivered = sum(harq_transmit(probs, harq, rng).delivered
                         for _ in range(n))
         expect = 1.0 - p ** 4
         sigma = math.sqrt(expect * (1.0 - expect) / n)

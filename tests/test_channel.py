@@ -271,14 +271,22 @@ def _run_at_speed(rat: str, speed_kmh: float, extra: str = "") -> _Run:
 
 
 def _served_slot_snr_cuts(speed_kmh: float, extra: str = "") -> list[float]:
-    """Link-adaptation SNR minus transmit SNR of every served NR slot."""
+    """Link-adaptation SNR minus transmit SNR of every served NR slot.
+
+    A slot hands ``_serve`` the HARQ table of its UE: the one at the
+    link-adaptation SNR, or in an outage the one at that SNR less the
+    configured depth.  Each table is checked against the SNR it stands for.
+    """
     run = _run_at_speed("nr", speed_kmh, extra)
     serve = run._serve
+    depth = run.cfg.radio_nr.outage_penalty_db
     cuts = []
 
-    def recording(ue, capacity_bits, snr_tx_db, slot_end):
-        cuts.append(ue.snr_la_db - snr_tx_db)
-        serve(ue, capacity_bits, snr_tx_db, slot_end)
+    def recording(ue, capacity_bits, fail_probs, slot_end):
+        cut = depth if fail_probs is ue.harq_outage_probs else 0.0
+        assert fail_probs == run.harq.fail_probs(ue.snr_la_db - cut)
+        cuts.append(cut)
+        serve(ue, capacity_bits, fail_probs, slot_end)
     run._serve = recording
     run.execute()
     return cuts

@@ -113,6 +113,72 @@ def test_trace_line_format():
                               "1.250000000\t0\tslot\tlte\n")
 
 
+def _ticker(claim: bool):
+    """A chain of ticks at 0..9 s beside one queued event at 4 s, run to a
+    6.5 s horizon and then to the end; with *claim*, each tick claims its
+    successor and schedules it only when the claim is refused."""
+    out = io.StringIO()
+    sim = Simulator(trace=out)
+    log = []
+
+    def tick():
+        while True:
+            log.append(("tick", sim.now))
+            nxt = sim.now + 1.0
+            if nxt > 9.0:
+                return
+            if not (claim and sim.claim(nxt, "tick", "chain")):
+                sim.schedule(nxt, tick, "tick", "chain")
+                return
+
+    sim.schedule(0.0, tick, "tick", "chain")
+    sim.schedule(4.0, lambda: log.append(("other", sim.now)), "other")
+    counts = (sim.run(6.5), sim.now, sim.run(20.0))
+    return log, out.getvalue(), counts
+
+
+def test_claimed_events_match_scheduled_ones_exactly():
+    # Same order (the event queued at 4 s runs before the tick it ties
+    # with), same trace lines and sequence numbers, same counts from run,
+    # and no tick past the 6.5 s horizon before the second run.
+    claimed, scheduled = _ticker(True), _ticker(False)
+    assert claimed == scheduled
+    log, _, counts = claimed
+    assert log.index(("other", 4.0)) == log.index(("tick", 4.0)) - 1
+    assert counts == (8, 6.5, 3)
+
+
+def test_claim_takes_the_sequence_schedule_would_give():
+    out = io.StringIO()
+    sim = Simulator(trace=out)
+    claims = []
+    sim.schedule(0.25, lambda: claims.append(sim.claim(0.5, "slot", "nr")),
+                 "slot", "nr")
+    sim.schedule(1.0, lambda: claims.append(sim.now))
+    assert sim.run(2.0) == 3
+    assert claims == [True, 1.0]
+    assert out.getvalue() == ("0.250000000\t0\tslot\tnr\n"
+                              "0.500000000\t2\tslot\tnr\n"
+                              "1.000000000\t1\tevent\t\n")
+
+
+def test_claim_refused_on_a_tie_past_the_horizon_and_outside_run():
+    sim = Simulator()
+    seen = []
+
+    def probe():
+        # 0.5 ties with a queued event and 1.5 is past the horizon; the
+        # clock and the sequence stay where they were.
+        seen.append((sim.claim(0.5), sim.claim(1.5), sim.now))
+        seen.append(sim.schedule(0.75, lambda: None))
+    sim.schedule(0.25, probe)
+    sim.schedule(0.5, lambda: None)
+    assert sim.run(1.0) == 3
+    assert seen == [(False, False, 0.25), 2]
+    assert sim.claim(1.0) is False    # no run in progress
+    assert sim.run(3.0) == 0
+
+
 def test_rng_stream_same_inputs_same_draws():
     a = rng_stream("harq", 42)
     b = rng_stream("harq", 42)

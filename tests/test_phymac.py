@@ -8,10 +8,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sitelink.engine import rng_stream
-from sitelink.phymac import (_AVG_FLOOR_BPS, HarqProcess, LinkAdaptation,
-                             SchedulerState, achievable_rate_bps, bler,
-                             harq_transmit, nr_slot_schedule, pf_schedule,
-                             slot_duration_s)
+from sitelink.phymac import (_AVG_FLOOR_BPS, HarqOutcome, HarqProcess,
+                             LinkAdaptation, SchedulerState,
+                             achievable_rate_bps, bler, harq_transmit,
+                             nr_slot_schedule, pf_schedule, slot_duration_s)
 from sitelink.traffic import FlowQueue, Packet
 
 
@@ -294,13 +294,13 @@ def test_bler_monotone_nonincreasing_in_snr():
 
 def test_harq_high_snr_first_attempt_no_added_delay():
     harq = HarqProcess(max_retx=3, rtt_s=0.008)
-    out = harq_transmit(60.0, harq, rng_stream("harq", 1))
+    out = harq_transmit(harq.fail_probs(60.0), harq, rng_stream("harq", 1))
     assert out == (True, 1, 0.0)
 
 
 def test_harq_hopeless_snr_drops_after_all_attempts():
     harq = HarqProcess(max_retx=3, combining_gain_db=2.0, rtt_s=0.008)
-    out = harq_transmit(-200.0, harq, rng_stream("harq", 1))
+    out = harq_transmit(harq.fail_probs(-200.0), harq, rng_stream("harq", 1))
     assert out.delivered is False
     assert out.attempts == 4
 
@@ -309,9 +309,10 @@ def test_harq_each_retransmission_adds_one_rtt():
     harq = HarqProcess(max_retx=3, combining_gain_db=0.0, rtt_s=0.008,
                        bler_threshold_db=3.0, bler_steepness_db=1.0)
     rng = rng_stream("harq", 7)
+    probs = harq.fail_probs(3.0)   # per-attempt p = 0.5
     seen = set()
     for _ in range(2000):
-        out = harq_transmit(3.0, harq, rng)   # per-attempt p = 0.5
+        out = harq_transmit(probs, harq, rng)
         if out.delivered:
             assert out.added_delay_s == pytest.approx((out.attempts - 1) * 0.008)
             seen.add(out.attempts)
@@ -329,11 +330,12 @@ def test_harq_monte_carlo_matches_analytic_delivery_rate(p):
     rng = rng_stream("harq-mc", 42)
     snr = _snr_for_constant_bler(p)
     assert bler(snr) == pytest.approx(p, rel=1e-12)
+    probs = harq.fail_probs(snr)
     n = 100_000
     delivered = 0
     attempts_total = 0
     for _ in range(n):
-        out = harq_transmit(snr, harq, rng)
+        out = harq_transmit(probs, harq, rng)
         delivered += out.delivered
         attempts_total += out.attempts
     expect = 1.0 - p ** 4
@@ -342,3 +344,45 @@ def test_harq_monte_carlo_matches_analytic_delivery_rate(p):
     # Expected attempts of the truncated geometric: sum_{k=0..3} p^k.
     expect_attempts = (1.0 - p ** 4) / (1.0 - p)
     assert abs(attempts_total / n - expect_attempts) < 0.02
+
+
+def _harq_transmit_oracle(snr_db: float, harq: HarqProcess,
+                          rng) -> HarqOutcome:
+    """The per-attempt HARQ body from before the outcome tables: one bler
+    call and one fresh outcome per packet, at a fixed channel SNR."""
+    attempts_max = harq.max_retx + 1
+    thr = harq.bler_threshold_db
+    steep = harq.bler_steepness_db
+    gain = harq.combining_gain_db
+    for k in range(1, attempts_max + 1):
+        p_fail = bler(snr_db + (k - 1) * gain, thr, steep)
+        if rng.random() >= p_fail:
+            return HarqOutcome(True, k, (k - 1) * harq.rtt_s)
+    return HarqOutcome(False, attempts_max, harq.max_retx * harq.rtt_s)
+
+
+# Exact values at and past the +-700 clamp of bler (at threshold 3, steepness
+# 1), the infinities of a dead or ideal link, plus free draws.
+_HARQ_SNRS = st.sampled_from([-math.inf, math.inf, -1e6, 1e6, 703.0, -697.0,
+                              704.0, -698.0, 3.0]) | st.floats(allow_nan=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(snr=_HARQ_SNRS, max_retx=st.integers(0, 5),
+       gain=st.floats(-20.0, 20.0), thr=st.floats(-50.0, 50.0),
+       steep=st.floats(1e-3, 10.0), rtt=st.floats(1e-6, 0.1),
+       seed=st.integers(0, 2**32), packets=st.integers(1, 40))
+@example(snr=3.0, max_retx=3, gain=0.0, thr=3.0, steep=1.0, rtt=0.008,
+         seed=7, packets=40)
+def test_harq_table_matches_the_per_attempt_oracle(snr, max_retx, gain, thr,
+                                                   steep, rtt, seed, packets):
+    harq = HarqProcess(max_retx=max_retx, combining_gain_db=gain, rtt_s=rtt,
+                       bler_threshold_db=thr, bler_steepness_db=steep)
+    probs = harq.fail_probs(snr)
+    fast, oracle = rng_stream("harq", seed), rng_stream("harq", seed)
+    for _ in range(packets):
+        out = harq_transmit(probs, harq, fast)
+        assert out == _harq_transmit_oracle(snr, harq, oracle)
+        assert any(out is prebuilt for prebuilt in harq.outcomes)
+    # The same draws were made, in the same order.
+    assert fast.getstate() == oracle.getstate()
