@@ -11,8 +11,8 @@ import math
 
 import numpy as np
 
-from sitelink import (HarqProcess, LinkAdaptation, achievable_rate_bps, bler,
-                      harq_transmit, rng_stream)
+from sitelink import (HarqProcess, LinkAdaptation, LteRadio, NrRadio,
+                      achievable_rate_bps, bler, harq_transmit, rng_stream)
 
 # ---------------------------------------------------------------------------
 # 1. Truncated Shannon: capacity grows with SNR until the efficiency ceiling
@@ -24,8 +24,8 @@ nr_la = LinkAdaptation(overhead=0.7, eff_max=7.0)      # one FR2 channel
 print("Serving rate vs SNR:")
 print("  SNR      LTE 5 MHz      5G 100 MHz")
 for snr in (-5, 0, 5, 10, 15, 20, 30, 50):
-    lte = achievable_rate_bps(snr, 5e6, lte_la) / 1e6
-    nr = achievable_rate_bps(snr, 1e8, nr_la) / 1e6
+    lte = achievable_rate_bps(snr, LteRadio(), lte_la) / 1e6     # 5 MHz
+    nr = achievable_rate_bps(snr, NrRadio(), nr_la) / 1e6        # 100 MHz
     print(f"  {snr:4d} dB {lte:9.3f} Mb/s {nr:10.2f} Mb/s")
 print("  (the LTE ceiling 5 MHz x 0.75 x 4.5 = 16.875 Mb/s is the saturation"
       " plateau seen in the UE sweep)")

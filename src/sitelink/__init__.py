@@ -17,8 +17,8 @@ from .metrics import (FlowStats, RunResult, aggregate_replications,
                       export_csv, finalize)
 from .mobility import MobilityState, position_at
 from .phymac import (HarqOutcome, HarqProcess, LinkAdaptation, LtePhy, NrPhy,
-                     SchedulerState, achievable_rate_bps, bler, harq_transmit,
-                     nr_slot_schedule, pf_schedule, slot_duration_s)
+                     PfState, RrState, achievable_rate_bps, bler, harq_transmit,
+                     nr_slot_schedule, pf_schedule)
 from .runner import (SimulationError, derive_run_seed, run_metadata,
                      run_scenario, run_single)
 from .traffic import (DropCause, DuplicateDeliveryError, FlowQueue, Packet,

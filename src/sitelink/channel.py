@@ -114,8 +114,6 @@ def mmwave_pathloss_db(distance_m: float, params: MmWavePathLossParams,
 
 def noise_power_dbm(bandwidth_hz: float, noise_figure_db: float) -> float:
     """Thermal noise floor: -174 dBm/Hz + 10*log10(B) + NF."""
-    if bandwidth_hz <= 0.0:
-        raise ValueError(f"bandwidth must be > 0, got {bandwidth_hz}")
     return -174.0 + 10.0 * math.log10(bandwidth_hz) + noise_figure_db
 
 
@@ -214,8 +212,6 @@ def snr_db(cfg: LteRadio | NrRadio, distance_m: float, penalties_db: float = 0.0
     LOS model.  Beyond the mmWave coverage range the SNR is -inf rather than
     an exception, so that the simulation treats it as outage.
     """
-    if distance_m <= 0.0:
-        raise ValueError(f"distance must be > 0, got {distance_m}")
     if cfg.rat == "lte":
         rx_unit = friis_rx_power(1.0, 1.0, 1.0, cfg.wavelength_m, distance_m,
                                  cfg.system_loss)
@@ -227,12 +223,10 @@ def snr_db(cfg: LteRadio | NrRadio, distance_m: float, penalties_db: float = 0.0
     return rx_power - penalties_db - cfg.noise_dbm
 
 
-def nr_outage_probability(speed_kmh: float, v_mid_kmh: float = 45.0,
-                          s_v_kmh: float = 4.0) -> float:
-    """Probability that beam tracking loses the link for one slot at this speed."""
-    if speed_kmh < 0.0:
-        raise ValueError("speed must be >= 0")
-    x = -(speed_kmh - v_mid_kmh) / s_v_kmh
+def nr_outage_probability(speed_kmh: float, radio: NrRadio) -> float:
+    """Probability that beam tracking loses the link for one slot at this
+    speed: logistic around *radio*'s ``v_mid_kmh`` with scale ``s_v_kmh``."""
+    x = -(speed_kmh - radio.v_mid_kmh) / radio.s_v_kmh
     if x > 700.0:
         return 0.0
     return 1.0 / (1.0 + math.exp(x))

@@ -19,12 +19,6 @@ class MobilityState:
     min_r: float = 1.0
     max_r: float = 200.0
 
-    def __post_init__(self):
-        if self.min_r < 1.0:
-            raise ValueError("corridor inner radius must be >= 1 m")
-        if self.max_r <= self.min_r:
-            raise ValueError("corridor outer radius must exceed inner radius")
-
 
 def _reflect(value: float, lo: float, hi: float) -> float:
     # Triangle-wave fold of a scalar into [lo, hi]; models elastic reflection
@@ -36,8 +30,6 @@ def _reflect(value: float, lo: float, hi: float) -> float:
 
 def position_at(state: MobilityState, t: float) -> Position:
     """Position at time t; the naive radial distance is reflected into bounds."""
-    if t < 0.0:
-        raise ValueError("time must be >= 0")
     px = state.x + state.vx * t
     py = state.y + state.vy * t
     r_naive = math.hypot(px, py)

@@ -18,15 +18,8 @@ SUPPORTED_SCS_KHZ = (15, 30, 60, 120)
 # Floor for the smoothed served-rate averages; keeps PF ratios finite after
 # arbitrarily long idle stretches.
 _AVG_FLOOR_BPS = 1e-6
-
-
-def slot_duration_s(scs_khz: int) -> float:
-    """Slot length for a sub-carrier spacing; scales as 15 kHz / SCS ms."""
-    if scs_khz not in SUPPORTED_SCS_KHZ:
-        raise ValueError(
-            f"unsupported sub-carrier spacing {scs_khz} kHz, "
-            f"expected one of {SUPPORTED_SCS_KHZ}")
-    return 0.001 * 15 / scs_khz
+# Every UE's smoothed served rate before its first subframe.
+_INIT_AVG_BPS = 1000.0
 
 
 @dataclass(frozen=True)
@@ -44,39 +37,34 @@ class LinkAdaptation:
             raise ValueError(f"eff_max: must be > 0, got {self.eff_max}")
 
 
-def achievable_rate_bps(snr_db: float, bandwidth_hz: float,
-                        la: LinkAdaptation) -> float:
-    """Serving rate: bandwidth * overhead * min(log2(1 + SNR), eff_max)."""
-    if bandwidth_hz <= 0.0:
-        raise ValueError(f"bandwidth must be > 0, got {bandwidth_hz}")
+def achievable_rate_bps(snr_db: float, radio, la: LinkAdaptation) -> float:
+    """Serving rate on the channel of *radio*, an LteRadio or NrRadio:
+    bandwidth * overhead * min(log2(1 + SNR), eff_max)."""
     if snr_db < la.snr_floor_db:
         return 0.0
     eff = min(math.log2(1.0 + 10.0 ** (snr_db / 10.0)), la.eff_max)
-    return bandwidth_hz * la.overhead * eff
+    return radio.bandwidth_hz * la.overhead * eff
 
 
-class SchedulerState:
-    """Per-cell scheduler memory: smoothed served rates and the RR pointer."""
+class PfState:
+    """One LTE cell's PF memory: its LtePhy's RB budget, window and slot."""
 
-    def __init__(self, n_ues: int, window_slots: int = 100,
-                 slot_s: float = 0.001, init_avg_bps: float = 1000.0):
-        if n_ues < 1:
-            raise ValueError("need at least one UE")
-        if window_slots < 1:
-            raise ValueError("smoothing window must be >= 1 slot")
-        if not init_avg_bps > 0.0:
-            # PF divides every UE's rate by its average.
-            raise ValueError("initial served-rate average must be > 0")
-        self.n_ues = n_ues
-        self.window = window_slots
-        self.slot_s = slot_s
-        self.avg_bps = [float(init_avg_bps)] * n_ues
-        self.rr_pos = 0
+    def __init__(self, phy: LtePhy, n_ues: int):
+        self.rb_count = phy.rb_count
+        self.window = phy.pf_window
+        self.slot_s = phy.slot_s
+        self.avg_bps = [_INIT_AVG_BPS] * n_ues
 
 
-def pf_schedule(state: SchedulerState, rates_bps: Sequence[float],
-                backlog_bytes: Sequence[int], rb_count: int) -> list[int]:
-    """Proportional-fair resource-block allocation for one subframe.
+class RrState:
+    """Round-robin memory of one NR cell: the UE the next rotation starts at."""
+
+    rr_pos = 0
+
+
+def pf_schedule(state: PfState, rates_bps: Sequence[float],
+                backlog_bytes: Sequence[int]) -> list[int]:
+    """Proportional-fair allocation of the PfState's RBs for one subframe.
 
     Every RB goes to the backlogged UE maximising instantaneous rate over
     smoothed served rate.  Because the ratios are fixed within a subframe
@@ -87,15 +75,11 @@ def pf_schedule(state: SchedulerState, rates_bps: Sequence[float],
     allocation-implied service (zero for unserved UEs) and floored at
     ``_AVG_FLOOR_BPS``.
     """
-    if rb_count < 1:
-        raise ValueError("resource budget must be >= 1 RB")
-    n = state.n_ues
-    if len(rates_bps) != n or len(backlog_bytes) != n:
-        raise ValueError(f"expected {n} rates and backlogs, got "
-                         f"{len(rates_bps)} and {len(backlog_bytes)}")
+    avg = state.avg_bps
+    n = len(avg)
     alloc = [0] * n
     slot_s = state.slot_s
-    avg = state.avg_bps
+    rb_count = state.rb_count
 
     ratio = [r / a for r, a in zip(rates_bps, avg)]
     order = sorted([i for i in range(n)
@@ -124,17 +108,16 @@ def pf_schedule(state: SchedulerState, rates_bps: Sequence[float],
     return alloc
 
 
-def nr_slot_schedule(state: SchedulerState,
-                     backlogs: Sequence) -> Optional[int]:
+def nr_slot_schedule(state: RrState, backlogs: Sequence) -> Optional[int]:
     """Round-robin pick of one backlogged UE for a whole slot; None when idle.
 
     A UE counts as backlogged when its entry in *backlogs* is truthy: a
     positive byte count, or a non-empty ``FlowQueue``.  Only the entries from
-    the rotation pointer up to the pick are read.  A UE that becomes
+    the ``RrState`` pointer up to the pick are read.  A UE that becomes
     backlogged mid-rotation joins at its fixed position, so no continuously
     backlogged UE waits more than one full rotation.
     """
-    n = state.n_ues
+    n = len(backlogs)
     pos = state.rr_pos
     for j in range(n):
         i = pos + j
@@ -218,6 +201,11 @@ class _Phy:
         if self.scs_khz not in SUPPORTED_SCS_KHZ:
             raise ValueError(f"scs_khz: expected one of {SUPPORTED_SCS_KHZ}, "
                              f"got {self.scs_khz}")
+
+    @property
+    def slot_s(self) -> float:
+        """Slot length; scales as 15 kHz / SCS ms."""
+        return 0.001 * 15 / self.scs_khz
 
 
 @dataclass(frozen=True)

@@ -30,8 +30,8 @@ from .engine import Simulator, rng_stream
 from .metrics import (FlowStats, RunResult, aggregate_replications, finalize,
                       sweep_label)
 from .mobility import MobilityState, position_at
-from .phymac import (SchedulerState, achievable_rate_bps, harq_transmit,
-                     nr_slot_schedule, pf_schedule, slot_duration_s)
+from .phymac import (PfState, RrState, achievable_rate_bps, harq_transmit,
+                     nr_slot_schedule, pf_schedule)
 from .traffic import (DropCause, FlowQueue, Packet, Sink, VideoStream,
                       cbr_grid)
 
@@ -90,8 +90,7 @@ class _Run:
         self.radio = cfg.radio_nr if self.is_nr else cfg.radio_lte
         self.la = phy.la
         self.harq = phy.harq
-        self.bandwidth_hz = self.radio.bandwidth_hz
-        self.slot_s = slot_duration_s(phy.scs_khz)
+        self.slot_s = phy.slot_s
 
         self.duration = cfg.duration_s
         self.warmup = cfg.warmup_s
@@ -100,8 +99,7 @@ class _Run:
 
         nr = cfg.radio_nr
         self.refresh_s = nr.beam_refresh_s if self.is_nr else LTE_REFRESH_S
-        self.p_out = (nr_outage_probability(speed, nr.v_mid_kmh, nr.s_v_kmh)
-                      if self.is_nr else 0.0)
+        self.p_out = nr_outage_probability(speed, nr) if self.is_nr else 0.0
         self.outage_penalty_db = nr.outage_penalty_db
         self.lte_penalty_db = (0.0 if self.is_nr
                                else cfg.radio_lte.velocity_db_per_kmh * speed)
@@ -113,13 +111,7 @@ class _Run:
 
         self.sim = Simulator(trace=trace_sink)
         self.sink = Sink()
-        if self.is_nr:
-            self.sched = SchedulerState(cfg.ue_count, slot_s=self.slot_s)
-        else:
-            self.rb_count = phy.rb_count
-            self.sched = SchedulerState(cfg.ue_count,
-                                        window_slots=phy.pf_window,
-                                        slot_s=self.slot_s)
+        self.sched = RrState() if self.is_nr else PfState(phy, cfg.ue_count)
         self.backlog_pkts = 0
         self.slot_index = 0
         self.slot_running = False
@@ -181,8 +173,7 @@ class _Run:
         if self.is_nr:
             ue.harq_outage_probs = self.harq.fail_probs(
                 snr - self.outage_penalty_db)
-        self.rates[ue.idx] = achievable_rate_bps(snr, self.bandwidth_hz,
-                                                 self.la)
+        self.rates[ue.idx] = achievable_rate_bps(snr, self.radio, self.la)
 
     def _continues(self, nxt: float, idle: bool) -> bool:
         """Whether a periodic chain schedules its next instant *nxt*.
@@ -258,10 +249,9 @@ class _Run:
     def _lte_step(self, t: float) -> None:
         ues = self.ues
         rates = self.rates
-        alloc = pf_schedule(self.sched, rates, [q.bytes for q in self.queues],
-                            self.rb_count)
+        alloc = pf_schedule(self.sched, rates, [q.bytes for q in self.queues])
         slot_end = t + self.slot_s
-        share = self.slot_s / self.rb_count
+        share = self.slot_s / self.sched.rb_count
         for i, rbs in enumerate(alloc):
             if rbs:
                 ue = ues[i]

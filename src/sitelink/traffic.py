@@ -75,8 +75,6 @@ class FlowQueue:
     __slots__ = ("capacity", "_q", "bytes")
 
     def __init__(self, capacity: int):
-        if capacity < 1:
-            raise ValueError("queue capacity must be >= 1")
         self.capacity = capacity
         self._q: deque[Packet] = deque()
         self.bytes = 0

@@ -252,15 +252,18 @@ def test_nr_out_of_coverage_propagates_as_outage_sample():
 # -- velocity degradation, as the runner applies it ------------------------
 
 def test_outage_probability_anchors():
-    assert nr_outage_probability(45.0) == pytest.approx(0.5, abs=1e-12)
-    assert nr_outage_probability(60.0) == pytest.approx(
+    # The default section: v_mid 45 km/h, scale 4 km/h.
+    cfg = _nr_cfg()
+    assert nr_outage_probability(45.0, cfg) == pytest.approx(0.5, abs=1e-12)
+    assert nr_outage_probability(60.0, cfg) == pytest.approx(
         1.0 / (1.0 + math.exp(-3.75)), abs=1e-12)   # ~0.977
-    assert nr_outage_probability(0.0) < 1e-3
+    assert nr_outage_probability(0.0, cfg) < 1e-3
+    assert nr_outage_probability(30.0, _nr_cfg(v_mid_kmh=30.0)) == 0.5
 
 
 def test_outage_probability_monotone_in_speed():
     speeds = np.linspace(0.0, 80.0, 33)
-    probs = [nr_outage_probability(float(v)) for v in speeds]
+    probs = [nr_outage_probability(float(v), _nr_cfg()) for v in speeds]
     assert all(a <= b for a, b in zip(probs, probs[1:]))
 
 

@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sitelink.config import (_SCHEMA, PRESET_NAMES, ConfigError,
-                             default_config, parse_config, render_config)
+                             MobilityConfig, default_config, parse_config,
+                             render_config)
 
 
 def test_minimal_preset_expands_to_full_scenario1():
@@ -191,6 +192,7 @@ _INVALID = [
     ("duration_s=2\nwarmup_s=0.5\ntraffic.app_start_s=3",
      "traffic.app_start_s"),
     ("mobility.corridor_max_m=500", "mobility.corridor_max_m"),
+    ("ue_count=0", "ue_count"),
 ]
 
 
@@ -332,6 +334,17 @@ def test_placement_without_radii_rejected():
     with pytest.raises(ConfigError, match="^mobility.placement: must name "
                                           "radii"):
         parse_config("mobility.placement=,")
+
+
+def test_corridor_bounds_validated():
+    # The section is the corridor's one check: every UE distance the runner
+    # computes is then at least 1 m.
+    with pytest.raises(ValueError, match="^corridor_min_m: "):
+        MobilityConfig(corridor_min_m=0.5)
+    with pytest.raises(ValueError, match="^corridor_max_m: "):
+        MobilityConfig(corridor_min_m=50.0, corridor_max_m=50.0)
+    assert MobilityConfig(corridor_min_m=1.0, placement="1").radii(2) == [
+        1.0, 1.0]
 
 
 def test_rats_subset_validation():

@@ -55,8 +55,6 @@ def test_finalize_degenerate_flow_reports_absent_delay():
     assert throughput == 0.0
     assert loss == 1.0
     assert delay is None
-    with pytest.raises(ValueError):
-        finalize([stats], 0.0)
 
 
 def test_loss_plus_delivery_fraction_is_one():

@@ -47,10 +47,3 @@ def test_radial_distance_always_inside_bounds():
         t = float(rng.uniform(0.0, 120.0))
         r = math.hypot(*position_at(state, t))
         assert 20.0 - 1e-9 <= r <= 200.0 + 1e-9
-
-
-def test_corridor_bounds_validated():
-    with pytest.raises(ValueError):
-        MobilityState(x=10.0, y=0.0, min_r=0.5, max_r=200.0)
-    with pytest.raises(ValueError):
-        MobilityState(x=10.0, y=0.0, min_r=50.0, max_r=50.0)

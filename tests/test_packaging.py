@@ -34,3 +34,40 @@ def test_bench_tracer_installs_on_every_wrapped_name():
              "from tracer import SpanTracer; SpanTracer().install(sitelink); "
              "print('installed')")
     assert _probe(probe).strip() == "installed"
+
+
+def test_bench_builds_video_streams_positionally():
+    # bench/workloads.py counts a workload's packets this way.
+    probe = ("import sitelink; s = sitelink.VideoStream(0, 2e6, 1250, 0.5, "
+             "1.5); t = sitelink.cbr_emit_times(s); print(len(t), t[0], t[-1])")
+    assert _probe(probe).split() == ["200", "0.5", "1.495"]
+
+
+# The per-layer boundaries whose counts the benchmark reports, as the tracer
+# names them; each must be a module-level call that the runner makes.
+_RUN_BOUNDARIES = ("phymac.pf_schedule", "phymac.nr_slot_schedule",
+                   "phymac.harq_transmit", "phymac.achievable_rate_bps",
+                   "channel.snr_db", "mobility.position_at")
+
+
+def test_bench_tracer_sees_every_run_boundary_called():
+    # A boundary the runner stops calling through its module attribute (for
+    # instance because it became a method) would read 0 calls in the
+    # benchmark instead of failing.
+    bench = os.path.join(ROOT, "bench")
+    probe = (
+        f"import sys; sys.path.insert(0, {bench!r}); import sitelink\n"
+        "from tracer import SpanTracer\n"
+        "tracer = SpanTracer(); tracer.install(sitelink)\n"
+        "cfg = sitelink.parse_config('sweep=2\\nduration_s=0.3\\n"
+        "warmup_s=0.1\\ndrain_max_s=0.1\\nreplications=1')\n"
+        "for rat in ('lte', 'nr'):\n"
+        "    sitelink.runner.run_single(cfg, rat, 0, 0)\n"
+        "calls = {}\n"
+        "for (name, _), (count, _, _) in tracer.spans.items():\n"
+        "    calls[name] = calls.get(name, 0) + count\n"
+        f"print(*(calls.get(name, 0) for name in {_RUN_BOUNDARIES!r}))\n")
+    counts = [int(c) for c in _probe(probe).split()]
+    assert len(counts) == len(_RUN_BOUNDARIES)
+    missed = [name for name, c in zip(_RUN_BOUNDARIES, counts) if c < 1]
+    assert missed == []

@@ -1,99 +1,115 @@
 """Numerology, link adaptation, schedulers and HARQ against closed forms."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from sitelink.channel import LteRadio, NrRadio
 from sitelink.engine import rng_stream
-from sitelink.phymac import (_AVG_FLOOR_BPS, HarqOutcome, HarqProcess,
-                             LinkAdaptation, SchedulerState,
-                             achievable_rate_bps, bler, harq_transmit,
-                             nr_slot_schedule, pf_schedule, slot_duration_s)
+from sitelink.phymac import (_AVG_FLOOR_BPS, SUPPORTED_SCS_KHZ, HarqOutcome,
+                             HarqProcess, LinkAdaptation, LtePhy, NrPhy,
+                             PfState, RrState, achievable_rate_bps, bler,
+                             harq_transmit, nr_slot_schedule, pf_schedule)
 from sitelink.traffic import FlowQueue, Packet
 
 
 # -- numerology ---------------------------------------------------------------
 
 def test_slot_durations():
-    assert slot_duration_s(15) == 0.001
-    assert slot_duration_s(120) == 0.000125
-    assert slot_duration_s(30) == 0.0005
-    assert slot_duration_s(60) == 0.00025
+    assert LtePhy().slot_s == 0.001
+    assert NrPhy().slot_s == 0.000125
+    assert LtePhy(scs_khz=30).slot_s == 0.0005
+    assert NrPhy(scs_khz=60).slot_s == 0.00025
 
 
 def test_slot_duration_scs_product_is_constant():
-    for scs in (15, 30, 60, 120):
-        assert slot_duration_s(scs) * scs == pytest.approx(0.015, rel=1e-12)
+    for scs in SUPPORTED_SCS_KHZ:
+        for phy in (LtePhy(scs_khz=scs), NrPhy(scs_khz=scs)):
+            assert phy.slot_s * scs == pytest.approx(0.015, rel=1e-12)
 
 
 def test_unsupported_spacing_rejected():
-    with pytest.raises(ValueError):
-        slot_duration_s(45)
+    for section in (LtePhy, NrPhy):
+        with pytest.raises(ValueError, match="^scs_khz: "):
+            section(scs_khz=45)
 
 
 # -- link adaptation ----------------------------------------------------------
 
+def _lte_radio(bandwidth_mhz: float) -> LteRadio:
+    return replace(LteRadio(), bandwidth_mhz=bandwidth_mhz)
+
+
 def test_rate_at_unity_linear_snr_equals_bandwidth():
     la = LinkAdaptation(overhead=1.0, eff_max=8.0, snr_floor_db=-20.0)
-    assert achievable_rate_bps(0.0, 5e6, la) == 5e6  # log2(1 + 1) = 1
+    assert achievable_rate_bps(0.0, LteRadio(), la) == 5e6  # log2(1 + 1) = 1
 
 
 def test_rate_cap_gives_lte_plateau():
     la = LinkAdaptation(overhead=0.75, eff_max=4.5)
-    assert achievable_rate_bps(60.0, 5e6, la) == 16_875_000.0
+    assert achievable_rate_bps(60.0, LteRadio(), la) == 16_875_000.0
 
 
 def test_rate_below_floor_is_zero():
     la = LinkAdaptation(overhead=0.75, eff_max=4.5, snr_floor_db=-5.0)
-    assert achievable_rate_bps(-5.1, 5e6, la) == 0.0
-    assert achievable_rate_bps(-math.inf, 5e6, la) == 0.0
+    assert achievable_rate_bps(-5.1, LteRadio(), la) == 0.0
+    assert achievable_rate_bps(-math.inf, LteRadio(), la) == 0.0
 
 
 def test_rate_monotone_in_snr_and_linear_in_bandwidth():
     la = LinkAdaptation(overhead=0.7, eff_max=7.0)
     snrs = np.linspace(-4.0, 50.0, 40)
-    rates = [achievable_rate_bps(float(s), 1e8, la) for s in snrs]
+    rates = [achievable_rate_bps(float(s), NrRadio(), la) for s in snrs]
     assert all(a <= b for a, b in zip(rates, rates[1:]))
     for s in (3.0, 17.5, 42.0):
-        r1 = achievable_rate_bps(s, 1e6, la)
-        assert achievable_rate_bps(s, 7.3e6, la) == pytest.approx(7.3 * r1, rel=1e-12)
+        r1 = achievable_rate_bps(s, _lte_radio(1.0), la)
+        assert achievable_rate_bps(s, _lte_radio(7.3), la) == pytest.approx(
+            7.3 * r1, rel=1e-12)
 
 
 # -- proportional fair ----------------------------------------------------------
 
-def _state(avgs, slot_s=0.001, window=100):
-    st = SchedulerState(len(avgs), window_slots=window, slot_s=slot_s)
+def _state(avgs, rb_count=25, window=100, scs_khz=15):
+    phy = LtePhy(scs_khz=scs_khz, rb_count=rb_count, pf_window=window)
+    st = PfState(phy, len(avgs))
     st.avg_bps = list(avgs)
     return st
 
 
+def test_pf_state_reads_its_section():
+    st = PfState(LtePhy(scs_khz=30, rb_count=6, pf_window=7), 3)
+    assert (st.rb_count, st.window, st.slot_s) == (6, 7, 0.0005)
+    assert st.avg_bps == [1000.0] * 3
+
+
 def test_single_backlogged_ue_gets_all_rbs():
     st = _state([1.0, 1.0, 1.0])
-    alloc = pf_schedule(st, [1e6, 1e6, 1e6], [100000, 0, 0], 25)
+    alloc = pf_schedule(st, [1e6, 1e6, 1e6], [100000, 0, 0])
     assert alloc == [25, 0, 0]
 
 
 def test_pf_argmax_picks_highest_rate_over_average():
-    st = _state([1.0, 2.0])
-    alloc = pf_schedule(st, [10.0, 10.0], [10000, 10000], 1)   # ratios 10 vs 5
+    st = _state([1.0, 2.0], rb_count=1)
+    alloc = pf_schedule(st, [10.0, 10.0], [10000, 10000])   # ratios 10 vs 5
     assert alloc == [1, 0]
 
 
 def test_pf_scaling_all_averages_leaves_allocation_unchanged():
     rates = [3e6, 1e6, 2e6, 2.5e6]
     backlogs = [5000, 2500, 12500, 1250]
-    base = pf_schedule(_state([1e3, 2e3, 5e2, 4e3]), rates, backlogs, 25)
+    base = pf_schedule(_state([1e3, 2e3, 5e2, 4e3]), rates, backlogs)
     scaled = pf_schedule(_state([3.7e3, 7.4e3, 1.85e3, 14.8e3]), rates,
-                         backlogs, 25)
+                         backlogs)
     assert base == scaled
 
 
 def test_pf_tie_breaks_to_lowest_index():
-    st = _state([1.0, 1.0])
-    alloc = pf_schedule(st, [8e4, 8e4], [10, 10], 1)
+    st = _state([1.0, 1.0], rb_count=1)
+    alloc = pf_schedule(st, [8e4, 8e4], [10, 10])
     assert alloc == [1, 0]
 
 
@@ -101,44 +117,44 @@ def test_pf_never_exceeds_rb_budget_and_serves_only_backlogged():
     rng = np.random.default_rng(21)
     for _ in range(200):
         n = int(rng.integers(1, 12))
-        st = _state(rng.uniform(1e2, 1e6, n).tolist())
+        avgs = rng.uniform(1e2, 1e6, n).tolist()
         backlogs = rng.integers(0, 30000, n).tolist()
         backlogged = [b > 0 for b in backlogs]
         rates = rng.uniform(0, 2e7, n).tolist()
         rb = int(rng.integers(1, 50))
-        alloc = pf_schedule(st, rates, backlogs, rb)
+        st = _state(avgs, rb_count=rb)
+        alloc = pf_schedule(st, rates, backlogs)
         assert sum(alloc) <= rb
         assert all(a == 0 for a, b in zip(alloc, backlogged) if not b)
         assert all(a == 0 for a, r in zip(alloc, rates) if r == 0.0)
         assert all(v > 0 for v in st.avg_bps)
 
 
-@pytest.mark.parametrize("kwargs", [{"n_ues": 0}, {"window_slots": 0},
-                                    {"init_avg_bps": 0.0}])
-def test_scheduler_state_rejects_degenerate_parameters(kwargs):
-    with pytest.raises(ValueError):
-        SchedulerState(**{"n_ues": 2, **kwargs})
+@pytest.mark.parametrize("key", ["rb_count", "pf_window"])
+def test_lte_phy_rejects_degenerate_pf_parameters(key):
+    # The section is PF's one check: pf_schedule trusts its PfState.
+    with pytest.raises(ValueError, match=f"^{key}: must be >= 1, got 0"):
+        LtePhy(**{key: 0})
 
 
 def test_pf_no_backlog_gives_empty_allocation():
     st = _state([1e3, 1e3])
-    assert pf_schedule(st, [1e6, 1e6], [0, 0], 25) == [0, 0]
-    with pytest.raises(ValueError):
-        pf_schedule(st, [1e6, 1e6], [0], 25)
+    assert pf_schedule(st, [1e6, 1e6], [0, 0]) == [0, 0]
 
 
 def test_pf_smoothing_moves_average_toward_served_rate():
     st = _state([1e3], window=10)
-    pf_schedule(st, [1e6], [125000], 25)   # serves 1 Mb/s for one subframe
+    pf_schedule(st, [1e6], [125000])   # serves 1 Mb/s for one subframe
     assert st.avg_bps[0] == pytest.approx(0.9 * 1e3 + 0.1 * 1e6)
 
 
-def _pf_schedule_oracle(state, rates_bps, backlog_bytes, rb_count):
+def _pf_schedule_oracle(state, rates_bps, backlog_bytes):
     """The sort-keyed PF body that pf_schedule must match bit for bit."""
-    n = state.n_ues
+    avg = state.avg_bps
+    n = len(avg)
     alloc = [0] * n
     slot_s = state.slot_s
-    avg = state.avg_bps
+    rb_count = state.rb_count
     order = sorted(
         (i for i in range(n) if backlog_bytes[i] > 0 and rates_bps[i] > 0.0),
         key=lambda i: (-rates_bps[i] / avg[i], i))
@@ -192,47 +208,46 @@ _TIE = ([1000.0] * 4, [([1e6] * 4, [50_000, 50_000, 0, 50_000])] * 3)
 
 @settings(max_examples=150, deadline=None)
 @given(case=_pf_subframes(), rb_count=st.integers(1, 50),
-       window=st.integers(1, 200),
-       slot_s=st.sampled_from([0.001, 0.0005, 0.000125]))
+       window=st.integers(1, 200), scs_khz=st.sampled_from([15, 30, 120]))
 # Three UEs tied on the ratio, one zero backlog, over consecutive subframes.
-@example(case=_TIE, rb_count=1, window=100, slot_s=0.001)
-@example(case=_TIE, rb_count=25, window=10, slot_s=0.001)
+@example(case=_TIE, rb_count=1, window=100, scs_khz=15)
+@example(case=_TIE, rb_count=25, window=10, scs_khz=15)
 # Window 1 keeps nothing, so every unserved average drops to the floor.
 @example(case=([_AVG_FLOOR_BPS, 5.0, 5.0],
                [([0.0, 1e6, 1e6], [100, 0, 100]),
                 ([1e6, 1e6, 1e6], [100, 100, 0])]),
-         rb_count=50, window=1, slot_s=0.001)
+         rb_count=50, window=1, scs_khz=15)
 def test_pf_matches_the_sort_keyed_oracle_bit_for_bit(case, rb_count, window,
-                                                      slot_s):
+                                                      scs_khz):
     avgs, subframes = case
-    fast = _state(avgs, slot_s=slot_s, window=window)
-    oracle = _state(avgs, slot_s=slot_s, window=window)
+    fast = _state(avgs, rb_count, window, scs_khz)
+    oracle = _state(avgs, rb_count, window, scs_khz)
     for rates, backlogs in subframes:
-        assert (pf_schedule(fast, rates, backlogs, rb_count)
-                == _pf_schedule_oracle(oracle, rates, backlogs, rb_count))
+        assert (pf_schedule(fast, rates, backlogs)
+                == _pf_schedule_oracle(oracle, rates, backlogs))
         assert fast.avg_bps == oracle.avg_bps
 
 
 # -- round-robin slot scheduler -------------------------------------------------
 
 def test_rr_three_ues_six_slots_each_served_twice():
-    st = _state([1.0] * 3)
+    st = RrState()
     served = [nr_slot_schedule(st, [100, 100, 100]) for _ in range(6)]
     assert served == [0, 1, 2, 0, 1, 2]
 
 
 def test_rr_single_ue_served_every_slot():
-    st = _state([1.0])
+    st = RrState()
     assert [nr_slot_schedule(st, [10]) for _ in range(4)] == [0, 0, 0, 0]
 
 
 def test_rr_idle_when_no_backlog():
-    st = _state([1.0, 1.0])
+    st = RrState()
     assert nr_slot_schedule(st, [0, 0]) is None
 
 
 def test_rr_ue_joining_mid_rotation_waits_at_most_one_rotation():
-    st = _state([1.0] * 3)
+    st = RrState()
     assert nr_slot_schedule(st, [100, 0, 100]) == 0
     backlogs = [100, 100, 100]  # UE 1 joins while the pointer is past UE 0
     assert nr_slot_schedule(st, backlogs) == 1
@@ -243,7 +258,7 @@ def test_rr_ue_joining_mid_rotation_waits_at_most_one_rotation():
 def test_rr_no_starvation_over_random_backlog_patterns():
     rng = np.random.default_rng(8)
     n = 5
-    st = _state([1.0] * n)
+    st = RrState()
     backlogs = [1] * n
     waits = [0] * n
     for _ in range(500):
@@ -260,7 +275,7 @@ def test_rr_no_starvation_over_random_backlog_patterns():
                 min_size=1, max_size=20))
 def test_rr_picks_the_same_ue_from_queues_as_from_byte_counts(steps):
     # The runner hands round robin its FlowQueues; an empty one is falsy.
-    by_queue, by_bytes = _state([1.0] * 6), _state([1.0] * 6)
+    by_queue, by_bytes = RrState(), RrState()
     for counts in steps:
         queues = [FlowQueue(4) for _ in counts]
         for i, k in enumerate(counts):

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from sitelink import runner
 from sitelink.config import parse_config
 from sitelink.metrics import export_csv, finalize, sweep_label
+from sitelink.phymac import SUPPORTED_SCS_KHZ
 from sitelink.runner import (SWEEP_SEED_STRIDE, _Run, derive_run_seed,
                              run_metadata, run_scenario, run_single)
 from sitelink.traffic import DropCause, cbr_emit_times
@@ -498,3 +499,63 @@ def test_run_invariants_over_random_small_configs(rat, ue_count, duration,
         assert result.mean_delay_s >= cfg.traffic.core_latency_ms * 1e-3
     used = {name for name, n in calls.items() if n}
     assert used == {"pf_schedule" if rat == "lte" else "nr_slot_schedule"}
+
+
+# Where the UEs start: at the 1 m inner edge of the corridor, or at the
+# mmWave coverage edge (the default 200 m range), which is also the corridor's
+# outer wall.
+_EDGE_PLACEMENTS = ({"mobility.corridor_min_m": "1", "mobility.placement": "1"},
+                    {"mobility.placement": "200"})
+
+
+@st.composite
+def _section_edges(draw):
+    """Overrides that set each section rule to its accepted edge or to a
+    typical value: the PF budget and window, the queue, the packet size,
+    the corridor and placement, every SCS, the speed, and HARQ retries."""
+    def pick(*values):
+        return draw(st.sampled_from(values))
+    size = pick(1, 1500)
+    # A 1-byte packet every 2 ms; 1500-byte packets at 1 or 12 Mb/s.
+    mbps = 0.004 if size == 1 else pick(1.0, 12.0)
+    return {
+        "ue_count": pick(1, 3),
+        "sweep": pick(0.0, 200.0),
+        "phy.lte.rb_count": pick(1, 25),
+        "phy.lte.pf_window": pick(1, 100),
+        "phy.lte.scs_khz": pick(*SUPPORTED_SCS_KHZ),
+        "phy.nr.scs_khz": pick(*SUPPORTED_SCS_KHZ),
+        "phy.lte.harq.max_retx": pick(0, 3),
+        "phy.nr.harq.max_retx": pick(0, 3),
+        "traffic.queue_capacity_pkts": pick(1, 100),
+        "traffic.packet_size_bytes": size,
+        "traffic.data_volume_mbps": mbps,
+        **pick({}, *_EDGE_PLACEMENTS),
+    }
+
+
+_LOW_EDGES = {"ue_count": 3, "sweep": 200.0, "phy.lte.rb_count": 1,
+              "phy.lte.pf_window": 1, "phy.lte.scs_khz": 120,
+              "phy.nr.scs_khz": 15, "phy.lte.harq.max_retx": 0,
+              "phy.nr.harq.max_retx": 0, "traffic.queue_capacity_pkts": 1,
+              "traffic.packet_size_bytes": 1500,
+              "traffic.data_volume_mbps": 12.0, **_EDGE_PLACEMENTS[0]}
+
+
+@settings(max_examples=40, deadline=None)
+@given(edges=_section_edges(), seed=st.integers(1, 10_000))
+@example(edges=_LOW_EDGES, seed=1)
+@example(edges={**_LOW_EDGES, "sweep": 0.0, "traffic.packet_size_bytes": 1,
+                "traffic.data_volume_mbps": 0.004, **_EDGE_PLACEMENTS[1]},
+         seed=1)
+def test_configs_at_the_section_edges_run_on_both_rats(edges, seed):
+    # The model functions trust their sections' checks: no config that
+    # builds may reach a value they would once have rejected.
+    cfg = parse_config(
+        f"rats=lte,nr\nsweep_variable=speed_kmh\nduration_s=0.3\n"
+        f"warmup_s=0.1\ndrain_max_s=0.1\nreplications=1\nseed_base={seed}\n",
+        overrides={key: str(value) for key, value in edges.items()})
+    for rat in ("lte", "nr"):
+        result = run_single(cfg, rat, 0, 0)
+        assert all(flow.conservation_holds() for flow in result.flows)
+        assert sum(flow.tx_packets for flow in result.flows) > 0
