@@ -15,7 +15,7 @@ from .config import (ConfigError, ScenarioConfig, default_config,
 from .engine import SchedulingInPastError, Simulator, rng_stream
 from .metrics import (FlowStats, RunResult, aggregate_replications,
                       export_csv, finalize)
-from .mobility import MobilityState, position_at
+from .mobility import position_at
 from .phymac import (HarqOutcome, HarqProcess, LinkAdaptation, LtePhy, NrPhy,
                      PfState, RrState, achievable_rate_bps, bler, harq_transmit,
                      nr_slot_schedule, pf_schedule)

@@ -1,23 +1,10 @@
-"""UE placement and corridor patrol motion around a single base station at origin."""
+"""Radial corridor patrol: a UE starts at radius r0 from the base station at
+the origin, moves outward at the mobility section's speed and reflects
+between the corridor walls."""
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
-Position = tuple[float, float]
-
-
-@dataclass(frozen=True)
-class MobilityState:
-    """Constant-velocity motion with the radial distance reflected into a corridor."""
-
-    x: float
-    y: float
-    vx: float = 0.0
-    vy: float = 0.0
-    min_r: float = 1.0
-    max_r: float = 200.0
+from .config import MobilityConfig
 
 
 def _reflect(value: float, lo: float, hi: float) -> float:
@@ -28,13 +15,7 @@ def _reflect(value: float, lo: float, hi: float) -> float:
     return lo + span - abs(phase - span)
 
 
-def position_at(state: MobilityState, t: float) -> Position:
-    """Position at time t; the naive radial distance is reflected into bounds."""
-    px = state.x + state.vx * t
-    py = state.y + state.vy * t
-    r_naive = math.hypot(px, py)
-    r = _reflect(r_naive, state.min_r, state.max_r)
-    if r_naive < 1e-12:
-        return (r, 0.0)
-    scale = r / r_naive
-    return (px * scale, py * scale)
+def position_at(r0: float, mobility: MobilityConfig, t: float) -> float:
+    """Distance from the base station at time t of a UE that started at r0."""
+    return _reflect(r0 + mobility.speed_kmh / 3.6 * t,
+                    mobility.corridor_min_m, mobility.corridor_max_m)

@@ -29,7 +29,7 @@ from .config import ScenarioConfig, render_config
 from .engine import Simulator, rng_stream
 from .metrics import (FlowStats, RunResult, aggregate_replications, finalize,
                       sweep_label)
-from .mobility import MobilityState, position_at
+from .mobility import position_at
 from .phymac import (PfState, RrState, achievable_rate_bps, harq_transmit,
                      nr_slot_schedule, pf_schedule)
 from .traffic import (DropCause, FlowQueue, Packet, Sink, VideoStream,
@@ -53,17 +53,16 @@ def derive_run_seed(seed_base: int, sweep_index: int, rep_index: int) -> int:
 
 
 class _Ue:
-    __slots__ = ("idx", "mob", "queue", "credit_bits", "snr_la_db",
-                 "in_coverage", "harq_probs", "harq_outage_probs", "stats")
+    __slots__ = ("idx", "r0", "queue", "credit_bits", "snr_la_db",
+                 "harq_probs", "harq_outage_probs", "stats")
 
-    def __init__(self, idx: int, mob: MobilityState, queue: FlowQueue,
+    def __init__(self, idx: int, r0: float, queue: FlowQueue,
                  stats: FlowStats):
         self.idx = idx
-        self.mob = mob
+        self.r0 = r0
         self.queue = queue
         self.credit_bits = 0.0
         self.snr_la_db = -math.inf
-        self.in_coverage = True
         # HARQ failure probabilities per attempt, set at channel refresh: at
         # the link-adaptation SNR, and (NR only) in a beam-tracking outage.
         self.harq_probs = ()
@@ -120,16 +119,10 @@ class _Run:
         self.idle_slots = not self.is_nr
         self._step = self._nr_step if self.is_nr else self._lte_step
 
-        m = cfg.mobility
-        radii = m.radii(cfg.ue_count)
-        speed_mps = speed / 3.6
-        self.ues = []
-        for i in range(cfg.ue_count):
-            mob = MobilityState(x=radii[i], y=0.0, vx=speed_mps, vy=0.0,
-                                min_r=m.corridor_min_m, max_r=m.corridor_max_m)
-            self.ues.append(_Ue(i, mob,
-                                FlowQueue(cfg.traffic.queue_capacity_pkts),
-                                FlowStats(i, warmup_s=self.warmup)))
+        self.mobility = cfg.mobility
+        self.ues = [_Ue(i, r0, FlowQueue(cfg.traffic.queue_capacity_pkts),
+                        FlowStats(i, warmup_s=self.warmup))
+                    for i, r0 in enumerate(cfg.mobility.radii(cfg.ue_count))]
         # Per-UE serving rates, indexed like ``ues``: set at channel refresh
         # and handed to the scheduler as is.  Round robin takes the queues
         # themselves, since an empty FlowQueue is falsy.
@@ -161,13 +154,11 @@ class _Run:
     # -- channel ------------------------------------------------------------
 
     def _update_channel(self, ue: _Ue, t: float) -> None:
-        pos = position_at(ue.mob, t)
-        d = math.hypot(pos[0], pos[1])
+        d = position_at(ue.r0, self.mobility, t)
         shadow = (self.shadow_rng.gauss(0.0, self.shadow_sigma)
                   if self.is_nr else 0.0)
         snr = snr_db(self.radio, d, penalties_db=self.lte_penalty_db,
                      shadow_db=shadow)
-        ue.in_coverage = snr > -math.inf
         ue.snr_la_db = snr
         ue.harq_probs = self.harq.fail_probs(snr)
         if self.is_nr:
@@ -263,7 +254,7 @@ class _Run:
         if pick is None:
             return
         ue = self.ues[pick]
-        if not ue.in_coverage:
+        if ue.snr_la_db == -math.inf:
             # Transmission into a dead link: the head packet is lost.
             pkt = ue.queue.pop()
             self.backlog_pkts -= 1

@@ -1,49 +1,79 @@
-"""Corridor patrol motion."""
+"""Radial corridor patrol."""
 
 import math
 
-import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sitelink.mobility import MobilityState, position_at
+from sitelink.config import MobilityConfig
+from sitelink.mobility import _reflect, position_at
+
+
+def _corridor(speed_kmh, lo=20.0, hi=200.0):
+    return MobilityConfig(placement=f"{lo!r}", speed_kmh=speed_kmh,
+                          corridor_min_m=lo, corridor_max_m=hi)
 
 
 def test_static_ue_stays_put():
-    state = MobilityState(x=60.0, y=0.0, min_r=20.0, max_r=200.0)
+    mobility = _corridor(0.0)
     for t in (0.0, 1.0, 17.3, 1000.0):
-        assert position_at(state, t) == (60.0, 0.0)
+        assert position_at(60.0, mobility, t) == 60.0
 
 
 def test_outward_radial_motion_is_linear_inside_the_corridor():
-    state = MobilityState(x=20.0, y=0.0, vx=10.0, vy=0.0, min_r=20.0, max_r=200.0)
-    pos = position_at(state, 3.0)
-    assert math.hypot(*pos) == pytest.approx(50.0)
+    # 36 km/h is 10 m/s: 20 m + 10 m/s * 3 s = 50 m.
+    assert position_at(20.0, _corridor(36.0), 3.0) == pytest.approx(50.0)
 
 
 def test_reflection_at_the_outer_wall():
     # 190 m + 10 m/s * 2 s = 210 m, reflected at 200 m back to 190 m.
-    state = MobilityState(x=190.0, y=0.0, vx=10.0, vy=0.0, min_r=20.0, max_r=200.0)
-    pos = position_at(state, 2.0)
-    assert math.hypot(*pos) == pytest.approx(190.0)
+    assert position_at(190.0, _corridor(36.0), 2.0) == pytest.approx(190.0)
 
 
 def test_patrol_covers_the_corridor_and_returns():
-    state = MobilityState(x=20.0, y=0.0, vx=9.0, vy=0.0, min_r=20.0, max_r=200.0)
+    mobility = _corridor(32.4)   # 9 m/s
     span = 200.0 - 20.0
     period = 2.0 * span / 9.0
-    assert math.hypot(*position_at(state, span / 9.0)) == pytest.approx(200.0)
-    assert math.hypot(*position_at(state, period)) == pytest.approx(20.0)
+    assert position_at(20.0, mobility, span / 9.0) == pytest.approx(200.0)
+    assert position_at(20.0, mobility, period) == pytest.approx(20.0)
 
 
-def test_radial_distance_always_inside_bounds():
-    rng = np.random.default_rng(31)
-    for _ in range(300):
-        r0 = float(rng.uniform(20.0, 200.0))
-        theta = float(rng.uniform(0.0, 2.0 * math.pi))
-        state = MobilityState(
-            x=r0 * math.cos(theta), y=r0 * math.sin(theta),
-            vx=float(rng.uniform(-30.0, 30.0)), vy=float(rng.uniform(-30.0, 30.0)),
-            min_r=20.0, max_r=200.0)
-        t = float(rng.uniform(0.0, 120.0))
-        r = math.hypot(*position_at(state, t))
-        assert 20.0 - 1e-9 <= r <= 200.0 + 1e-9
+@settings(max_examples=300, deadline=None)
+@given(r0=st.floats(20.0, 200.0), speed=st.floats(0.0, 200.0),
+       t=st.floats(0.0, 120.0))
+def test_radial_distance_always_inside_bounds(r0, speed, t):
+    r = position_at(r0, _corridor(speed), t)
+    assert 20.0 - 1e-9 <= r <= 200.0 + 1e-9
+
+
+def _position_2d(x, y, vx, vy, min_r, max_r, t):
+    # The 2-D constant-velocity model that radial patrol replaced: move the
+    # point, reflect its distance into the corridor, rescale the point.
+    px = x + vx * t
+    py = y + vy * t
+    r_naive = math.hypot(px, py)
+    r = _reflect(r_naive, min_r, max_r)
+    if r_naive < 1e-12:
+        return (r, 0.0)
+    scale = r / r_naive
+    return (px * scale, py * scale)
+
+
+@st.composite
+def _radial_cases(draw):
+    lo = draw(st.floats(1.0, 500.0))
+    hi = draw(st.floats(lo, 1000.0).filter(lambda v: v > lo))
+    r0 = draw(st.floats(lo, hi))
+    return lo, hi, r0, draw(st.floats(0.0, 200.0)), draw(st.floats(0.0, 120.0))
+
+
+@settings(max_examples=500, deadline=None)
+@given(case=_radial_cases())
+def test_radial_patrol_matches_the_2d_model_within_one_ulp(case):
+    # The 2-D model returned px * (r / px) for the reflected distance r, so
+    # its distance may differ from r by one rounding: at most 1 ulp.
+    lo, hi, r0, speed, t = case
+    new = position_at(r0, _corridor(speed, lo, hi), t)
+    old = _position_2d(r0, 0.0, speed / 3.6, 0.0, lo, hi, t)
+    assert abs(new - math.hypot(*old)) <= math.ulp(new)

@@ -6,6 +6,7 @@ test_acceptance.py.
 
 import csv
 import io
+import math
 import os
 import tempfile
 
@@ -96,13 +97,15 @@ def test_nr_mobility_drops_via_harq_exhaustion():
 
 
 def _force_channel(run, ue_idx, in_coverage):
-    """Pin one UE's link state regardless of what the refresh recomputes."""
+    """Pin one UE's link state regardless of what the refresh recomputes:
+    a dead link (SNR -inf), or a zero-rate link in range (finite SNR)."""
     original = run._update_channel
 
     def patched(ue, t):
         original(ue, t)
         if ue.idx == ue_idx:
-            ue.in_coverage = in_coverage
+            if not in_coverage:
+                ue.snr_la_db = -math.inf
             run.rates[ue_idx] = 0.0
     run._update_channel = patched
     patched(run.ues[ue_idx], 0.0)
@@ -464,6 +467,25 @@ def test_scheduler_is_called_once_per_processed_slot_event(monkeypatch, text,
     kinds = [line.split("\t")[2] for line in trace.getvalue().splitlines()]
     assert kinds.count("slot") > 0
     assert calls[scheduler] == kinds.count("slot")
+
+
+@pytest.mark.parametrize("text, rat", [(LIGHT, "lte"), (MOBILE, "nr")],
+                         ids=["lte", "nr"])
+def test_position_is_computed_once_per_ue_per_channel_update(monkeypatch,
+                                                             text, rat):
+    # The benchmark's mobility.position_calls counts these calls; one per UE
+    # per channel update (the t=0 one plus each refresh event) keeps it
+    # comparable between versions.
+    cfg = parse_config(text, overrides={"duration_s": "1.5",
+                                        "warmup_s": "0.5"})
+    calls = {"position_at": 0}
+    _counting(monkeypatch, "position_at", calls)
+    trace = io.StringIO()
+    run = _Run(cfg, rat, cfg.sweep[0], 0, seed=1, trace_sink=trace)
+    run.execute()
+    kinds = [line.split("\t")[2] for line in trace.getvalue().splitlines()]
+    assert kinds.count("refresh") > 0
+    assert calls["position_at"] == len(run.ues) * (1 + kinds.count("refresh"))
 
 
 @settings(max_examples=40, deadline=None)
