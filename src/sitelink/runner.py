@@ -1,8 +1,24 @@
 """Sweep orchestration: build one cell per run, replicate, aggregate, export.
 
 Each run owns a fresh :class:`~sitelink.engine.Simulator` plus named RNG
-substreams, so replications are share-nothing and may execute in parallel
-worker processes without changing any output byte.
+substreams, so a run is a pure function of (config, rat, sweep point, seed)
+and replications may execute in parallel worker processes without changing
+any output byte.
+
+Replay
+------
+``run_single`` may answer a replication from an earlier full run instead of
+simulating it, and the answer is exact.  A process keeps one record: the
+last untraced full run that drew from no stream but ``harq``, one draw per
+HARQ call, every draw at or above p*, the largest first-attempt failure
+probability its channel ever set.  Every packet of that run went through on
+its first attempt.  A replication of the same (config, rat, sweep point)
+whose first n ``harq`` draws (n = the record's HARQ calls) all clear p* as
+well takes the same first attempts, and so the same path: it gets the
+record's result under its own seed and replication index.  Any other run
+executes in full.  LTE replications, static or moving, replay; NR runs draw
+shadowing and never do.  A traced run neither reads nor writes the record,
+so ``--trace`` writes one full trace per replication.
 
 Model notes
 -----------
@@ -19,6 +35,7 @@ Model notes
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import math
 import multiprocessing
 import os
@@ -107,6 +124,10 @@ class _Run:
         self.harq_rng = rng_stream("harq", seed)
         self.shadow_rng = rng_stream("shadowing", seed)
         self.outage_rng = rng_stream("outage", seed)
+        # What a replay check needs (see the module notes): the HARQ calls
+        # made, and the largest first-attempt failure probability set.
+        self.harq_calls = 0
+        self.p_first_max = 0.0
 
         self.sim = Simulator(trace=trace_sink)
         self.sink = Sink()
@@ -160,7 +181,9 @@ class _Run:
         snr = snr_db(self.radio, d, penalties_db=self.lte_penalty_db,
                      shadow_db=shadow)
         ue.snr_la_db = snr
-        ue.harq_probs = self.harq.fail_probs(snr)
+        ue.harq_probs = probs = self.harq.fail_probs(snr)
+        if probs[0] > self.p_first_max:
+            self.p_first_max = probs[0]
         if self.is_nr:
             ue.harq_outage_probs = self.harq.fail_probs(
                 snr - self.outage_penalty_db)
@@ -227,6 +250,7 @@ class _Run:
             queue.pop()
             self.backlog_pkts -= 1
             ue.credit_bits -= bits
+            self.harq_calls += 1
             outcome = harq_transmit(fail_probs, self.harq, self.harq_rng)
             if outcome.delivered:
                 t_rx = slot_end + outcome.added_delay_s + self.core_s
@@ -313,23 +337,68 @@ class _Run:
             mean_delay_s=mean_delay, seed=self.seed, rep_index=self.rep_index,
             flows=flows)
 
+    def replay_bounds(self) -> Optional[tuple[int, float]]:
+        """After ``execute``, (n, p*) if this run may be recorded for replay:
+        its shadowing and outage streams are untouched, and n draws that all
+        clear p* take a fresh ``harq`` stream to where this run's is."""
+        seed, n, p_first = self.seed, self.harq_calls, self.p_first_max
+        for rng, label in ((self.shadow_rng, "shadowing"),
+                           (self.outage_rng, "outage")):
+            if rng.getstate() != rng_stream(label, seed).getstate():
+                return None
+        fresh = rng_stream("harq", seed)
+        if (_draws_clear(fresh, n, p_first)
+                and fresh.getstate() == self.harq_rng.getstate()):
+            return n, p_first
+        return None
+
+
+def _draws_clear(rng, n: int, p_first: float) -> bool:
+    """Whether the next *n* draws of *rng* are all at or above *p_first*."""
+    draw = rng.random
+    return all(draw() >= p_first for _ in range(n))
+
+
+def _copy_result(result: RunResult, seed: int, rep_index: int) -> RunResult:
+    """*result* under *seed* and *rep_index*, with ledgers of its own."""
+    return dataclasses.replace(
+        result, seed=seed, rep_index=rep_index,
+        flows=[dataclasses.replace(f, drops_by_cause=dict(f.drops_by_cause))
+               for f in result.flows])
+
+
+# This process's replay record, (key, n, p*, result), or None: the last
+# untraced full run whose replay_bounds held.
+_replay: Optional[tuple] = None
+
 
 def run_single(cfg: ScenarioConfig, rat: str, sweep_index: int,
                rep_index: int, trace_dir: Optional[str] = None) -> RunResult:
-    """Execute one replication of one sweep point."""
+    """Execute one replication of one sweep point, or replay it from this
+    process's record when that is exact (see the module notes)."""
+    global _replay
+    seed = derive_run_seed(cfg.seed_base, sweep_index, rep_index)
+    key = (cfg, rat, sweep_index)
+    untraced = trace_dir is None
+    if untraced and _replay is not None and _replay[0] == key:
+        _, n, p_first, recorded = _replay
+        if _draws_clear(rng_stream("harq", seed), n, p_first):
+            return _copy_result(recorded, seed, rep_index)
     sweep_value = cfg.sweep[sweep_index]
     label = sweep_label(sweep_value)
-    seed = derive_run_seed(cfg.seed_base, sweep_index, rep_index)
     name = f"{cfg.preset}_{rat}_{label}_{rep_index}.trace"
     with (open(os.path.join(trace_dir, name), "w") if trace_dir is not None
           else contextlib.nullcontext()) as trace:
         try:
             run = _Run(cfg, rat, sweep_value, rep_index, seed, trace)
-            return run.execute()
+            result = run.execute()
         except SimulationError as exc:
             raise SimulationError(
                 f"run failed at rat={rat} {cfg.sweep_variable}={label} "
                 f"replication={rep_index}: {exc}") from exc
+    if untraced and (bounds := run.replay_bounds()) is not None:
+        _replay = (key, *bounds, _copy_result(result, seed, rep_index))
+    return result
 
 
 def run_scenario(cfg: ScenarioConfig, workers: int = 1,

@@ -415,6 +415,7 @@ def test_lte_run_never_calls_the_nr_scheduler(monkeypatch):
     def nr_scheduler(*args):
         raise AssertionError("NR scheduler called in an LTE run")
     monkeypatch.setattr(runner, "nr_slot_schedule", nr_scheduler)
+    monkeypatch.setattr(runner, "_replay", None)    # a full run, not a replay
     cfg = parse_config(LIGHT + "rats=lte",
                        overrides={"duration_s": "0.7", "warmup_s": "0.1",
                                   "traffic.app_start_s": "0.0045",
@@ -513,6 +514,7 @@ def test_run_invariants_over_random_small_configs(rat, ue_count, duration,
     with pytest.MonkeyPatch.context() as mp:
         for name in calls:
             _counting(mp, name, calls)
+        mp.setattr(runner, "_replay", None)    # a replay would call neither
         result = run_single(cfg, rat, 0, 0)
     for flow in result.flows:
         assert flow.tx_packets == flow.rx_packets + flow.dropped_packets
@@ -581,3 +583,105 @@ def test_configs_at_the_section_edges_run_on_both_rats(edges, seed):
         result = run_single(cfg, rat, 0, 0)
         assert all(flow.conservation_holds() for flow in result.flows)
         assert sum(flow.tx_packets for flow in result.flows) > 0
+
+
+# -- replay ------------------------------------------------------------------
+
+def _replay_cfg(rat, ue_count=2, speed=0.0, reps=5, seed=5, **harq):
+    """A short static or moving point; *harq* sets keys of phy.<rat>.harq."""
+    return parse_config(
+        f"preset=custom\nrats={rat}\nsweep_variable=speed_kmh\n"
+        f"sweep={speed!r}\nue_count={ue_count}\nduration_s=0.5\n"
+        f"warmup_s=0.1\ndrain_max_s=0.2\nreplications={reps}\n"
+        f"seed_base={seed}\n",
+        overrides={f"phy.{rat}.harq.{key}": str(value)
+                   for key, value in harq.items()})
+
+
+def _full_run(cfg, rat, rep):
+    seed = derive_run_seed(cfg.seed_base, 0, rep)
+    return _Run(cfg, rat, cfg.sweep[0], rep, seed).execute()
+
+
+@settings(max_examples=40, deadline=None)
+@given(rat=st.sampled_from(["lte", "nr"]), ue_count=st.integers(1, 6),
+       speed=st.sampled_from([0.0, 30.0]), reps=st.integers(1, 4),
+       # The default HARQ never retransmits here; at 37 dB some seeds do and
+       # some do not; at 40 dB a retransmission is all but certain.  With no
+       # retransmission a failed first attempt is one draw and a drop.
+       harq=st.fixed_dictionaries({}, optional={
+           "bler_threshold_db": st.sampled_from([37.0, 40.0]),
+           "max_retx": st.just(0)}),
+       seed=st.integers(1, 10_000))
+# Replication 0 is recorded, and replication 1 retransmits a measured
+# packet, so its draws must refuse the replay.
+@example(rat="lte", ue_count=2, speed=0.0, reps=2,
+         harq={"bler_threshold_db": 37.0}, seed=9)
+# Replication 0 drops a measured packet on its one draw and must not be
+# recorded, though replication 1's draws clear p*.
+@example(rat="lte", ue_count=2, speed=0.0, reps=2,
+         harq={"bler_threshold_db": 37.0, "max_retx": 0}, seed=17)
+def test_replayed_replications_equal_full_runs(rat, ue_count, speed, reps,
+                                               harq, seed):
+    cfg = _replay_cfg(rat, ue_count, speed, reps, seed, **harq)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(runner, "_replay", None)
+        results = [run_single(cfg, rat, 0, rep) for rep in range(reps)]
+    for rep, result in enumerate(results):
+        assert result == _full_run(cfg, rat, rep)
+
+
+@pytest.fixture
+def full_runs(monkeypatch):
+    """Replication indices of the full runs executed, record cleared."""
+    calls = []
+    execute = _Run.execute
+
+    def counted(run):
+        calls.append(run.rep_index)
+        return execute(run)
+    monkeypatch.setattr(_Run, "execute", counted)
+    monkeypatch.setattr(runner, "_replay", None)
+    return calls
+
+
+def test_static_lte_point_runs_once_and_replays_the_rest(full_runs):
+    cfg = _replay_cfg("lte")
+    [row] = run_scenario(cfg)
+    assert full_runs == [0]
+    assert row.replications == 5
+    assert row.delay_stddev_s == 0.0
+
+
+@pytest.mark.parametrize("rat, harq", [("nr", {}),
+                                       ("lte", {"bler_threshold_db": 40})],
+                         ids=["nr", "lte-retransmitting"])
+def test_points_that_draw_more_run_every_replication(full_runs, rat, harq):
+    run_scenario(_replay_cfg(rat, **harq))
+    assert full_runs == [0, 1, 2, 3, 4]
+
+
+def test_traced_replications_run_in_full(full_runs, tmp_path):
+    cfg = _replay_cfg("lte")
+    (tmp_path / "a").mkdir()
+    (tmp_path / "b").mkdir()
+    run_scenario(cfg, trace_dir=str(tmp_path / "a"))   # records nothing,
+    run_single(cfg, "lte", 0, 1)                        # so this runs in full
+    run_scenario(cfg, trace_dir=str(tmp_path / "b"))   # and reads nothing
+    assert full_runs == [0, 1, 2, 3, 4, 1, 0, 1, 2, 3, 4]
+    for sub in ("a", "b"):
+        assert sorted(p.name for p in (tmp_path / sub).iterdir()) == [
+            f"custom_lte_0_{rep}.trace" for rep in range(5)]
+
+
+def test_a_replay_shares_no_state_with_returned_results(full_runs):
+    cfg = _replay_cfg("lte")
+    for rep in range(2):
+        result = run_single(cfg, "lte", 0, rep)
+        result.throughput_bps = -1.0
+        for flow in result.flows:
+            flow.tx_packets += 7
+            flow.drops_by_cause["queue_overflow"] = 99
+        result.flows.append(result.flows[0])
+    assert full_runs == [0]
+    assert run_single(cfg, "lte", 0, 2) == _full_run(cfg, "lte", 2)
