@@ -71,13 +71,14 @@ def derive_run_seed(seed_base: int, sweep_index: int, rep_index: int) -> int:
 
 class _Ue:
     __slots__ = ("idx", "r0", "queue", "credit_bits", "snr_la_db",
-                 "harq_probs", "harq_outage_probs", "stats")
+                 "harq_probs", "harq_outage_probs", "stats", "sink")
 
     def __init__(self, idx: int, r0: float, queue: FlowQueue,
                  stats: FlowStats):
         self.idx = idx
         self.r0 = r0
         self.queue = queue
+        self.sink = Sink(idx)
         self.credit_bits = 0.0
         self.snr_la_db = -math.inf
         # HARQ failure probabilities per attempt, set at channel refresh: at
@@ -130,7 +131,6 @@ class _Run:
         self.p_first_max = 0.0
 
         self.sim = Simulator(trace=trace_sink)
-        self.sink = Sink()
         self.sched = RrState() if self.is_nr else PfState(phy, cfg.ue_count)
         self.backlog_pkts = 0
         self.slot_index = 0
@@ -213,14 +213,15 @@ class _Run:
         t = self.sim.now
         seq = self.grid_index
         self.grid_index = seq + 1
-        size = self.stream.packet_size_bytes
+        pkt = Packet(seq, self.stream.packet_size_bytes, t)
+        accepted = 0
         for ue in self.ues:
-            pkt = Packet(ue.idx, seq, size, t)
             ue.stats.on_created(pkt)
             if ue.queue.offer(pkt):
-                self.backlog_pkts += 1
+                accepted += 1
             else:
                 ue.stats.on_dropped(pkt, DropCause.QUEUE_OVERFLOW)
+        self.backlog_pkts += accepted
         if self.backlog_pkts and not self.slot_running:
             self._wake_slots(t)
         t_next = next(self.grid, None)
@@ -240,26 +241,32 @@ class _Run:
 
     def _serve(self, ue: _Ue, capacity_bits: float, fail_probs: tuple,
                slot_end: float) -> None:
-        ue.credit_bits += capacity_bits
+        credit = ue.credit_bits + capacity_bits
         queue = ue.queue
         stats = ue.stats
-        while (pkt := queue.head()) is not None:
+        sink = ue.sink
+        harq, rng, core_s = self.harq, self.harq_rng, self.core_s
+        served = 0
+        while queue:
+            pkt = queue[0]
             bits = pkt.size_bytes * 8.0
-            if ue.credit_bits < bits:
-                return
+            if credit < bits:
+                break
             queue.pop()
-            self.backlog_pkts -= 1
-            ue.credit_bits -= bits
-            self.harq_calls += 1
-            outcome = harq_transmit(fail_probs, self.harq, self.harq_rng)
+            served += 1
+            credit -= bits
+            outcome = harq_transmit(fail_probs, harq, rng)
             if outcome.delivered:
-                t_rx = slot_end + outcome.added_delay_s + self.core_s
-                self.sink.receive(pkt, t_rx)
+                t_rx = slot_end + outcome.added_delay_s + core_s
+                sink.receive(pkt, t_rx)
                 stats.on_delivered(pkt, t_rx)
             else:
                 stats.on_dropped(pkt, DropCause.HARQ_EXHAUSTED)
-        # No banking of idle airtime.
-        ue.credit_bits = 0.0
+        else:
+            credit = 0.0    # no banking of idle airtime
+        ue.credit_bits = credit
+        self.backlog_pkts -= served
+        self.harq_calls += served
 
     def _lte_step(self, t: float) -> None:
         ues = self.ues
@@ -278,31 +285,36 @@ class _Run:
         if pick is None:
             return
         ue = self.ues[pick]
-        if ue.snr_la_db == -math.inf:
-            # Transmission into a dead link: the head packet is lost.
-            pkt = ue.queue.pop()
-            self.backlog_pkts -= 1
-            ue.stats.on_dropped(pkt, DropCause.OUT_OF_COVERAGE)
-        elif (rate := self.rates[pick]) > 0.0:
+        # A dead link has rate 0, so the common case is tested first.
+        if (rate := self.rates[pick]) > 0.0:
             probs = (ue.harq_outage_probs
                      if self.outage_rng.random() < self.p_out
                      else ue.harq_probs)
             self._serve(ue, rate * self.slot_s, probs, t + self.slot_s)
+        elif ue.snr_la_db == -math.inf:
+            # Transmission into a dead link: the head packet is lost.
+            pkt = ue.queue.pop()
+            self.backlog_pkts -= 1
+            ue.stats.on_dropped(pkt, DropCause.OUT_OF_COVERAGE)
 
     def _slot(self) -> None:
         # Back-to-back slots run in this one call for as long as the engine
         # lets the next slot claim its instant; a tie or the horizon sends
-        # it through the queue.
+        # it through the queue.  A claim moves the clock to t, so the loop
+        # carries t itself.
         sim = self.sim
+        step, continues, claim = self._step, self._continues, sim.claim
+        slot_s, idle, rat = self.slot_s, self.idle_slots, self.rat
+        t = sim.now
         while True:
-            self._step(sim.now)
+            step(t)
             self.slot_index += 1
-            nxt = self.slot_index * self.slot_s
-            if not self._continues(nxt, self.idle_slots):
+            t = self.slot_index * slot_s
+            if not continues(t, idle):
                 self.slot_running = False
                 return
-            if not sim.claim(nxt, "slot", self.rat):
-                sim.schedule(nxt, self._slot, "slot", self.rat)
+            if not claim(t, "slot", rat):
+                sim.schedule(t, self._slot, "slot", rat)
                 return
 
     # -- lifecycle ----------------------------------------------------------

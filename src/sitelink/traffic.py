@@ -1,7 +1,9 @@
-"""Constant-bitrate video sources (camera avatars), per-UE queues, and the sink.
+"""Constant-bitrate video sources (camera avatars), per-flow queues and sinks.
 
 Video is abstracted as fixed-size UDP datagrams emitted on a strict CBR grid;
-there is no codec or jitter model.  Queues are drop-tail.
+there is no codec or jitter model.  One frozen packet per CBR instant is
+shared by every flow's queue.  Each queue is a drop-tail deque, and each flow
+has its own sink.
 """
 
 from __future__ import annotations
@@ -9,7 +11,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, Optional
+from typing import Iterator
 
 
 class DropCause(str, Enum):
@@ -59,48 +61,47 @@ def cbr_emit_times(stream: VideoStream) -> list[float]:
     return list(cbr_grid(stream))
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class Packet:
-    """One video datagram; the unit of loss and delay accounting."""
+    """One video datagram, built once per CBR instant and shared by every
+    flow's queue: the packet of grid index k is seq k of every flow."""
 
-    flow_id: int
     seq: int
     size_bytes: int
     t_created: float
 
 
-class FlowQueue:
-    """Drop-tail FIFO with a fixed packet capacity."""
+class FlowQueue(deque):
+    """Drop-tail FIFO with a fixed packet capacity: the deque itself.
 
-    __slots__ = ("capacity", "_q", "bytes")
+    ``len``, truthiness and ``q[0]`` are the deque's own.  Only ``offer``,
+    ``pop`` (of the head) and ``drain`` keep ``bytes``, so nothing else may
+    add or remove packets.
+    """
+
+    __slots__ = ("capacity", "bytes")
 
     def __init__(self, capacity: int):
+        super().__init__()
         self.capacity = capacity
-        self._q: deque[Packet] = deque()
         self.bytes = 0
-
-    def __len__(self) -> int:
-        return len(self._q)
 
     def offer(self, pkt: Packet) -> bool:
         """Enqueue unless full; False means the packet was rejected."""
-        if len(self._q) >= self.capacity:
+        if len(self) >= self.capacity:
             return False
-        self._q.append(pkt)
+        self.append(pkt)
         self.bytes += pkt.size_bytes
         return True
 
-    def head(self) -> Optional[Packet]:
-        return self._q[0] if self._q else None
-
     def pop(self) -> Packet:
-        pkt = self._q.popleft()
+        pkt = self.popleft()
         self.bytes -= pkt.size_bytes
         return pkt
 
     def drain(self) -> list[Packet]:
-        out = list(self._q)
-        self._q.clear()
+        out = list(self)
+        self.clear()
         self.bytes = 0
         return out
 
@@ -110,20 +111,23 @@ class DuplicateDeliveryError(Exception):
 
 
 class Sink:
-    """Receiving endpoint; rejects early, duplicate and reordered deliveries.
+    """One flow's receiving endpoint; rejects early, duplicate and reordered
+    deliveries.  Service is FIFO, so delivered seqs strictly increase (drops
+    only skip seqs); remembering the last seq catches any duplicate."""
 
-    Service is FIFO per flow, so delivered seqs strictly increase (drops only
-    skip seqs); remembering the last seq per flow catches any duplicate.
-    """
+    __slots__ = ("flow_id", "last_seq")
 
-    def __init__(self):
-        self._last_seq: dict[int, int] = {}
+    def __init__(self, flow_id: int):
+        self.flow_id = flow_id
+        self.last_seq = -1
 
     def receive(self, pkt: Packet, t: float) -> None:
         if t < pkt.t_created:
-            raise ValueError("delivery before creation")
-        last = self._last_seq.get(pkt.flow_id)
-        if last is not None and pkt.seq <= last:
+            raise ValueError(
+                f"flow {self.flow_id} seq {pkt.seq} delivered at t={t} "
+                f"before its creation at t={pkt.t_created}")
+        if pkt.seq <= self.last_seq:
             raise DuplicateDeliveryError(
-                f"flow {pkt.flow_id} seq {pkt.seq} delivered after seq {last}")
-        self._last_seq[pkt.flow_id] = pkt.seq
+                f"flow {self.flow_id} seq {pkt.seq} delivered after seq "
+                f"{self.last_seq}")
+        self.last_seq = pkt.seq

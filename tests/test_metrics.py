@@ -14,7 +14,7 @@ from sitelink.traffic import DropCause, Packet
 def _delivered_flow(n_pkts: int, size: int = 1250, delay: float = 0.01) -> FlowStats:
     stats = FlowStats(0)
     for i in range(n_pkts):
-        pkt = Packet(0, i, size, t_created=float(i))
+        pkt = Packet(i, size, t_created=float(i))
         stats.on_created(pkt)
         stats.on_delivered(pkt, i + delay)
     return stats
@@ -22,7 +22,7 @@ def _delivered_flow(n_pkts: int, size: int = 1250, delay: float = 0.01) -> FlowS
 
 def _dropped(stats: FlowStats, n_pkts: int, cause: DropCause) -> None:
     for i in range(n_pkts):
-        pkt = Packet(0, i, 1250, t_created=0.0)
+        pkt = Packet(i, 1250, t_created=0.0)
         stats.on_created(pkt)
         stats.on_dropped(pkt, cause)
 
@@ -39,7 +39,7 @@ def test_finalize_lossless_cbr_flow():
 def test_finalize_overload_loss_rate():
     stats = FlowStats(0)
     for i in range(425):
-        pkt = Packet(0, i, 1250, t_created=0.0)
+        pkt = Packet(i, 1250, t_created=0.0)
         stats.on_created(pkt)
         stats.on_delivered(pkt, 0.02)
     _dropped(stats, 575, DropCause.QUEUE_OVERFLOW)
@@ -77,7 +77,7 @@ def test_finalize_pools_packets_over_flows():
 
 def test_ledger_ignores_packets_created_before_warmup():
     stats = FlowStats(0, warmup_s=1.0)
-    pkts = [Packet(0, i, 1000, t) for i, t in enumerate((0.5, 0.999, 1.0, 1.5))]
+    pkts = [Packet(i, 1000, t) for i, t in enumerate((0.5, 0.999, 1.0, 1.5))]
     for pkt in pkts:
         stats.on_created(pkt)
     stats.on_delivered(pkts[0], 1.1)

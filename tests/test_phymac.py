@@ -280,7 +280,7 @@ def test_rr_picks_the_same_ue_from_queues_as_from_byte_counts(steps):
         queues = [FlowQueue(4) for _ in counts]
         for i, k in enumerate(counts):
             for seq in range(k):
-                queues[i].offer(Packet(i, seq, 1250, 0.0))
+                queues[i].offer(Packet(seq, 1250, 0.0))
         pos = by_bytes.rr_pos
         expect = next((i % 6 for i in range(pos, pos + 6) if counts[i % 6]),
                       None)

@@ -9,6 +9,7 @@ import io
 import math
 import os
 import tempfile
+from dataclasses import FrozenInstanceError
 
 import pytest
 from hypothesis import example, given, settings
@@ -20,7 +21,7 @@ from sitelink.metrics import export_csv, finalize, sweep_label
 from sitelink.phymac import SUPPORTED_SCS_KHZ
 from sitelink.runner import (SWEEP_SEED_STRIDE, _Run, derive_run_seed,
                              run_metadata, run_scenario, run_single)
-from sitelink.traffic import DropCause, cbr_emit_times
+from sitelink.traffic import DropCause, Packet, cbr_emit_times
 
 LIGHT = """
 preset=custom
@@ -327,6 +328,27 @@ def test_arrivals_follow_the_cbr_grid():
     result = run.execute()
     for flow in result.flows:
         assert flow.tx_packets == len(cbr_emit_times(run.stream)) == 380
+
+
+def test_one_arrival_instant_shares_one_frozen_packet():
+    # Every flow's packet of an instant is the same immutable object; a full
+    # queue rejects it and keeps what it holds.
+    cfg = parse_config(MOBILE, overrides={"warmup_s": "0",
+                                          "traffic.app_start_s": "0",
+                                          "traffic.queue_capacity_pkts": "1"})
+    run = _Run(cfg, "nr", cfg.sweep[0], 0, seed=1)
+    held = Packet(99, 1250, 0.0)
+    assert run.queues[1].offer(held)
+    run._arrival()
+    pkt = run.queues[0][0]
+    assert pkt.seq == 0
+    assert run.queues[1][0] is held
+    assert all(q[0] is pkt for i, q in enumerate(run.queues) if i != 1)
+    assert run.backlog_pkts == cfg.ue_count - 1
+    assert [ue.stats.drops_by_cause for ue in run.ues] == [
+        {}, {DropCause.QUEUE_OVERFLOW.value: 1}, {}, {}]
+    with pytest.raises(FrozenInstanceError):
+        pkt.seq = 1
 
 
 @pytest.mark.parametrize("rat", ["lte", "nr"])
