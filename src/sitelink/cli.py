@@ -62,16 +62,18 @@ def _run_overrides(args) -> dict:
 def _load_config(path: Optional[str],
                  overrides: dict) -> Optional[ScenarioConfig]:
     """The config file at *path* (none: the defaults) with *overrides* on
-    top.  On failure it prints ``error:`` for a file it cannot read, or one
-    ``invalid:`` line per config error, and returns None."""
+    top.  On failure it prints ``error:`` for a file it cannot read as UTF-8,
+    or one ``invalid:`` line per config error, and returns None."""
     try:
         text = ""
         if path:
-            with open(path) as fh:
+            with open(path, encoding="utf-8") as fh:
                 text = fh.read()
         return parse_config(text, overrides)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
+    except UnicodeDecodeError as exc:
+        print(f"error: {path}: not UTF-8 text: {exc}", file=sys.stderr)
     except ConfigError as exc:
         for err in exc.errors:
             print(f"invalid: {err}", file=sys.stderr)
@@ -115,6 +117,13 @@ def main(argv=None) -> int:
 
     out_dir = os.path.dirname(os.path.abspath(args.out))
     meta_path = args.out + ".meta"
+    # Refuse an unusable --out before the sweep spends any simulation on it.
+    taken = [p for p in (args.out, meta_path) if os.path.isdir(p)]
+    if taken or not os.path.isdir(out_dir):
+        reason = (f"{taken[0]!r} is a directory" if taken
+                  else f"directory {out_dir!r} does not exist")
+        print(f"error: cannot write results: {reason}", file=sys.stderr)
+        return 1
     try:
         # Traces go to a temp directory beside the CSV and move into place
         # only once the CSV and .meta are written; a failed run leaves none.

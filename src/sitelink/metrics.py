@@ -34,7 +34,6 @@ class FlowStats:
     warmup_s: float = 0.0
     tx_packets: int = 0
     rx_packets: int = 0
-    rx_bytes: int = 0
     delay_sum_s: float = 0.0
     drops_by_cause: dict = field(default_factory=dict)
 
@@ -45,7 +44,6 @@ class FlowStats:
     def on_delivered(self, pkt: Packet, t: float) -> None:
         if pkt.t_created >= self.warmup_s:
             self.rx_packets += 1
-            self.rx_bytes += pkt.size_bytes
             self.delay_sum_s += t - pkt.t_created
 
     def on_dropped(self, pkt: Packet, cause: DropCause) -> None:
@@ -61,20 +59,19 @@ class FlowStats:
         return self.tx_packets == self.rx_packets + self.dropped_packets
 
 
-def finalize(flows: Iterable[FlowStats], duration_s: float):
+def finalize(flows: Iterable[FlowStats], duration_s: float, packet_bytes: int):
     """(throughput_bps, loss_rate, mean_delay_s or None) over drained flows.
 
-    Throughput is the aggregate of all flows; loss and delay are pooled over
-    every packet of every flow.
+    Throughput is the aggregate of all flows at *packet_bytes* per delivered
+    packet; loss and delay are pooled over every packet of every flow.
     """
-    rx_bytes = tx = rx = 0
+    tx = rx = 0
     delay_sum = 0.0
     for stats in flows:
-        rx_bytes += stats.rx_bytes
         tx += stats.tx_packets
         rx += stats.rx_packets
         delay_sum += stats.delay_sum_s
-    throughput = rx_bytes * 8.0 / duration_s
+    throughput = rx * packet_bytes * 8.0 / duration_s
     loss = 0.0 if tx == 0 else 1.0 - rx / tx
     delay = None if rx == 0 else delay_sum / rx
     return throughput, loss, delay

@@ -113,6 +113,7 @@ class _Run:
         self.warmup = cfg.warmup_s
         self.stop_time = cfg.duration_s + cfg.drain_max_s
         self.core_s = cfg.traffic.core_latency_ms * 1e-3
+        self.packet_bytes = cfg.traffic.packet_size_bytes
 
         nr = cfg.radio_nr
         self.refresh_s = nr.beam_refresh_s if self.is_nr else LTE_REFRESH_S
@@ -154,7 +155,7 @@ class _Run:
         # the packet created at grid index k is seq k of every flow.
         self.stream = VideoStream(
             flow_id=0, rate_bps=cfg.traffic.data_volume_mbps * 1e6,
-            packet_size_bytes=cfg.traffic.packet_size_bytes,
+            packet_size_bytes=self.packet_bytes,
             start_s=cfg.traffic.app_start_s, stop_s=cfg.app_stop_effective_s())
         self.grid = cbr_grid(self.stream)
         self.grid_index = 0
@@ -213,7 +214,7 @@ class _Run:
         t = self.sim.now
         seq = self.grid_index
         self.grid_index = seq + 1
-        pkt = Packet(seq, self.stream.packet_size_bytes, t)
+        pkt = Packet(seq, t)
         accepted = 0
         for ue in self.ues:
             ue.stats.on_created(pkt)
@@ -246,13 +247,10 @@ class _Run:
         stats = ue.stats
         sink = ue.sink
         harq, rng, core_s = self.harq, self.harq_rng, self.core_s
+        bits = self.packet_bytes * 8.0
         served = 0
-        while queue:
-            pkt = queue[0]
-            bits = pkt.size_bytes * 8.0
-            if credit < bits:
-                break
-            queue.pop()
+        while queue and credit >= bits:
+            pkt = queue.pop()
             served += 1
             credit -= bits
             outcome = harq_transmit(fail_probs, harq, rng)
@@ -262,7 +260,7 @@ class _Run:
                 stats.on_delivered(pkt, t_rx)
             else:
                 stats.on_dropped(pkt, DropCause.HARQ_EXHAUSTED)
-        else:
+        if not queue:
             credit = 0.0    # no banking of idle airtime
         ue.credit_bits = credit
         self.backlog_pkts -= served
@@ -271,7 +269,9 @@ class _Run:
     def _lte_step(self, t: float) -> None:
         ues = self.ues
         rates = self.rates
-        alloc = pf_schedule(self.sched, rates, [q.bytes for q in self.queues])
+        size = self.packet_bytes
+        alloc = pf_schedule(self.sched, rates,
+                            [len(q) * size for q in self.queues])
         slot_end = t + self.slot_s
         share = self.slot_s / self.sched.rb_count
         for i, rbs in enumerate(alloc):
@@ -334,8 +334,8 @@ class _Run:
                 raise SimulationError(
                     f"flow {stats.flow_id}: created {stats.tx_packets} != "
                     f"delivered {stats.rx_packets} + dropped {stats.dropped_packets}")
-        throughput, loss, mean_delay = finalize(flows,
-                                                self.duration - self.warmup)
+        throughput, loss, mean_delay = finalize(
+            flows, self.duration - self.warmup, self.packet_bytes)
         cfg = self.cfg
         speed = cfg.mobility.speed_kmh
         if speed == 0 and cfg.sweep_variable != "speed_kmh":

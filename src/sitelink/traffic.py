@@ -1,9 +1,9 @@
 """Constant-bitrate video sources (camera avatars), per-flow queues and sinks.
 
-Video is abstracted as fixed-size UDP datagrams emitted on a strict CBR grid;
-there is no codec or jitter model.  One frozen packet per CBR instant is
-shared by every flow's queue.  Each queue is a drop-tail deque, and each flow
-has its own sink.
+Video is abstracted as UDP datagrams of the stream's fixed size, emitted on a
+strict CBR grid; there is no codec or jitter model.  A packet holds only its
+seq and creation time.  One frozen packet per CBR instant is shared by every
+flow's queue.  Each queue is a drop-tail deque, and each flow has its own sink.
 """
 
 from __future__ import annotations
@@ -63,46 +63,38 @@ def cbr_emit_times(stream: VideoStream) -> list[float]:
 
 @dataclass(frozen=True, slots=True)
 class Packet:
-    """One video datagram, built once per CBR instant and shared by every
-    flow's queue: the packet of grid index k is seq k of every flow."""
+    """One datagram of the stream's size, built once per CBR instant and
+    shared by every flow's queue: the packet of grid index k is seq k of
+    every flow."""
 
     seq: int
-    size_bytes: int
     t_created: float
 
 
 class FlowQueue(deque):
     """Drop-tail FIFO with a fixed packet capacity: the deque itself.
 
-    ``len``, truthiness and ``q[0]`` are the deque's own.  Only ``offer``,
-    ``pop`` (of the head) and ``drain`` keep ``bytes``, so nothing else may
-    add or remove packets.
-    """
+    ``len``, truthiness and ``q[0]`` are the deque's own; ``pop`` is its
+    ``popleft``, which takes the head."""
 
-    __slots__ = ("capacity", "bytes")
+    __slots__ = ("capacity",)
 
     def __init__(self, capacity: int):
         super().__init__()
         self.capacity = capacity
-        self.bytes = 0
 
     def offer(self, pkt: Packet) -> bool:
         """Enqueue unless full; False means the packet was rejected."""
         if len(self) >= self.capacity:
             return False
         self.append(pkt)
-        self.bytes += pkt.size_bytes
         return True
 
-    def pop(self) -> Packet:
-        pkt = self.popleft()
-        self.bytes -= pkt.size_bytes
-        return pkt
+    pop = deque.popleft
 
     def drain(self) -> list[Packet]:
         out = list(self)
         self.clear()
-        self.bytes = 0
         return out
 
 

@@ -167,3 +167,34 @@ def test_run_rejects_duplicate_sweep_values(tmp_path, capsys):
     assert "sweep" in capsys.readouterr().err
     assert not out.exists()
     assert not list(tmp_path.glob("*.trace"))
+
+
+@pytest.mark.parametrize("command", [["validate"], ["run"]])
+def test_non_utf8_config_fails_cleanly(tmp_path, capsys, command):
+    path = tmp_path / "latin1.cfg"
+    path.write_bytes(b"# Baustelle M\xe4rz\nreplications=1\n")
+    assert main([*command, "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert "UTF-8" in err and "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["latin1.cfg"]
+
+
+@pytest.mark.parametrize("out", ["existing_dir", "missing_dir/o.csv"])
+@pytest.mark.parametrize("trace", [[], ["--trace"]], ids=["plain", "trace"])
+def test_run_rejects_a_bad_out_before_simulating(tmp_path, capsys,
+                                                 monkeypatch, out, trace):
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("run_scenario called for an unusable --out")
+
+    monkeypatch.setattr("sitelink.cli.run_scenario", no_sweep)
+    cfg_path = tmp_path / "tiny.cfg"
+    cfg_path.write_text(TINY)
+    (tmp_path / "existing_dir").mkdir()
+    assert main(["run", "--config", str(cfg_path),
+                 "--out", str(tmp_path / out), *trace]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["existing_dir",
+                                                          "tiny.cfg"]
+    assert not list(tmp_path.rglob("*.meta"))

@@ -11,10 +11,10 @@ from sitelink.metrics import (CSV_COLUMNS, FlowStats, RunResult,
 from sitelink.traffic import DropCause, Packet
 
 
-def _delivered_flow(n_pkts: int, size: int = 1250, delay: float = 0.01) -> FlowStats:
+def _delivered_flow(n_pkts: int, delay: float = 0.01) -> FlowStats:
     stats = FlowStats(0)
     for i in range(n_pkts):
-        pkt = Packet(i, size, t_created=float(i))
+        pkt = Packet(i, t_created=float(i))
         stats.on_created(pkt)
         stats.on_delivered(pkt, i + delay)
     return stats
@@ -22,7 +22,7 @@ def _delivered_flow(n_pkts: int, size: int = 1250, delay: float = 0.01) -> FlowS
 
 def _dropped(stats: FlowStats, n_pkts: int, cause: DropCause) -> None:
     for i in range(n_pkts):
-        pkt = Packet(i, 1250, t_created=0.0)
+        pkt = Packet(i, t_created=0.0)
         stats.on_created(pkt)
         stats.on_dropped(pkt, cause)
 
@@ -30,7 +30,7 @@ def _dropped(stats: FlowStats, n_pkts: int, cause: DropCause) -> None:
 def test_finalize_lossless_cbr_flow():
     # 200 pkt/s of 1250 B over 10 s, all delivered -> 2.0 Mb/s, zero loss.
     stats = _delivered_flow(2000)
-    throughput, loss, delay = finalize([stats], 10.0)
+    throughput, loss, delay = finalize([stats], 10.0, 1250)
     assert throughput == 2_000_000.0
     assert loss == 0.0
     assert delay == pytest.approx(0.01)
@@ -39,11 +39,11 @@ def test_finalize_lossless_cbr_flow():
 def test_finalize_overload_loss_rate():
     stats = FlowStats(0)
     for i in range(425):
-        pkt = Packet(i, 1250, t_created=0.0)
+        pkt = Packet(i, t_created=0.0)
         stats.on_created(pkt)
         stats.on_delivered(pkt, 0.02)
     _dropped(stats, 575, DropCause.QUEUE_OVERFLOW)
-    _, loss, _ = finalize([stats], 10.0)
+    _, loss, _ = finalize([stats], 10.0, 1250)
     assert loss == pytest.approx(0.575)
     assert stats.conservation_holds()
 
@@ -51,7 +51,7 @@ def test_finalize_overload_loss_rate():
 def test_finalize_degenerate_flow_reports_absent_delay():
     stats = FlowStats(0)
     _dropped(stats, 10, DropCause.OUT_OF_COVERAGE)
-    throughput, loss, delay = finalize([stats], 5.0)
+    throughput, loss, delay = finalize([stats], 5.0, 1250)
     assert throughput == 0.0
     assert loss == 1.0
     assert delay is None
@@ -60,7 +60,7 @@ def test_finalize_degenerate_flow_reports_absent_delay():
 def test_loss_plus_delivery_fraction_is_one():
     stats = _delivered_flow(123)
     _dropped(stats, 45, DropCause.HARQ_EXHAUSTED)
-    _, loss, _ = finalize([stats], 1.0)
+    _, loss, _ = finalize([stats], 1.0, 1250)
     assert loss + stats.rx_packets / stats.tx_packets == pytest.approx(1.0, abs=1e-15)
 
 
@@ -68,23 +68,24 @@ def test_finalize_pools_packets_over_flows():
     fast = _delivered_flow(300, delay=0.01)
     slow = _delivered_flow(100, delay=0.05)
     _dropped(slow, 100, DropCause.QUEUE_OVERFLOW)
-    throughput, loss, delay = finalize([fast, slow], 2.0)
+    throughput, loss, delay = finalize([fast, slow], 2.0, 1250)
     assert throughput == 400 * 1250 * 8.0 / 2.0
+    assert finalize([fast, slow], 2.0, 1)[0] == 400 * 8.0 / 2.0
     assert loss == pytest.approx(100 / 500)
     assert delay == pytest.approx((300 * 0.01 + 100 * 0.05) / 400)
-    assert finalize([], 1.0) == (0.0, 0.0, None)
+    assert finalize([], 1.0, 1250) == (0.0, 0.0, None)
 
 
 def test_ledger_ignores_packets_created_before_warmup():
     stats = FlowStats(0, warmup_s=1.0)
-    pkts = [Packet(i, 1000, t) for i, t in enumerate((0.5, 0.999, 1.0, 1.5))]
+    pkts = [Packet(i, t) for i, t in enumerate((0.5, 0.999, 1.0, 1.5))]
     for pkt in pkts:
         stats.on_created(pkt)
     stats.on_delivered(pkts[0], 1.1)
     stats.on_dropped(pkts[1], DropCause.HARQ_EXHAUSTED)
     stats.on_delivered(pkts[2], 1.25)        # created exactly at warm-up
     stats.on_dropped(pkts[3], DropCause.QUEUE_OVERFLOW)
-    assert (stats.tx_packets, stats.rx_packets, stats.rx_bytes) == (2, 1, 1000)
+    assert (stats.tx_packets, stats.rx_packets) == (2, 1)
     assert stats.delay_sum_s == 0.25
     assert stats.drops_by_cause == {DropCause.QUEUE_OVERFLOW.value: 1}
     assert stats.conservation_holds()

@@ -273,20 +273,20 @@ def test_rr_no_starvation_over_random_backlog_patterns():
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.lists(st.integers(0, 2), min_size=6, max_size=6),
                 min_size=1, max_size=20))
-def test_rr_picks_the_same_ue_from_queues_as_from_byte_counts(steps):
+def test_rr_picks_the_same_ue_from_queues_as_from_lengths(steps):
     # The runner hands round robin its FlowQueues; an empty one is falsy.
-    by_queue, by_bytes = RrState(), RrState()
+    by_queue, by_len = RrState(), RrState()
     for counts in steps:
         queues = [FlowQueue(4) for _ in counts]
         for i, k in enumerate(counts):
             for seq in range(k):
-                queues[i].offer(Packet(seq, 1250, 0.0))
-        pos = by_bytes.rr_pos
+                queues[i].offer(Packet(seq, 0.0))
+        pos = by_len.rr_pos
         expect = next((i % 6 for i in range(pos, pos + 6) if counts[i % 6]),
                       None)
         assert nr_slot_schedule(by_queue, queues) == expect
-        assert nr_slot_schedule(by_bytes, [q.bytes for q in queues]) == expect
-        assert by_queue.rr_pos == by_bytes.rr_pos
+        assert nr_slot_schedule(by_len, [len(q) for q in queues]) == expect
+        assert by_queue.rr_pos == by_len.rr_pos
 
 
 # -- BLER and HARQ ---------------------------------------------------------------

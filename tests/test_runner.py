@@ -308,7 +308,8 @@ def test_aggregate_throughput_equals_sum_of_flow_throughputs():
     cfg = parse_config(OVERLOAD)
     result = run_single(cfg, "lte", 0, 0)
     window = cfg.duration_s - cfg.warmup_s
-    per_flow = sum(finalize([f], window)[0] for f in result.flows)
+    size = cfg.traffic.packet_size_bytes
+    per_flow = sum(finalize([f], window, size)[0] for f in result.flows)
     assert result.throughput_bps == pytest.approx(per_flow, rel=1e-9)
 
 
@@ -337,7 +338,7 @@ def test_one_arrival_instant_shares_one_frozen_packet():
                                           "traffic.app_start_s": "0",
                                           "traffic.queue_capacity_pkts": "1"})
     run = _Run(cfg, "nr", cfg.sweep[0], 0, seed=1)
-    held = Packet(99, 1250, 0.0)
+    held = Packet(99, 0.0)
     assert run.queues[1].offer(held)
     run._arrival()
     pkt = run.queues[0][0]
@@ -516,22 +517,24 @@ def test_position_is_computed_once_per_ue_per_channel_update(monkeypatch,
        duration=st.floats(0.3, 1.0), warmup=st.floats(0.0, 0.05),
        app_start=st.floats(0.0, 0.005, exclude_max=True),
        speed=st.floats(0.0, 60.0), mbps=st.floats(5.0, 8.0),
-       seed=st.integers(1, 10_000))
+       size=st.integers(500, 1500), seed=st.integers(1, 10_000))
 # The LTE wake-up case above (5 ms interval, 0.7 s window: still under 1%).
 @example(rat="lte", ue_count=2, duration=0.7, warmup=0.0, app_start=0.0045,
-         speed=0.0, mbps=2.0, seed=1)
+         speed=0.0, mbps=2.0, size=1250, seed=1)
 def test_run_invariants_over_random_small_configs(rat, ue_count, duration,
                                                   warmup, app_start, speed,
-                                                  mbps, seed):
-    # Rates of 5-8 Mb/s keep the packet interval (<= 2 ms) below 1% of the
-    # measured window (>= 0.25 s), so a window may hold at most 1% more CBR
-    # packets than rate * window: throughput <= 1.01 * offered load.
+                                                  mbps, size, seed):
+    # Rates of 5-8 Mb/s with packets of 500-1500 B keep the packet interval
+    # (at most 2.4 ms, 1500 B at 5 Mb/s) within 1% of the measured window
+    # (>= 0.25 s), so a window may hold at most 1% more CBR packets than
+    # rate * window: throughput <= 1.01 * offered load.
     cfg = parse_config(
         f"preset=custom\nrats={rat}\nsweep_variable=speed_kmh\nsweep={speed!r}\n"
         f"ue_count={ue_count}\nduration_s={duration!r}\nwarmup_s={warmup!r}\n"
         f"drain_max_s=0.5\nreplications=1\nseed_base={seed}\n"
         f"traffic.app_start_s={app_start!r}\n"
-        f"traffic.data_volume_mbps={mbps!r}\n")
+        f"traffic.data_volume_mbps={mbps!r}\n"
+        f"traffic.packet_size_bytes={size}\n")
     calls = {"pf_schedule": 0, "nr_slot_schedule": 0}
     with pytest.MonkeyPatch.context() as mp:
         for name in calls:

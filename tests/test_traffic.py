@@ -60,46 +60,41 @@ def test_stream_invariants_enforced():
 
 def test_queue_accepts_until_capacity_then_rejects():
     q = FlowQueue(capacity=3)
-    pkts = [Packet(i, 1250, 0.0) for i in range(4)]
+    pkts = [Packet(i, 0.0) for i in range(4)]
     assert all(q.offer(p) for p in pkts[:3])
     assert len(q) == 3
-    assert q.bytes == 3 * 1250
     assert q.offer(pkts[3]) is False
     assert len(q) == 3
-    assert q.bytes == 3 * 1250
 
 
-def test_queue_fifo_order_and_byte_accounting():
+def test_queue_fifo_order_and_drain():
     q = FlowQueue(capacity=10)
     for i in range(5):
-        q.offer(Packet(i, 100 + i, 0.0))
+        q.offer(Packet(i, 0.0))
     assert q[0].seq == 0
     assert q.pop().seq == 0
-    assert q.bytes == sum(101 + i for i in range(4))
+    assert len(q) == 4
     rest = q.drain()
     assert [p.seq for p in rest] == [1, 2, 3, 4]
-    assert q.bytes == 0 and len(q) == 0 and not q
+    assert len(q) == 0 and not q
 
 
-_QUEUE_OPS = st.one_of(st.tuples(st.just("offer"), st.integers(1, 1500)),
-                       st.tuples(st.sampled_from(["pop", "drain"]),
-                                 st.none()))
+_QUEUE_OPS = st.one_of(st.just("offer"), st.sampled_from(["pop", "drain"]))
 
 
 @settings(max_examples=200, deadline=None)
 @given(capacities=st.lists(st.integers(1, 10), min_size=1, max_size=5),
        steps=st.lists(st.tuples(st.integers(0, 4), _QUEUE_OPS), max_size=80))
-def test_queue_operations_keep_bytes_capacity_and_fifo_order(capacities,
-                                                             steps):
+def test_queue_operations_keep_capacity_and_fifo_order(capacities, steps):
     # A plain list models each queue; round robin must pick the same UE
-    # from the queues as from their byte counts after every step.
+    # from the queues as from their lengths after every step.
     queues = [FlowQueue(c) for c in capacities]
     models = [[] for _ in capacities]
-    by_queue, by_bytes = RrState(), RrState()
-    for seq, (which, (op, size)) in enumerate(steps):
+    by_queue, by_len = RrState(), RrState()
+    for seq, (which, op) in enumerate(steps):
         q, model = queues[which % len(queues)], models[which % len(queues)]
         if op == "offer":
-            pkt = Packet(seq, size, 0.0)
+            pkt = Packet(seq, 0.0)
             full = len(model) == q.capacity
             assert q.offer(pkt) is not full
             if not full:
@@ -116,24 +111,23 @@ def test_queue_operations_keep_bytes_capacity_and_fifo_order(capacities,
             assert all(a is b for a, b in zip(drained, model))
             model.clear()
         for q, model in zip(queues, models):
-            assert q.bytes == sum(p.size_bytes for p in q)
             assert len(q) == len(model) <= q.capacity
             assert all(a is b for a, b in zip(q, model))
             assert bool(q) is bool(model)
         pick = nr_slot_schedule(by_queue, queues)
-        assert pick == nr_slot_schedule(by_bytes, [q.bytes for q in queues])
-        assert by_queue.rr_pos == by_bytes.rr_pos
+        assert pick == nr_slot_schedule(by_len, [len(q) for q in queues])
+        assert by_queue.rr_pos == by_len.rr_pos
 
 
 def test_sink_records_delay_and_rejects_duplicates():
     # The runner hands one delivery time to the sink and to the flow ledger.
     sink = Sink(3)
     stats = FlowStats(3)
-    pkt = Packet(17, 1250, t_created=1.000)
+    pkt = Packet(17, t_created=1.000)
     sink.receive(pkt, 1.012)
     stats.on_delivered(pkt, 1.012)
     assert stats.delay_sum_s == pytest.approx(0.012)
-    dup = Packet(17, 1250, t_created=1.005)
+    dup = Packet(17, t_created=1.005)
     with pytest.raises(DuplicateDeliveryError):
         sink.receive(dup, 1.02)
 
@@ -141,21 +135,21 @@ def test_sink_records_delay_and_rejects_duplicates():
 def test_sink_accepts_skipped_seqs_and_rejects_reordering():
     # One sink per flow: drops skip seqs, and nothing may go back.
     sink = Sink(4)
-    sink.receive(Packet(0, 1250, 0.0), 0.01)
-    sink.receive(Packet(5, 1250, 0.0), 0.02)    # seqs 1-4 were dropped
+    sink.receive(Packet(0, 0.0), 0.01)
+    sink.receive(Packet(5, 0.0), 0.02)    # seqs 1-4 were dropped
     for seq in (3, 5):
         with pytest.raises(DuplicateDeliveryError,
                            match=f"^flow 4 seq {seq} delivered after seq 5$"):
-            sink.receive(Packet(seq, 1250, 0.0), 0.03)
-    sink.receive(Packet(6, 1250, 0.0), 0.03)
+            sink.receive(Packet(seq, 0.0), 0.03)
+    sink.receive(Packet(6, 0.0), 0.03)
     assert sink.last_seq == 6
-    Sink(5).receive(Packet(0, 1250, 0.0), 0.03)   # another flow's sink
+    Sink(5).receive(Packet(0, 0.0), 0.03)   # another flow's sink
 
 
 def test_sink_rejects_delivery_before_creation():
     sink = Sink(2)
     with pytest.raises(ValueError) as err:
-        sink.receive(Packet(7, 1250, t_created=2.0), 1.5)
+        sink.receive(Packet(7, t_created=2.0), 1.5)
     assert not isinstance(err.value, DuplicateDeliveryError)
     assert str(err.value) == ("flow 2 seq 7 delivered at t=1.5 before its "
                               "creation at t=2.0")
