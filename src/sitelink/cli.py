@@ -34,8 +34,8 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--trace", action="store_true",
                      help="write one event-trace file per run")
     run.add_argument("--workers", type=int, default=1,
-                     help="parallel replication workers (output is identical "
-                          "for any degree)")
+                     help="parallel workers, one sweep point per job (output "
+                          "is identical for any degree)")
 
     val = sub.add_parser("validate", help="check a config file")
     val.add_argument("--config", required=True, help="config file to check")

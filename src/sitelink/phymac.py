@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from operator import truediv
 from typing import NamedTuple, Optional, Sequence
 
 SUPPORTED_SCS_KHZ = (15, 30, 60, 120)
@@ -81,12 +82,13 @@ def pf_schedule(state: PfState, rates_bps: Sequence[float],
     slot_s = state.slot_s
     rb_count = state.rb_count
 
-    ratio = [r / a for r, a in zip(rates_bps, avg)]
-    order = sorted([i for i in range(n)
-                    if backlog_bytes[i] > 0 and rates_bps[i] > 0.0],
-                   key=ratio.__getitem__, reverse=True)
+    ratio = list(map(truediv, rates_bps, avg))
     rb_left = rb_count
-    for i in order:
+    # Sorting every UE and skipping the idle ones in the walk is cheaper
+    # than filtering first when most UEs are backlogged.
+    for i in sorted(range(n), key=ratio.__getitem__, reverse=True):
+        if not (backlog_bytes[i] > 0 and rates_bps[i] > 0.0):
+            continue
         rb_bits = rates_bps[i] * slot_s / rb_count
         need = math.ceil(backlog_bytes[i] * 8.0 / rb_bits)
         if need >= rb_left:

@@ -2,23 +2,32 @@
 
 Each run owns a fresh :class:`~sitelink.engine.Simulator` plus named RNG
 substreams, so a run is a pure function of (config, rat, sweep point, seed)
-and replications may execute in parallel worker processes without changing
+and sweep points may execute in parallel worker processes without changing
 any output byte.
 
-Replay
-------
-``run_single`` may answer a replication from an earlier full run instead of
-simulating it, and the answer is exact.  A process keeps one record: the
-last untraced full run that drew from no stream but ``harq``, one draw per
-HARQ call, every draw at or above p*, the largest first-attempt failure
-probability its channel ever set.  Every packet of that run went through on
-its first attempt.  A replication of the same (config, rat, sweep point)
-whose first n ``harq`` draws (n = the record's HARQ calls) all clear p* as
-well takes the same first attempts, and so the same path: it gets the
-record's result under its own seed and replication index.  Any other run
-executes in full.  LTE replications, static or moving, replay; NR runs draw
-shadowing and never do.  A traced run neither reads nor writes the record,
-so ``--trace`` writes one full trace per replication.
+Schedule reuse
+--------------
+A run has two parts.  Its *schedule* is which packets each grant serves, in
+which slot and in which channel-refresh epoch.  Its *outcomes* are the
+``outage`` draw per NR grant and the ``harq`` draw per served packet.
+Nothing flows back from the outcomes to the schedule: a grant pops and
+charges its packets whatever becomes of them.
+
+An untraced full run records its schedule when another run of the study can
+follow (more than one replication or sweep point), and a process keeps the
+last record.  A later run whose schedule key matches the record's (RAT, UE
+count, traffic without the core latency, duration, warm-up and drain
+windows, the scheduler's slot, RB count and PF window, and the refresh
+period) recomputes its own link state at every recorded refresh instant:
+each UE's position, its own shadowing draw in UE order, SNR, rate and dead
+flag (SNR -inf).  If every rate and dead flag equals the record's, the two
+schedules are the same, and the run only draws its outcomes over the record,
+exactly as a full run would.  Otherwise it runs in full from fresh streams.
+What the key leaves out (mobility, radio, link adaptation, HARQ, core
+latency, speed) reaches the schedule only through the rates and dead flags,
+which the check compares, or touches only the outcomes.  A traced run
+neither reads nor writes the record, so ``--trace`` writes one full trace
+per replication.
 
 Model notes
 -----------
@@ -34,11 +43,12 @@ Model notes
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 import math
 import multiprocessing
 import os
+from array import array
+from itertools import islice
 from typing import Optional
 
 from .channel import nr_outage_probability, snr_db
@@ -70,8 +80,9 @@ def derive_run_seed(seed_base: int, sweep_index: int, rep_index: int) -> int:
 
 
 class _Ue:
-    __slots__ = ("idx", "r0", "queue", "credit_bits", "snr_la_db",
-                 "harq_probs", "harq_outage_probs", "stats", "sink")
+    __slots__ = ("idx", "r0", "queue", "credit_bits", "distance_m",
+                 "snr_la_db", "harq_probs", "harq_outage_probs", "stats",
+                 "sink")
 
     def __init__(self, idx: int, r0: float, queue: FlowQueue,
                  stats: FlowStats):
@@ -80,12 +91,49 @@ class _Ue:
         self.queue = queue
         self.sink = Sink(idx)
         self.credit_bits = 0.0
+        # Where the link state below was computed; NaN until the first
+        # channel update.
+        self.distance_m = math.nan
         self.snr_la_db = -math.inf
         # HARQ failure probabilities per attempt, set at channel refresh: at
         # the link-adaptation SNR, and (NR only) in a beam-tracking outage.
         self.harq_probs = ()
         self.harq_outage_probs = ()
         self.stats = stats
+
+
+class _Schedule:
+    """One full run's schedule, in array columns (see the module notes).
+
+    Per refresh epoch: its instant, its first grant and every UE's link
+    state.  Per grant: the UE, the slot end and the number of packets
+    served.  Per UE: the seqs served, in order, and the ledger entries that
+    no outcome touches (packets created, and drops other than HARQ's).
+    """
+
+    __slots__ = ("key", "epoch_t", "epoch_first", "links", "grant_ue",
+                 "grant_end", "grant_n", "seqs", "ledgers")
+
+    def __init__(self, key: tuple, n_ues: int):
+        self.key = key
+        self.epoch_t = array("d")
+        self.epoch_first = array("l")
+        self.links: list[tuple] = []
+        self.grant_ue = array("l")
+        self.grant_end = array("d")
+        self.grant_n = array("l")
+        self.seqs = [array("l") for _ in range(n_ues)]
+        self.ledgers: list[tuple[int, dict]] = []
+
+    def add_epoch(self, t: float, links: tuple) -> None:
+        self.epoch_t.append(t)
+        self.epoch_first.append(len(self.grant_ue))
+        self.links.append(links)
+
+    def add_grant(self, ue_idx: int, slot_end: float, served: int) -> None:
+        self.grant_ue.append(ue_idx)
+        self.grant_end.append(slot_end)
+        self.grant_n.append(served)
 
 
 class _Run:
@@ -123,13 +171,18 @@ class _Run:
                                else cfg.radio_lte.velocity_db_per_kmh * speed)
         self.shadow_sigma = nr.mmwave.sigma_db if self.is_nr else 0.0
 
+        # Everything the schedule reads besides the link state.
+        self.key = (rat, cfg.ue_count,
+                    dataclasses.replace(cfg.traffic, core_latency_ms=0.0),
+                    cfg.duration_s, cfg.warmup_s, cfg.drain_max_s,
+                    self.refresh_s, self.slot_s,
+                    None if self.is_nr else (phy.rb_count, phy.pf_window))
+        # The schedule being recorded, if any (see execute).
+        self.record: Optional[_Schedule] = None
+
         self.harq_rng = rng_stream("harq", seed)
         self.shadow_rng = rng_stream("shadowing", seed)
         self.outage_rng = rng_stream("outage", seed)
-        # What a replay check needs (see the module notes): the HARQ calls
-        # made, and the largest first-attempt failure probability set.
-        self.harq_calls = 0
-        self.p_first_max = 0.0
 
         self.sim = Simulator(trace=trace_sink)
         self.sched = RrState() if self.is_nr else PfState(phy, cfg.ue_count)
@@ -177,18 +230,27 @@ class _Run:
 
     def _update_channel(self, ue: _Ue, t: float) -> None:
         d = position_at(ue.r0, self.mobility, t)
-        shadow = (self.shadow_rng.gauss(0.0, self.shadow_sigma)
-                  if self.is_nr else 0.0)
+        if self.shadow_sigma:
+            shadow = self.shadow_rng.gauss(0.0, self.shadow_sigma)
+        elif d == ue.distance_m:
+            return      # same position, no shadowing: the link is unchanged
+        else:
+            shadow = 0.0
+        ue.distance_m = d
         snr = snr_db(self.radio, d, penalties_db=self.lte_penalty_db,
                      shadow_db=shadow)
         ue.snr_la_db = snr
-        ue.harq_probs = probs = self.harq.fail_probs(snr)
-        if probs[0] > self.p_first_max:
-            self.p_first_max = probs[0]
+        ue.harq_probs = self.harq.fail_probs(snr)
         if self.is_nr:
             ue.harq_outage_probs = self.harq.fail_probs(
                 snr - self.outage_penalty_db)
         self.rates[ue.idx] = achievable_rate_bps(snr, self.radio, self.la)
+
+    def _link_state(self) -> tuple:
+        """Every UE's rate and dead flag: all of the channel that the
+        schedule reads."""
+        return (tuple(self.rates),
+                tuple([ue.snr_la_db == -math.inf for ue in self.ues]))
 
     def _continues(self, nxt: float, idle: bool) -> bool:
         """Whether a periodic chain schedules its next instant *nxt*.
@@ -204,6 +266,8 @@ class _Run:
         t = self.sim.now
         for ue in self.ues:
             self._update_channel(ue, t)
+        if self.record is not None:
+            self.record.add_epoch(t, self._link_state())
         nxt = t + self.refresh_s
         if self._continues(nxt, True):
             self.sim.schedule(nxt, self._refresh, "refresh")
@@ -242,17 +306,22 @@ class _Run:
 
     def _serve(self, ue: _Ue, capacity_bits: float, fail_probs: tuple,
                slot_end: float) -> None:
+        """One grant: pop and charge what the credit covers, and draw each
+        packet's outcome; a recording run also notes what was served."""
         credit = ue.credit_bits + capacity_bits
         queue = ue.queue
         stats = ue.stats
         sink = ue.sink
         harq, rng, core_s = self.harq, self.harq_rng, self.core_s
         bits = self.packet_bytes * 8.0
+        record = self.record
         served = 0
         while queue and credit >= bits:
             pkt = queue.pop()
             served += 1
             credit -= bits
+            if record is not None:
+                record.seqs[ue.idx].append(pkt.seq)
             outcome = harq_transmit(fail_probs, harq, rng)
             if outcome.delivered:
                 t_rx = slot_end + outcome.added_delay_s + core_s
@@ -264,7 +333,8 @@ class _Run:
             credit = 0.0    # no banking of idle airtime
         ue.credit_bits = credit
         self.backlog_pkts -= served
-        self.harq_calls += served
+        if record is not None:
+            record.add_grant(ue.idx, slot_end, served)
 
     def _lte_step(self, t: float) -> None:
         ues = self.ues
@@ -319,16 +389,68 @@ class _Run:
 
     # -- lifecycle ----------------------------------------------------------
 
-    def execute(self) -> RunResult:
+    def execute(self, record: bool = False) -> RunResult:
+        """Simulate the run in full; with *record*, keep its schedule in
+        ``self.record``."""
+        if record:
+            self.record = _Schedule(self.key, len(self.ues))
+            self.record.add_epoch(self.sim.now, self._link_state())
         self.sim.run(self.stop_time)
-        flows = [ue.stats for ue in self.ues]
         # Whatever is still queued could not be served within the drain
         # window: the link never carried it, so it counts as coverage loss.
         for ue in self.ues:
             for pkt in ue.queue.drain():
                 ue.stats.on_dropped(pkt, DropCause.OUT_OF_COVERAGE)
         self.backlog_pkts = 0
+        if record:
+            self.record.ledgers = [
+                (ue.stats.tx_packets,
+                 {cause: n for cause, n in ue.stats.drops_by_cause.items()
+                  if cause != DropCause.HARQ_EXHAUSTED.value})
+                for ue in self.ues]
+        return self._result()
 
+    def reuse(self, schedule: _Schedule) -> Optional[RunResult]:
+        """This run's result drawn over *schedule*, a record with this run's
+        key; None if this run's link state differs from the record's at one
+        of its refresh instants.  The run is spent either way."""
+        ues = self.ues
+        tables = []
+        for e, (t, links) in enumerate(zip(schedule.epoch_t, schedule.links)):
+            if e:   # the construction set epoch 0
+                for ue in ues:
+                    self._update_channel(ue, t)
+            if self._link_state() != links:
+                return None
+            tables.append([(ue.harq_probs, ue.harq_outage_probs)
+                           for ue in ues])
+
+        grid = [Packet(seq, t) for seq, t in enumerate(cbr_grid(self.stream))]
+        served = [map(grid.__getitem__, seqs) for seqs in schedule.seqs]
+        # A queue holding just a grant's packets, and a grant with no limit:
+        # _serve takes them all and draws their outcomes as the full run did.
+        fill = [ue.queue.extend for ue in ues]
+        serve, unlimited = self._serve, math.inf
+        draw, p_out, is_nr = self.outage_rng.random, self.p_out, self.is_nr
+        firsts = schedule.epoch_first
+        lasts = firsts[1:] + array("l", [len(schedule.grant_ue)])
+        for table, first, last in zip(tables, firsts, lasts):
+            for i, slot_end, n in zip(schedule.grant_ue[first:last],
+                                      schedule.grant_end[first:last],
+                                      schedule.grant_n[first:last]):
+                probs, outage_probs = table[i]
+                # Every recorded NR grant drew its outage, as _nr_step does.
+                if is_nr and draw() < p_out:
+                    probs = outage_probs
+                fill[i](islice(served[i], n))
+                serve(ues[i], unlimited, probs, slot_end)
+        for ue, (tx, drops) in zip(ues, schedule.ledgers):
+            ue.stats.tx_packets = tx
+            ue.stats.drops_by_cause.update(drops)
+        return self._result()
+
+    def _result(self) -> RunResult:
+        flows = [ue.stats for ue in self.ues]
         for stats in flows:
             if not stats.conservation_holds():
                 raise SimulationError(
@@ -349,68 +471,51 @@ class _Run:
             mean_delay_s=mean_delay, seed=self.seed, rep_index=self.rep_index,
             flows=flows)
 
-    def replay_bounds(self) -> Optional[tuple[int, float]]:
-        """After ``execute``, (n, p*) if this run may be recorded for replay:
-        its shadowing and outage streams are untouched, and n draws that all
-        clear p* take a fresh ``harq`` stream to where this run's is."""
-        seed, n, p_first = self.seed, self.harq_calls, self.p_first_max
-        for rng, label in ((self.shadow_rng, "shadowing"),
-                           (self.outage_rng, "outage")):
-            if rng.getstate() != rng_stream(label, seed).getstate():
-                return None
-        fresh = rng_stream("harq", seed)
-        if (_draws_clear(fresh, n, p_first)
-                and fresh.getstate() == self.harq_rng.getstate()):
-            return n, p_first
-        return None
 
-
-def _draws_clear(rng, n: int, p_first: float) -> bool:
-    """Whether the next *n* draws of *rng* are all at or above *p_first*."""
-    draw = rng.random
-    return all(draw() >= p_first for _ in range(n))
-
-
-def _copy_result(result: RunResult, seed: int, rep_index: int) -> RunResult:
-    """*result* under *seed* and *rep_index*, with ledgers of its own."""
-    return dataclasses.replace(
-        result, seed=seed, rep_index=rep_index,
-        flows=[dataclasses.replace(f, drops_by_cause=dict(f.drops_by_cause))
-               for f in result.flows])
-
-
-# This process's replay record, (key, n, p*, result), or None: the last
-# untraced full run whose replay_bounds held.
-_replay: Optional[tuple] = None
+# This process's schedule record: the last untraced full run's, kept when
+# another run of its study could follow.
+_schedule: Optional[_Schedule] = None
 
 
 def run_single(cfg: ScenarioConfig, rat: str, sweep_index: int,
                rep_index: int, trace_dir: Optional[str] = None) -> RunResult:
-    """Execute one replication of one sweep point, or replay it from this
-    process's record when that is exact (see the module notes)."""
-    global _replay
+    """Execute one replication of one sweep point, or draw its outcomes
+    over this process's schedule record when that is exact (see the module
+    notes)."""
+    global _schedule
     seed = derive_run_seed(cfg.seed_base, sweep_index, rep_index)
-    key = (cfg, rat, sweep_index)
-    untraced = trace_dir is None
-    if untraced and _replay is not None and _replay[0] == key:
-        _, n, p_first, recorded = _replay
-        if _draws_clear(rng_stream("harq", seed), n, p_first):
-            return _copy_result(recorded, seed, rep_index)
     sweep_value = cfg.sweep[sweep_index]
     label = sweep_label(sweep_value)
-    name = f"{cfg.preset}_{rat}_{label}_{rep_index}.trace"
-    with (open(os.path.join(trace_dir, name), "w") if trace_dir is not None
-          else contextlib.nullcontext()) as trace:
-        try:
-            run = _Run(cfg, rat, sweep_value, rep_index, seed, trace)
-            result = run.execute()
-        except SimulationError as exc:
-            raise SimulationError(
-                f"run failed at rat={rat} {cfg.sweep_variable}={label} "
-                f"replication={rep_index}: {exc}") from exc
-    if untraced and (bounds := run.replay_bounds()) is not None:
-        _replay = (key, *bounds, _copy_result(result, seed, rep_index))
-    return result
+    try:
+        if trace_dir is not None:
+            name = f"{cfg.preset}_{rat}_{label}_{rep_index}.trace"
+            with open(os.path.join(trace_dir, name), "w") as trace:
+                return _Run(cfg, rat, sweep_value, rep_index, seed,
+                            trace).execute()
+        run = _Run(cfg, rat, sweep_value, rep_index, seed)
+        if _schedule is not None and _schedule.key == run.key:
+            result = run.reuse(_schedule)
+            if result is not None:
+                return result
+            run = _Run(cfg, rat, sweep_value, rep_index, seed)
+        record = cfg.replications > 1 or len(cfg.sweep) > 1
+        result = run.execute(record)
+        if record:
+            _schedule = run.record
+        return result
+    except SimulationError as exc:
+        raise SimulationError(
+            f"run failed at rat={rat} {cfg.sweep_variable}={label} "
+            f"replication={rep_index}: {exc}") from exc
+
+
+def run_point(cfg: ScenarioConfig, rat: str, sweep_index: int,
+              trace_dir: Optional[str] = None) -> RunResult:
+    """Every replication of one sweep point, averaged.  The replications run
+    in turn in this process, so they share its schedule record."""
+    return aggregate_replications(
+        [run_single(cfg, rat, sweep_index, rep, trace_dir)
+         for rep in range(cfg.replications)], seed_base=cfg.seed_base)
 
 
 def run_scenario(cfg: ScenarioConfig, workers: int = 1,
@@ -418,27 +523,24 @@ def run_scenario(cfg: ScenarioConfig, workers: int = 1,
     """Run the full sweep and return one averaged RunResult per (rat, point),
     in CSV order: by RAT, then by sweep value.
 
-    ``workers > 1`` fans replications out to worker processes, at most one
-    per CPU and per job.  Jobs are handed out one at a time, so a worker
-    that finishes early takes the next job instead of idling while another
-    works through a pre-assigned chunk.  ``starmap`` returns results in job
-    order, so the parallelism degree never changes the output.  A
-    ScenarioConfig is valid once built, so *cfg* is not checked again.
+    ``workers > 1`` fans sweep points out to worker processes, at most one
+    per CPU and per point; a point's replications stay in one job.  Jobs are
+    handed out one at a time, so a worker that finishes early takes the next
+    job instead of idling while another works through a pre-assigned chunk.
+    ``starmap`` returns results in job order, and a run's result does not
+    depend on the record its process holds, so the parallelism degree never
+    changes the output.  A ScenarioConfig is valid once built, so *cfg* is
+    not checked again.
     """
-    reps = cfg.replications
     points = sorted(range(len(cfg.sweep)), key=cfg.sweep.__getitem__)
-    jobs = [(cfg, rat, si, rep, trace_dir)
+    jobs = [(cfg, rat, si, trace_dir)
             for rat in sorted(cfg.rats)
-            for si in points
-            for rep in range(reps)]
+            for si in points]
     processes = min(workers, len(jobs), os.cpu_count() or 1)
     if processes > 1:
         with multiprocessing.Pool(processes=processes) as pool:
-            raw = pool.starmap(run_single, jobs, chunksize=1)
-    else:
-        raw = [run_single(*job) for job in jobs]
-    return [aggregate_replications(raw[i:i + reps], seed_base=cfg.seed_base)
-            for i in range(0, len(raw), reps)]
+            return pool.starmap(run_point, jobs, chunksize=1)
+    return [run_point(*job) for job in jobs]
 
 
 _METADATA_NOTES = (

@@ -1,9 +1,13 @@
 """Command-line behaviour: run, validate, print-defaults, exit codes."""
 
 import csv
+import os
+import subprocess
+import sys
 
 import pytest
 
+import sitelink
 from sitelink.cli import main
 from sitelink.config import default_config, parse_config, render_config
 
@@ -22,6 +26,16 @@ def test_print_defaults_round_trips(capsys):
     assert main(["print-defaults"]) == 0
     out = capsys.readouterr().out
     assert parse_config(out) == default_config()
+
+
+def test_module_entry_point_prints_the_same_defaults(capsys):
+    # ``python -m sitelink`` from a checkout, with only src/ on the path.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sitelink.__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-m", "sitelink", "print-defaults"],
+                          env=env, capture_output=True, check=True)
+    assert main(["print-defaults"]) == 0
+    assert proc.stdout == capsys.readouterr().out.encode()
 
 
 def test_validate_accepts_good_config(tmp_path, capsys):

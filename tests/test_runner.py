@@ -17,7 +17,8 @@ from hypothesis import strategies as st
 
 from sitelink import runner
 from sitelink.config import parse_config
-from sitelink.metrics import export_csv, finalize, sweep_label
+from sitelink.metrics import (aggregate_replications, export_csv, finalize,
+                              sweep_label)
 from sitelink.phymac import SUPPORTED_SCS_KHZ
 from sitelink.runner import (SWEEP_SEED_STRIDE, _Run, derive_run_seed,
                              run_metadata, run_scenario, run_single)
@@ -408,7 +409,7 @@ class _InlinePool:
 
 @pytest.mark.parametrize("cpus, workers, expect", [
     (2, 64, 2),       # capped at the CPU count
-    (16, 64, 4),      # capped at the job count
+    (16, 64, 4),      # capped at the job count, one per point
     (16, 3, 3),       # the request itself
     (1, 8, None),     # one CPU: no pool at all
     (None, 8, None),  # unknown CPU count counts as one
@@ -422,10 +423,10 @@ def test_pool_size_is_capped_by_cpus_and_jobs(monkeypatch, cpus, workers,
         return _InlinePool(chunksizes)
     monkeypatch.setattr(runner.multiprocessing, "Pool", pool)
     monkeypatch.setattr(runner.os, "cpu_count", lambda: cpus)
-    cfg = parse_config(LIGHT, overrides={"replications": "2",
-                                         "duration_s": "1"})
-    rows = run_scenario(cfg, workers=workers)     # 2 rats x 2 reps = 4 jobs
-    assert len(rows) == 2
+    cfg = parse_config(LIGHT, overrides={"replications": "3",
+                                         "sweep": "2,4", "duration_s": "1"})
+    rows = run_scenario(cfg, workers=workers)     # 2 rats x 2 points = 4 jobs
+    assert len(rows) == 4
     assert sizes == ([] if expect is None else [expect])
     # One job per task: a default chunk would idle one worker while another
     # works through the rest of its chunk.
@@ -438,7 +439,7 @@ def test_lte_run_never_calls_the_nr_scheduler(monkeypatch):
     def nr_scheduler(*args):
         raise AssertionError("NR scheduler called in an LTE run")
     monkeypatch.setattr(runner, "nr_slot_schedule", nr_scheduler)
-    monkeypatch.setattr(runner, "_replay", None)    # a full run, not a replay
+    monkeypatch.setattr(runner, "_schedule", None)    # a full run, not a replay
     cfg = parse_config(LIGHT + "rats=lte",
                        overrides={"duration_s": "0.7", "warmup_s": "0.1",
                                   "traffic.app_start_s": "0.0045",
@@ -539,7 +540,7 @@ def test_run_invariants_over_random_small_configs(rat, ue_count, duration,
     with pytest.MonkeyPatch.context() as mp:
         for name in calls:
             _counting(mp, name, calls)
-        mp.setattr(runner, "_replay", None)    # a replay would call neither
+        mp.setattr(runner, "_schedule", None)    # a replay would call neither
         result = run_single(cfg, rat, 0, 0)
     for flow in result.flows:
         assert flow.tx_packets == flow.rx_packets + flow.dropped_packets
@@ -610,22 +611,31 @@ def test_configs_at_the_section_edges_run_on_both_rats(edges, seed):
         assert sum(flow.tx_packets for flow in result.flows) > 0
 
 
-# -- replay ------------------------------------------------------------------
+# -- schedule reuse ----------------------------------------------------------
 
-def _replay_cfg(rat, ue_count=2, speed=0.0, reps=5, seed=5, **harq):
-    """A short static or moving point; *harq* sets keys of phy.<rat>.harq."""
+def _reuse_cfg(rat, ue_count=2, speeds=(0.0,), reps=5, seed=5, extra=None,
+               **harq):
+    """A short static or moving study of one or more speed points; *harq*
+    sets keys of phy.<rat>.harq and *extra* any other keys."""
     return parse_config(
         f"preset=custom\nrats={rat}\nsweep_variable=speed_kmh\n"
-        f"sweep={speed!r}\nue_count={ue_count}\nduration_s=0.5\n"
-        f"warmup_s=0.1\ndrain_max_s=0.2\nreplications={reps}\n"
-        f"seed_base={seed}\n",
-        overrides={f"phy.{rat}.harq.{key}": str(value)
-                   for key, value in harq.items()})
+        f"sweep={','.join(map(repr, speeds))}\nue_count={ue_count}\n"
+        f"duration_s=0.5\nwarmup_s=0.1\ndrain_max_s=0.2\n"
+        f"replications={reps}\nseed_base={seed}\n",
+        overrides={**{f"phy.{rat}.harq.{key}": str(value)
+                      for key, value in harq.items()}, **(extra or {})})
 
 
-def _full_run(cfg, rat, rep):
-    seed = derive_run_seed(cfg.seed_base, 0, rep)
-    return _Run(cfg, rat, cfg.sweep[0], rep, seed).execute()
+def _full_run(cfg, rat, rep, si=0):
+    seed = derive_run_seed(cfg.seed_base, si, rep)
+    return _Run(cfg, rat, cfg.sweep[si], rep, seed).execute()
+
+
+# Every UE at the 200 m coverage edge under 20 dB shadowing: about one
+# refresh in eight leaves the rate cap, so no two replications share a
+# rate timeline.
+_EDGE = {"mobility.placement": "uniform:170,200",
+         "radio.nr.mmwave.sigma_db": "20"}
 
 
 @settings(max_examples=40, deadline=None)
@@ -638,22 +648,79 @@ def _full_run(cfg, rat, rep):
            "bler_threshold_db": st.sampled_from([37.0, 40.0]),
            "max_retx": st.just(0)}),
        seed=st.integers(1, 10_000))
-# Replication 0 is recorded, and replication 1 retransmits a measured
-# packet, so its draws must refuse the replay.
+# Replication 1 retransmits a measured packet over replication 0's schedule.
 @example(rat="lte", ue_count=2, speed=0.0, reps=2,
          harq={"bler_threshold_db": 37.0}, seed=9)
-# Replication 0 drops a measured packet on its one draw and must not be
-# recorded, though replication 1's draws clear p*.
+# Replication 0 drops a measured packet on its one draw.
 @example(rat="lte", ue_count=2, speed=0.0, reps=2,
          harq={"bler_threshold_db": 37.0, "max_retx": 0}, seed=17)
 def test_replayed_replications_equal_full_runs(rat, ue_count, speed, reps,
                                                harq, seed):
-    cfg = _replay_cfg(rat, ue_count, speed, reps, seed, **harq)
+    cfg = _reuse_cfg(rat, ue_count, (speed,), reps, seed, **harq)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(runner, "_replay", None)
+        mp.setattr(runner, "_schedule", None)
         results = [run_single(cfg, rat, 0, rep) for rep in range(reps)]
     for rep, result in enumerate(results):
         assert result == _full_run(cfg, rat, rep)
+
+
+@settings(max_examples=40, deadline=None)
+@given(rat=st.sampled_from(["lte", "nr"]), ue_count=st.integers(1, 6),
+       speeds=st.lists(st.sampled_from([0.0, 15.0, 30.0, 45.0]), min_size=1,
+                       max_size=3, unique=True),
+       reps=st.integers(1, 4),
+       harq=st.fixed_dictionaries({}, optional={
+           "bler_threshold_db": st.sampled_from([37.0, 40.0]),
+           "max_retx": st.just(0)}),
+       sigma=st.sampled_from(["0", "5.8", "20"]), edge=st.booleans(),
+       seed=st.integers(1, 10_000),
+       # Full runs that run_scenario makes from an empty record; the
+       # examples pin it, drawn cases leave it open.
+       full_runs=st.none())
+# NR at the default placement never leaves the rate cap: one full run, and
+# every other replication and speed point reuses its schedule.
+@example(rat="nr", ue_count=3, speeds=[0.0, 30.0, 45.0], reps=2, harq={},
+         sigma="5.8", edge=False, seed=3, full_runs=1)
+# LTE rates never leave the cap either, retransmissions or not.
+@example(rat="lte", ue_count=2, speeds=[15.0, 45.0], reps=3,
+         harq={"bler_threshold_db": 40.0}, sigma="5.8", edge=True, seed=7,
+         full_runs=1)
+# At the coverage edge under 20 dB shadowing every check fails: each of the
+# six replications falls back to a full run.
+@example(rat="nr", ue_count=4, speeds=[0.0, 15.0], reps=3, harq={},
+         sigma="20", edge=True, seed=11, full_runs=6)
+def test_reused_schedules_equal_full_runs(rat, ue_count, speeds, reps, harq,
+                                          sigma, edge, seed, full_runs):
+    # A config that builds keeps the corridor inside the mmWave range, so no
+    # link is dead here; test_a_dead_link_is_checked_apart_from_its_rate
+    # forces one.
+    extra = {"radio.nr.mmwave.sigma_db": sigma}
+    if edge:
+        extra["mobility.placement"] = _EDGE["mobility.placement"]
+    cfg = _reuse_cfg(rat, ue_count, speeds, reps, seed, extra, **harq)
+    points = range(len(speeds))
+    fulls = {(si, rep): _full_run(cfg, rat, rep, si)
+             for si in points for rep in range(reps)}
+    executed = []
+    execute = _Run.execute
+
+    def counted(run, record=False):
+        executed.append(run.rep_index)
+        return execute(run, record)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_Run, "execute", counted)
+        mp.setattr(runner, "_schedule", None)
+        rows = run_scenario(cfg)
+        scenario_full_runs = len(executed)
+        singles = {(si, rep): run_single(cfg, rat, si, rep)
+                   for si in points for rep in range(reps)}
+    assert singles == fulls
+    assert rows == [
+        aggregate_replications([fulls[si, rep] for rep in range(reps)],
+                               seed_base=cfg.seed_base)
+        for si in sorted(points, key=speeds.__getitem__)]
+    if full_runs is not None:
+        assert scenario_full_runs == full_runs
 
 
 @pytest.fixture
@@ -662,32 +729,75 @@ def full_runs(monkeypatch):
     calls = []
     execute = _Run.execute
 
-    def counted(run):
+    def counted(run, record=False):
         calls.append(run.rep_index)
-        return execute(run)
+        return execute(run, record)
     monkeypatch.setattr(_Run, "execute", counted)
-    monkeypatch.setattr(runner, "_replay", None)
+    monkeypatch.setattr(runner, "_schedule", None)
     return calls
 
 
+def _full_row(cfg, rat):
+    return aggregate_replications(
+        [_full_run(cfg, rat, rep) for rep in range(cfg.replications)],
+        seed_base=cfg.seed_base)
+
+
 def test_static_lte_point_runs_once_and_replays_the_rest(full_runs):
-    cfg = _replay_cfg("lte")
+    cfg = _reuse_cfg("lte")
     [row] = run_scenario(cfg)
     assert full_runs == [0]
     assert row.replications == 5
     assert row.delay_stddev_s == 0.0
 
 
-@pytest.mark.parametrize("rat, harq", [("nr", {}),
-                                       ("lte", {"bler_threshold_db": 40})],
-                         ids=["nr", "lte-retransmitting"])
-def test_points_that_draw_more_run_every_replication(full_runs, rat, harq):
-    run_scenario(_replay_cfg(rat, **harq))
+@pytest.mark.parametrize("rat, speed, harq", [
+    ("nr", 45.0, {}),
+    ("lte", 0.0, {"bler_threshold_db": 40}),
+], ids=["nr", "lte-retransmitting"])
+def test_points_that_draw_more_run_once_and_reuse_the_schedule(full_runs, rat,
+                                                               speed, harq):
+    # Shadowing, outage and HARQ draws differ between replications, but the
+    # rates stay at the cap, so each replication redraws only its outcomes.
+    cfg = _reuse_cfg(rat, speeds=(speed,), **harq)
+    [row] = run_scenario(cfg)
+    assert full_runs == [0]
+    assert row.delay_stddev_s > 0.0
+    assert row == _full_row(cfg, rat)
+
+
+def test_a_point_whose_rates_differ_runs_every_replication(full_runs):
+    cfg = _reuse_cfg("nr", ue_count=4, extra=_EDGE)
+    [row] = run_scenario(cfg)
     assert full_runs == [0, 1, 2, 3, 4]
+    assert row == _full_row(cfg, "nr")
+
+
+def test_a_dead_link_is_checked_apart_from_its_rate(full_runs, monkeypatch):
+    # A dead link (SNR -inf) and a live one below the SNR floor both have
+    # rate 0, but a grant to the dead one drops its head packet.  In
+    # replication 0 UE 0's link is dead, in replication 1 it is below the
+    # floor: the rates match, the dead flags do not, so replication 1 runs
+    # in full.
+    cfg = _reuse_cfg("nr", reps=2)
+    r0 = cfg.mobility.radii(cfg.ue_count)[0]
+    ue0_snr = [-math.inf]
+    snr = runner.snr_db
+
+    def patched(radio, d, penalties_db=0.0, shadow_db=0.0):
+        return ue0_snr[0] if d == r0 else snr(radio, d, penalties_db,
+                                              shadow_db)
+    monkeypatch.setattr(runner, "snr_db", patched)
+    dead = run_single(cfg, "nr", 0, 0)
+    ue0_snr[0] = -30.0
+    below_floor = run_single(cfg, "nr", 0, 1)
+    assert full_runs == [0, 1]
+    assert dead.flows[0].rx_packets == below_floor.flows[0].rx_packets == 0
+    assert below_floor == _full_run(cfg, "nr", 1)
 
 
 def test_traced_replications_run_in_full(full_runs, tmp_path):
-    cfg = _replay_cfg("lte")
+    cfg = _reuse_cfg("lte")
     (tmp_path / "a").mkdir()
     (tmp_path / "b").mkdir()
     run_scenario(cfg, trace_dir=str(tmp_path / "a"))   # records nothing,
@@ -700,7 +810,7 @@ def test_traced_replications_run_in_full(full_runs, tmp_path):
 
 
 def test_a_replay_shares_no_state_with_returned_results(full_runs):
-    cfg = _replay_cfg("lte")
+    cfg = _reuse_cfg("lte")
     for rep in range(2):
         result = run_single(cfg, "lte", 0, rep)
         result.throughput_bps = -1.0
@@ -710,3 +820,11 @@ def test_a_replay_shares_no_state_with_returned_results(full_runs):
         result.flows.append(result.flows[0])
     assert full_runs == [0]
     assert run_single(cfg, "lte", 0, 2) == _full_run(cfg, "lte", 2)
+
+
+def test_a_single_run_study_records_nothing(monkeypatch):
+    monkeypatch.setattr(runner, "_schedule", None)
+    run_single(_reuse_cfg("nr", reps=1), "nr", 0, 0)
+    assert runner._schedule is None
+    run_single(_reuse_cfg("nr", reps=2), "nr", 0, 0)
+    assert runner._schedule is not None
