@@ -8,26 +8,28 @@ any output byte.
 Schedule reuse
 --------------
 A run has two parts.  Its *schedule* is which packets each grant serves, in
-which slot and in which channel-refresh epoch.  Its *outcomes* are the
-``outage`` draw per NR grant and the ``harq`` draw per served packet.
-Nothing flows back from the outcomes to the schedule: a grant pops and
-charges its packets whatever becomes of them.
+which slot and in which channel-refresh epoch: ``_Run._serve`` pops and
+charges them.  Its *outcomes* are the ``outage`` draw per NR grant and the
+``harq`` draw per served packet, with each packet's delivery or drop:
+``_Run._deliver`` draws them for one grant, at its UE's current link state.
+Nothing flows back from the outcomes to the schedule.
 
 An untraced full run records its schedule when another run of the study can
 follow (more than one replication or sweep point), and a process keeps the
 last record.  A later run whose schedule key matches the record's (RAT, UE
 count, traffic without the core latency, duration, warm-up and drain
 windows, the scheduler's slot, RB count and PF window, and the refresh
-period) recomputes its own link state at every recorded refresh instant:
-each UE's position, its own shadowing draw in UE order, SNR, rate and dead
-flag (SNR -inf).  If every rate and dead flag equals the record's, the two
-schedules are the same, and the run only draws its outcomes over the record,
-exactly as a full run would.  Otherwise it runs in full from fresh streams.
-What the key leaves out (mobility, radio, link adaptation, HARQ, core
-latency, speed) reaches the schedule only through the rates and dead flags,
-which the check compares, or touches only the outcomes.  A traced run
-neither reads nor writes the record, so ``--trace`` writes one full trace
-per replication.
+period) walks the recorded refresh epochs once.  At each it recomputes its
+own link state (each UE's position, its own shadowing draw in UE order,
+SNR, rate and dead flag, SNR -inf) and, if every rate and dead flag equals
+the record's, hands the epoch's recorded grants to ``_deliver``, exactly as
+a full run would.  Equal link states mean equal schedules.  On the first
+mismatch the run is dropped and runs in full from fresh streams.  What the
+key leaves out (mobility, radio, link adaptation, HARQ, core latency,
+speed) reaches the schedule only through the rates and dead flags, which
+the check compares, or touches only the outcomes.  A traced run neither
+reads nor writes the record, so ``--trace`` writes one full trace per
+replication.
 
 Model notes
 -----------
@@ -49,7 +51,7 @@ import multiprocessing
 import os
 from array import array
 from itertools import islice
-from typing import Optional
+from typing import Iterable, Optional
 
 from .channel import nr_outage_probability, snr_db
 from .config import ScenarioConfig, render_config
@@ -103,37 +105,41 @@ class _Ue:
 
 
 class _Schedule:
-    """One full run's schedule, in array columns (see the module notes).
+    """One full run's schedule (see the module notes).
 
-    Per refresh epoch: its instant, its first grant and every UE's link
-    state.  Per grant: the UE, the slot end and the number of packets
-    served.  Per UE: the seqs served, in order, and the ledger entries that
-    no outcome touches (packets created, and drops other than HARQ's).
+    Per refresh epoch, in array columns: its instant, every UE's link state
+    and its number of grants.  Per grant: the UE, the slot end and the
+    number of packets served.  Per UE: the packets served, in order, and the
+    ledger entries that no outcome touches (packets created, and drops other
+    than HARQ's).
     """
 
-    __slots__ = ("key", "epoch_t", "epoch_first", "links", "grant_ue",
-                 "grant_end", "grant_n", "seqs", "ledgers")
+    __slots__ = ("key", "epoch_t", "epoch_grants", "links", "grant_ue",
+                 "grant_end", "grant_n", "served", "ledgers")
 
     def __init__(self, key: tuple, n_ues: int):
         self.key = key
         self.epoch_t = array("d")
-        self.epoch_first = array("l")
+        self.epoch_grants = array("l")
         self.links: list[tuple] = []
         self.grant_ue = array("l")
         self.grant_end = array("d")
         self.grant_n = array("l")
-        self.seqs = [array("l") for _ in range(n_ues)]
+        self.served: list[list[Packet]] = [[] for _ in range(n_ues)]
         self.ledgers: list[tuple[int, dict]] = []
 
     def add_epoch(self, t: float, links: tuple) -> None:
         self.epoch_t.append(t)
-        self.epoch_first.append(len(self.grant_ue))
+        self.epoch_grants.append(0)
         self.links.append(links)
 
-    def add_grant(self, ue_idx: int, slot_end: float, served: int) -> None:
+    def add_grant(self, ue_idx: int, slot_end: float,
+                  pkts: list[Packet]) -> None:
+        self.epoch_grants[-1] += 1
         self.grant_ue.append(ue_idx)
         self.grant_end.append(slot_end)
-        self.grant_n.append(served)
+        self.grant_n.append(len(pkts))
+        self.served[ue_idx] += pkts
 
 
 class _Run:
@@ -304,37 +310,43 @@ class _Run:
 
     # -- serving ------------------------------------------------------------
 
-    def _serve(self, ue: _Ue, capacity_bits: float, fail_probs: tuple,
-               slot_end: float) -> None:
-        """One grant: pop and charge what the credit covers, and draw each
-        packet's outcome; a recording run also notes what was served."""
+    def _serve(self, ue: _Ue, capacity_bits: float,
+               slot_end: float) -> list[Packet]:
+        """One grant's schedule: pop and charge what the credit covers, and
+        return it; a recording run also notes the grant."""
         credit = ue.credit_bits + capacity_bits
         queue = ue.queue
-        stats = ue.stats
-        sink = ue.sink
-        harq, rng, core_s = self.harq, self.harq_rng, self.core_s
         bits = self.packet_bytes * 8.0
-        record = self.record
-        served = 0
+        pkts = []
         while queue and credit >= bits:
-            pkt = queue.pop()
-            served += 1
+            pkts.append(queue.pop())
             credit -= bits
-            if record is not None:
-                record.seqs[ue.idx].append(pkt.seq)
-            outcome = harq_transmit(fail_probs, harq, rng)
+        if not queue:
+            credit = 0.0    # no banking of idle airtime
+        ue.credit_bits = credit
+        self.backlog_pkts -= len(pkts)
+        if self.record is not None:
+            self.record.add_grant(ue.idx, slot_end, pkts)
+        return pkts
+
+    def _deliver(self, ue: _Ue, pkts: Iterable[Packet],
+                 slot_end: float) -> None:
+        """One grant's outcomes, in a full run and a reused one alike: an NR
+        grant draws its outage, then each packet its HARQ result, at the
+        UE's current link state; a packet is delivered or dropped."""
+        probs = ue.harq_probs
+        if self.is_nr and self.outage_rng.random() < self.p_out:
+            probs = ue.harq_outage_probs
+        stats, sink = ue.stats, ue.sink
+        harq, rng, core_s = self.harq, self.harq_rng, self.core_s
+        for pkt in pkts:
+            outcome = harq_transmit(probs, harq, rng)
             if outcome.delivered:
                 t_rx = slot_end + outcome.added_delay_s + core_s
                 sink.receive(pkt, t_rx)
                 stats.on_delivered(pkt, t_rx)
             else:
                 stats.on_dropped(pkt, DropCause.HARQ_EXHAUSTED)
-        if not queue:
-            credit = 0.0    # no banking of idle airtime
-        ue.credit_bits = credit
-        self.backlog_pkts -= served
-        if record is not None:
-            record.add_grant(ue.idx, slot_end, served)
 
     def _lte_step(self, t: float) -> None:
         ues = self.ues
@@ -347,8 +359,8 @@ class _Run:
         for i, rbs in enumerate(alloc):
             if rbs:
                 ue = ues[i]
-                self._serve(ue, rates[i] * share * rbs, ue.harq_probs,
-                            slot_end)
+                self._deliver(ue, self._serve(ue, rates[i] * share * rbs,
+                                              slot_end), slot_end)
 
     def _nr_step(self, t: float) -> None:
         pick = nr_slot_schedule(self.sched, self.queues)
@@ -357,10 +369,9 @@ class _Run:
         ue = self.ues[pick]
         # A dead link has rate 0, so the common case is tested first.
         if (rate := self.rates[pick]) > 0.0:
-            probs = (ue.harq_outage_probs
-                     if self.outage_rng.random() < self.p_out
-                     else ue.harq_probs)
-            self._serve(ue, rate * self.slot_s, probs, t + self.slot_s)
+            slot_end = t + self.slot_s
+            self._deliver(ue, self._serve(ue, rate * self.slot_s, slot_end),
+                          slot_end)
         elif ue.snr_la_db == -math.inf:
             # Transmission into a dead link: the head packet is lost.
             pkt = ue.queue.pop()
@@ -415,35 +426,18 @@ class _Run:
         key; None if this run's link state differs from the record's at one
         of its refresh instants.  The run is spent either way."""
         ues = self.ues
-        tables = []
-        for e, (t, links) in enumerate(zip(schedule.epoch_t, schedule.links)):
+        deliver = self._deliver
+        served = [iter(pkts) for pkts in schedule.served]
+        grants = zip(schedule.grant_ue, schedule.grant_end, schedule.grant_n)
+        for e, (t, links, n_grants) in enumerate(zip(
+                schedule.epoch_t, schedule.links, schedule.epoch_grants)):
             if e:   # the construction set epoch 0
                 for ue in ues:
                     self._update_channel(ue, t)
             if self._link_state() != links:
                 return None
-            tables.append([(ue.harq_probs, ue.harq_outage_probs)
-                           for ue in ues])
-
-        grid = [Packet(seq, t) for seq, t in enumerate(cbr_grid(self.stream))]
-        served = [map(grid.__getitem__, seqs) for seqs in schedule.seqs]
-        # A queue holding just a grant's packets, and a grant with no limit:
-        # _serve takes them all and draws their outcomes as the full run did.
-        fill = [ue.queue.extend for ue in ues]
-        serve, unlimited = self._serve, math.inf
-        draw, p_out, is_nr = self.outage_rng.random, self.p_out, self.is_nr
-        firsts = schedule.epoch_first
-        lasts = firsts[1:] + array("l", [len(schedule.grant_ue)])
-        for table, first, last in zip(tables, firsts, lasts):
-            for i, slot_end, n in zip(schedule.grant_ue[first:last],
-                                      schedule.grant_end[first:last],
-                                      schedule.grant_n[first:last]):
-                probs, outage_probs = table[i]
-                # Every recorded NR grant drew its outage, as _nr_step does.
-                if is_nr and draw() < p_out:
-                    probs = outage_probs
-                fill[i](islice(served[i], n))
-                serve(ues[i], unlimited, probs, slot_end)
+            for i, slot_end, n in islice(grants, n_grants):
+                deliver(ues[i], islice(served[i], n), slot_end)
         for ue, (tx, drops) in zip(ues, schedule.ledgers):
             ue.stats.tx_packets = tx
             ue.stats.drops_by_cause.update(drops)

@@ -12,6 +12,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from sitelink import runner
 from sitelink.channel import (LteRadio, MmWavePathLossParams, NrRadio,
                               earfcn_direction, earfcn_to_freq_mhz,
                               friis_rx_power, mmwave_pathloss_db,
@@ -276,22 +277,35 @@ def _run_at_speed(rat: str, speed_kmh: float, extra: str = "") -> _Run:
 def _served_slot_snr_cuts(speed_kmh: float, extra: str = "") -> list[float]:
     """Link-adaptation SNR minus transmit SNR of every served NR slot.
 
-    A slot hands ``_serve`` the HARQ table of its UE: the one at the
-    link-adaptation SNR, or in an outage the one at that SNR less the
-    configured depth.  Each table is checked against the SNR it stands for.
+    A slot's ``_deliver`` hands ``harq_transmit`` one HARQ table for all its
+    packets: the one at its UE's link-adaptation SNR, or in an outage the one
+    at that SNR less the configured depth.  Each table is checked against
+    the SNR it stands for.
     """
     run = _run_at_speed("nr", speed_kmh, extra)
-    serve = run._serve
+    deliver = run._deliver
+    transmit = runner.harq_transmit
     depth = run.cfg.radio_nr.outage_penalty_db
     cuts = []
+    tables = []
 
-    def recording(ue, capacity_bits, fail_probs, slot_end):
+    def transmitting(fail_probs, harq, rng):
+        tables.append(fail_probs)
+        return transmit(fail_probs, harq, rng)
+
+    def delivering(ue, pkts, slot_end):
+        tables.clear()
+        deliver(ue, pkts, slot_end)
+        assert tables, "a served NR slot carries at least one packet"
+        fail_probs = tables[0]
+        assert all(table is fail_probs for table in tables)
         cut = depth if fail_probs is ue.harq_outage_probs else 0.0
         assert fail_probs == run.harq.fail_probs(ue.snr_la_db - cut)
         cuts.append(cut)
-        serve(ue, capacity_bits, fail_probs, slot_end)
-    run._serve = recording
-    run.execute()
+    run._deliver = delivering
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(runner, "harq_transmit", transmitting)
+        run.execute()
     return cuts
 
 

@@ -1,0 +1,95 @@
+"""Closed-form oracles: short runs whose rows the model predicts exactly.
+
+The acceptance criteria accept bands around the paper's figures; these
+oracles pin what the model itself implies.  Each one first checks the
+precondition its closed form rests on.
+"""
+
+import math
+
+import pytest
+
+from sitelink import runner
+from sitelink.channel import nr_outage_probability, snr_db
+from sitelink.config import parse_config
+from sitelink.phymac import achievable_rate_bps
+from sitelink.runner import run_scenario
+
+
+def _cap_snr_db(la) -> float:
+    """The SNR from which link adaptation holds the rate at its cap."""
+    return 10.0 * math.log10(2.0 ** la.eff_max - 1.0)
+
+
+def _packet_interval_s(cfg) -> float:
+    traffic = cfg.traffic
+    return traffic.packet_size_bytes * 8.0 / (traffic.data_volume_mbps * 1e6)
+
+
+@pytest.fixture
+def lowest_snr(monkeypatch):
+    """The lowest SNR that the runs of a test computed, as a one-item list."""
+    lowest = [math.inf]
+    snr = runner.snr_db
+
+    def tracked(*args, **kwargs):
+        value = snr(*args, **kwargs)
+        lowest[0] = min(lowest[0], value)
+        return value
+    monkeypatch.setattr(runner, "snr_db", tracked)
+    return lowest
+
+
+@pytest.mark.parametrize("n", [1, 2, 8, 20])
+def test_nr_mean_delay_is_core_plus_mean_slot_position(lowest_snr, n):
+    # Without beam-tracking outages the n packets of one CBR instant leave
+    # in n back-to-back slots, the k-th one k slots after it was created,
+    # so the mean delay is core + (n + 1) / 2 slots and nothing is lost.
+    cfg = parse_config(f"preset=scenario1\nrats=nr\nsweep={n}\n"
+                       "duration_s=3\nreplications=1\n"
+                       "radio.nr.v_mid_kmh=1000\n")
+    phy = cfg.phy_nr
+    bits = cfg.traffic.packet_size_bytes * 8.0
+    slots = _packet_interval_s(cfg) / phy.slot_s
+    packets = n * cfg.duration_s / _packet_interval_s(cfg)
+    # Preconditions: each instant's burst starts on the slot grid and ends
+    # before the next instant, and the UEs are static, so no outage is
+    # drawn as one.
+    assert abs(slots - round(slots)) < 1e-9 and n <= round(slots)
+    assert cfg.mobility.speed_kmh == 0.0
+    assert nr_outage_probability(0.0, cfg.radio_nr) * packets < 1e-100
+    [row] = run_scenario(cfg)
+    # Preconditions: at the lowest SNR any link took, a slot still carries
+    # a whole packet, and a first attempt all but never fails.
+    assert lowest_snr[0] >= _cap_snr_db(phy.la)
+    assert achievable_rate_bps(lowest_snr[0], cfg.radio_nr,
+                               phy.la) * phy.slot_s >= bits
+    assert phy.harq.fail_probs(lowest_snr[0])[0] * packets < 1e-6
+    assert row.loss_rate == 0.0
+    core_s = cfg.traffic.core_latency_ms * 1e-3
+    assert abs(row.mean_delay_s - (core_s + (n + 1) / 2 * phy.slot_s)) < 1e-12
+
+
+def test_lte_rows_do_not_change_with_speed_while_the_rate_is_capped(
+        lowest_snr):
+    # LTE mobility only lowers the SNR by a deterministic ramp.  While the
+    # farthest corridor point at the top speed keeps its rate at the cap,
+    # every speed has the same rates, so the same schedule and the same row.
+    cfg = parse_config("preset=scenario3\nrats=lte\nduration_s=2\n"
+                       "replications=1\n")
+    la, radio = cfg.phy_lte.la, cfg.radio_lte
+    top_speed = max(cfg.sweep)
+    # Precondition: the lowest SNR the corridor allows, less the penalty at
+    # the top speed, is at or above the cap threshold, and a first attempt
+    # all but never fails there.
+    floor_db = snr_db(radio, cfg.mobility.corridor_max_m,
+                      penalties_db=radio.velocity_db_per_kmh * top_speed)
+    assert floor_db >= _cap_snr_db(la)
+    packets = (len(cfg.sweep) * cfg.ue_count * cfg.duration_s
+               / _packet_interval_s(cfg))
+    assert cfg.phy_lte.harq.fail_probs(floor_db)[0] * packets < 1e-6
+    rows = run_scenario(cfg)
+    assert lowest_snr[0] >= floor_db
+    assert len(rows) == len(cfg.sweep) == 13
+    assert len({(r.throughput_bps, r.loss_rate, r.mean_delay_s)
+                for r in rows}) == 1

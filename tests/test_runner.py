@@ -22,7 +22,7 @@ from sitelink.metrics import (aggregate_replications, export_csv, finalize,
 from sitelink.phymac import SUPPORTED_SCS_KHZ
 from sitelink.runner import (SWEEP_SEED_STRIDE, _Run, derive_run_seed,
                              run_metadata, run_scenario, run_single)
-from sitelink.traffic import DropCause, Packet, cbr_emit_times
+from sitelink.traffic import DropCause, FlowQueue, Packet, cbr_emit_times
 
 LIGHT = """
 preset=custom
@@ -439,7 +439,6 @@ def test_lte_run_never_calls_the_nr_scheduler(monkeypatch):
     def nr_scheduler(*args):
         raise AssertionError("NR scheduler called in an LTE run")
     monkeypatch.setattr(runner, "nr_slot_schedule", nr_scheduler)
-    monkeypatch.setattr(runner, "_schedule", None)    # a full run, not a replay
     cfg = parse_config(LIGHT + "rats=lte",
                        overrides={"duration_s": "0.7", "warmup_s": "0.1",
                                   "traffic.app_start_s": "0.0045",
@@ -448,13 +447,13 @@ def test_lte_run_never_calls_the_nr_scheduler(monkeypatch):
     assert result.loss_rate == 0.0
 
 
-def _counting(monkeypatch, name, calls):
-    original = getattr(runner, name)
+def _counting(monkeypatch, name, calls, owner=runner):
+    original = getattr(owner, name)
 
     def counted(*args):
         calls[name] += 1
         return original(*args)
-    monkeypatch.setattr(runner, name, counted)
+    monkeypatch.setattr(owner, name, counted)
 
 
 @pytest.mark.parametrize("mbps, size", [(100, 1250), (10, 100)])
@@ -725,7 +724,7 @@ def test_reused_schedules_equal_full_runs(rat, ue_count, speeds, reps, harq,
 
 @pytest.fixture
 def full_runs(monkeypatch):
-    """Replication indices of the full runs executed, record cleared."""
+    """Replication indices of the full runs executed."""
     calls = []
     execute = _Run.execute
 
@@ -733,7 +732,6 @@ def full_runs(monkeypatch):
         calls.append(run.rep_index)
         return execute(run, record)
     monkeypatch.setattr(_Run, "execute", counted)
-    monkeypatch.setattr(runner, "_schedule", None)
     return calls
 
 
@@ -764,6 +762,30 @@ def test_points_that_draw_more_run_once_and_reuse_the_schedule(full_runs, rat,
     assert full_runs == [0]
     assert row.delay_stddev_s > 0.0
     assert row == _full_row(cfg, rat)
+
+
+@pytest.mark.parametrize("rat, speed, harq", [
+    ("nr", 45.0, {}),
+    ("lte", 0.0, {"bler_threshold_db": 40}),
+], ids=["nr", "lte-retransmitting"])
+def test_a_reused_replication_touches_no_queue_and_calls_no_scheduler(
+        monkeypatch, rat, speed, harq):
+    # A reused replication draws its outcomes over the recorded grants: it
+    # neither queues nor schedules anything, and it never runs in full.
+    cfg = _reuse_cfg(rat, speeds=(speed,), **harq)
+    expected = _full_run(cfg, rat, 1)
+    run_single(cfg, rat, 0, 0)      # records the schedule
+    calls = dict.fromkeys(("pop", "offer", "pf_schedule", "nr_slot_schedule"),
+                          0)
+    for name in calls:
+        _counting(monkeypatch, name, calls,
+                  FlowQueue if name in ("pop", "offer") else runner)
+
+    def execute(run, record=False):
+        raise AssertionError("a reused replication ran in full")
+    monkeypatch.setattr(_Run, "execute", execute)
+    assert run_single(cfg, rat, 0, 1) == expected
+    assert calls == dict.fromkeys(calls, 0)
 
 
 def test_a_point_whose_rates_differ_runs_every_replication(full_runs):
@@ -822,8 +844,7 @@ def test_a_replay_shares_no_state_with_returned_results(full_runs):
     assert run_single(cfg, "lte", 0, 2) == _full_run(cfg, "lte", 2)
 
 
-def test_a_single_run_study_records_nothing(monkeypatch):
-    monkeypatch.setattr(runner, "_schedule", None)
+def test_a_single_run_study_records_nothing():
     run_single(_reuse_cfg("nr", reps=1), "nr", 0, 0)
     assert runner._schedule is None
     run_single(_reuse_cfg("nr", reps=2), "nr", 0, 0)
