@@ -210,7 +210,8 @@ def snr_db(cfg: LteRadio | NrRadio, distance_m: float, penalties_db: float = 0.0
 
     LTE uses Friis free-space loss (shadow ignored); NR uses the statistical
     LOS model.  Beyond the mmWave coverage range the SNR is -inf rather than
-    an exception, so that the simulation treats it as outage.
+    an exception.  No run reaches that value: a config that runs NR keeps
+    its corridor, walls included, inside the range.
     """
     if cfg.rat == "lte":
         rx_unit = friis_rx_power(1.0, 1.0, 1.0, cfg.wavelength_m, distance_m,

@@ -9,10 +9,11 @@ from .config import MobilityConfig
 
 def _reflect(value: float, lo: float, hi: float) -> float:
     # Triangle-wave fold of a scalar into [lo, hi]; models elastic reflection
-    # at both corridor walls.
+    # at both corridor walls.  lo + span can round one ulp past hi (and the
+    # fold one past lo), so the clamp keeps every UE inside its corridor.
     span = hi - lo
     phase = (value - lo) % (2.0 * span)
-    return lo + span - abs(phase - span)
+    return min(max(lo + span - abs(phase - span), lo), hi)
 
 
 def position_at(r0: float, mobility: MobilityConfig, t: float) -> float:

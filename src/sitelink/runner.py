@@ -20,16 +20,15 @@ last record.  A later run whose schedule key matches the record's (RAT, UE
 count, traffic without the core latency, duration, warm-up and drain
 windows, the scheduler's slot, RB count and PF window, and the refresh
 period) walks the recorded refresh epochs once.  At each it recomputes its
-own link state (each UE's position, its own shadowing draw in UE order,
-SNR, rate and dead flag, SNR -inf) and, if every rate and dead flag equals
-the record's, hands the epoch's recorded grants to ``_deliver``, exactly as
-a full run would.  Equal link states mean equal schedules.  On the first
-mismatch the run is dropped and runs in full from fresh streams.  What the
-key leaves out (mobility, radio, link adaptation, HARQ, core latency,
-speed) reaches the schedule only through the rates and dead flags, which
-the check compares, or touches only the outcomes.  A traced run neither
-reads nor writes the record, so ``--trace`` writes one full trace per
-replication.
+link state, every UE's rate (from its position, its own shadowing draw in
+UE order, and SNR), and, if every rate equals the record's, hands the
+epoch's recorded grants to ``_deliver``, exactly as a full run would.
+Equal rates mean equal schedules.  On the first mismatch the run is dropped
+and runs in full from fresh streams.  What the key leaves out (mobility,
+radio, link adaptation, HARQ, core latency, speed) reaches the schedule
+only through the rates, which the check compares, or touches only the
+outcomes.  A traced run neither reads nor writes the record, so
+``--trace`` writes one full trace per replication.
 
 Model notes
 -----------
@@ -38,6 +37,10 @@ Model notes
   outage is drawn per served slot and applies only to the HARQ error
   process: the transmitter keeps pushing at its selected rate and the slot's
   transmissions are lost, which is what imperfect beam tracking does.
+* Every UE stays inside its corridor, and a config that runs NR keeps the
+  corridor inside the mmWave range, so no run meets a dead link (SNR -inf):
+  a rate of 0 only means a live link below the SNR floor, which is never
+  served.
 * Packets are accounted at their computed delivery time the moment they are
   served; queued residue after the drain phase is written off as
   out-of-coverage loss so per-flow conservation is exact.
@@ -107,31 +110,33 @@ class _Ue:
 class _Schedule:
     """One full run's schedule (see the module notes).
 
-    Per refresh epoch, in array columns: its instant, every UE's link state
-    and its number of grants.  Per grant: the UE, the slot end and the
-    number of packets served.  Per UE: the packets served, in order, and the
-    ledger entries that no outcome touches (packets created, and drops other
-    than HARQ's).
+    Per refresh epoch, in array columns: its instant, every UE's rate and
+    its number of grants.  The rates are all of the link state that the
+    schedule reads: the corridor rule keeps every link live, so no dead
+    flag is kept.  Per grant: the UE, the slot end and the number of
+    packets served; the packets themselves sit in one list, in grant order.
+    Per UE: the ledger entries that no outcome touches (packets created, and
+    drops other than HARQ's).
     """
 
-    __slots__ = ("key", "epoch_t", "epoch_grants", "links", "grant_ue",
+    __slots__ = ("key", "epoch_t", "epoch_grants", "rates", "grant_ue",
                  "grant_end", "grant_n", "served", "ledgers")
 
-    def __init__(self, key: tuple, n_ues: int):
+    def __init__(self, key: tuple):
         self.key = key
         self.epoch_t = array("d")
         self.epoch_grants = array("l")
-        self.links: list[tuple] = []
+        self.rates: list[tuple[float, ...]] = []
         self.grant_ue = array("l")
         self.grant_end = array("d")
         self.grant_n = array("l")
-        self.served: list[list[Packet]] = [[] for _ in range(n_ues)]
+        self.served: list[Packet] = []
         self.ledgers: list[tuple[int, dict]] = []
 
-    def add_epoch(self, t: float, links: tuple) -> None:
+    def add_epoch(self, t: float, rates: tuple[float, ...]) -> None:
         self.epoch_t.append(t)
         self.epoch_grants.append(0)
-        self.links.append(links)
+        self.rates.append(rates)
 
     def add_grant(self, ue_idx: int, slot_end: float,
                   pkts: list[Packet]) -> None:
@@ -139,7 +144,7 @@ class _Schedule:
         self.grant_ue.append(ue_idx)
         self.grant_end.append(slot_end)
         self.grant_n.append(len(pkts))
-        self.served[ue_idx] += pkts
+        self.served += pkts
 
 
 class _Run:
@@ -252,12 +257,6 @@ class _Run:
                 snr - self.outage_penalty_db)
         self.rates[ue.idx] = achievable_rate_bps(snr, self.radio, self.la)
 
-    def _link_state(self) -> tuple:
-        """Every UE's rate and dead flag: all of the channel that the
-        schedule reads."""
-        return (tuple(self.rates),
-                tuple([ue.snr_la_db == -math.inf for ue in self.ues]))
-
     def _continues(self, nxt: float, idle: bool) -> bool:
         """Whether a periodic chain schedules its next instant *nxt*.
 
@@ -273,7 +272,7 @@ class _Run:
         for ue in self.ues:
             self._update_channel(ue, t)
         if self.record is not None:
-            self.record.add_epoch(t, self._link_state())
+            self.record.add_epoch(t, tuple(self.rates))
         nxt = t + self.refresh_s
         if self._continues(nxt, True):
             self.sim.schedule(nxt, self._refresh, "refresh")
@@ -363,20 +362,14 @@ class _Run:
                                               slot_end), slot_end)
 
     def _nr_step(self, t: float) -> None:
+        # The chain runs only while a packet waits, so the round robin
+        # always picks a UE; a link below the SNR floor (rate 0) idles.
         pick = nr_slot_schedule(self.sched, self.queues)
-        if pick is None:
-            return
-        ue = self.ues[pick]
-        # A dead link has rate 0, so the common case is tested first.
         if (rate := self.rates[pick]) > 0.0:
+            ue = self.ues[pick]
             slot_end = t + self.slot_s
             self._deliver(ue, self._serve(ue, rate * self.slot_s, slot_end),
                           slot_end)
-        elif ue.snr_la_db == -math.inf:
-            # Transmission into a dead link: the head packet is lost.
-            pkt = ue.queue.pop()
-            self.backlog_pkts -= 1
-            ue.stats.on_dropped(pkt, DropCause.OUT_OF_COVERAGE)
 
     def _slot(self) -> None:
         # Back-to-back slots run in this one call for as long as the engine
@@ -404,8 +397,8 @@ class _Run:
         """Simulate the run in full; with *record*, keep its schedule in
         ``self.record``."""
         if record:
-            self.record = _Schedule(self.key, len(self.ues))
-            self.record.add_epoch(self.sim.now, self._link_state())
+            self.record = _Schedule(self.key)
+            self.record.add_epoch(self.sim.now, tuple(self.rates))
         self.sim.run(self.stop_time)
         # Whatever is still queued could not be served within the drain
         # window: the link never carried it, so it counts as coverage loss.
@@ -423,21 +416,21 @@ class _Run:
 
     def reuse(self, schedule: _Schedule) -> Optional[RunResult]:
         """This run's result drawn over *schedule*, a record with this run's
-        key; None if this run's link state differs from the record's at one
-        of its refresh instants.  The run is spent either way."""
+        key; None if this run's rates differ from the record's at one of its
+        refresh instants.  The run is spent either way."""
         ues = self.ues
         deliver = self._deliver
-        served = [iter(pkts) for pkts in schedule.served]
+        served = iter(schedule.served)
         grants = zip(schedule.grant_ue, schedule.grant_end, schedule.grant_n)
-        for e, (t, links, n_grants) in enumerate(zip(
-                schedule.epoch_t, schedule.links, schedule.epoch_grants)):
+        for e, (t, rates, n_grants) in enumerate(zip(
+                schedule.epoch_t, schedule.rates, schedule.epoch_grants)):
             if e:   # the construction set epoch 0
                 for ue in ues:
                     self._update_channel(ue, t)
-            if self._link_state() != links:
+            if tuple(self.rates) != rates:
                 return None
             for i, slot_end, n in islice(grants, n_grants):
-                deliver(ues[i], islice(served[i], n), slot_end)
+                deliver(ues[i], islice(served, n), slot_end)
         for ue, (tx, drops) in zip(ues, schedule.ledgers):
             ue.stats.tx_packets = tx
             ue.stats.drops_by_cause.update(drops)

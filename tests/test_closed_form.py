@@ -27,21 +27,21 @@ def _packet_interval_s(cfg) -> float:
 
 
 @pytest.fixture
-def lowest_snr(monkeypatch):
-    """The lowest SNR that the runs of a test computed, as a one-item list."""
-    lowest = [math.inf]
+def snrs(monkeypatch):
+    """Every SNR that the runs of a test computed, in order."""
+    seen = []
     snr = runner.snr_db
 
     def tracked(*args, **kwargs):
         value = snr(*args, **kwargs)
-        lowest[0] = min(lowest[0], value)
+        seen.append(value)
         return value
     monkeypatch.setattr(runner, "snr_db", tracked)
-    return lowest
+    return seen
 
 
 @pytest.mark.parametrize("n", [1, 2, 8, 20])
-def test_nr_mean_delay_is_core_plus_mean_slot_position(lowest_snr, n):
+def test_nr_mean_delay_is_core_plus_mean_slot_position(snrs, n):
     # Without beam-tracking outages the n packets of one CBR instant leave
     # in n back-to-back slots, the k-th one k slots after it was created,
     # so the mean delay is core + (n + 1) / 2 slots and nothing is lost.
@@ -61,17 +61,17 @@ def test_nr_mean_delay_is_core_plus_mean_slot_position(lowest_snr, n):
     [row] = run_scenario(cfg)
     # Preconditions: at the lowest SNR any link took, a slot still carries
     # a whole packet, and a first attempt all but never fails.
-    assert lowest_snr[0] >= _cap_snr_db(phy.la)
-    assert achievable_rate_bps(lowest_snr[0], cfg.radio_nr,
+    lowest = min(snrs)
+    assert lowest >= _cap_snr_db(phy.la)
+    assert achievable_rate_bps(lowest, cfg.radio_nr,
                                phy.la) * phy.slot_s >= bits
-    assert phy.harq.fail_probs(lowest_snr[0])[0] * packets < 1e-6
+    assert phy.harq.fail_probs(lowest)[0] * packets < 1e-6
     assert row.loss_rate == 0.0
     core_s = cfg.traffic.core_latency_ms * 1e-3
     assert abs(row.mean_delay_s - (core_s + (n + 1) / 2 * phy.slot_s)) < 1e-12
 
 
-def test_lte_rows_do_not_change_with_speed_while_the_rate_is_capped(
-        lowest_snr):
+def test_lte_rows_do_not_change_with_speed_while_the_rate_is_capped(snrs):
     # LTE mobility only lowers the SNR by a deterministic ramp.  While the
     # farthest corridor point at the top speed keeps its rate at the cap,
     # every speed has the same rates, so the same schedule and the same row.
@@ -89,7 +89,37 @@ def test_lte_rows_do_not_change_with_speed_while_the_rate_is_capped(
                / _packet_interval_s(cfg))
     assert cfg.phy_lte.harq.fail_probs(floor_db)[0] * packets < 1e-6
     rows = run_scenario(cfg)
-    assert lowest_snr[0] >= floor_db
+    assert min(snrs) >= floor_db
     assert len(rows) == len(cfg.sweep) == 13
     assert len({(r.throughput_bps, r.loss_rate, r.mean_delay_s)
                 for r in rows}) == 1
+
+
+def test_nr_loss_tracks_the_outage_probability(snrs):
+    # With one packet per served slot, each packet meets its own outage
+    # draw.  An outage loses the packet on every attempt, and outside one
+    # the first attempt all but never fails, so each window packet is lost
+    # with probability p_out(v), up to 1% of it: a binomial row.
+    cfg = parse_config("preset=scenario3\nrats=nr\nsweep=30,40,45,50\n"
+                       "duration_s=3\nreplications=1\n")
+    phy, radio = cfg.phy_nr, cfg.radio_nr
+    bits = cfg.traffic.packet_size_bytes * 8.0
+    n = round(cfg.ue_count * (cfg.duration_s - cfg.warmup_s)
+              / _packet_interval_s(cfg))
+    assert n == 3200
+    rows = run_scenario(cfg)
+    # Preconditions: one packet per served slot (every UE is served before
+    # the next CBR instant, and a slot carries a whole packet at the lowest
+    # SNR); outside an outage a first attempt all but never fails; in one,
+    # at the highest SNR any link took, every attempt fails.
+    lowest, highest = min(snrs), max(snrs)
+    assert _packet_interval_s(cfg) >= cfg.ue_count * phy.slot_s
+    assert achievable_rate_bps(lowest, radio, phy.la) * phy.slot_s >= bits
+    assert phy.harq.fail_probs(lowest)[0] * n < 1e-6
+    assert math.prod(phy.harq.fail_probs(
+        highest - radio.outage_penalty_db)) >= 0.99
+    assert [row.sweep_value for row in rows] == list(cfg.sweep)
+    for row in rows:
+        p = nr_outage_probability(row.sweep_value, radio)
+        sigma = math.sqrt(p * (1.0 - p) / n)
+        assert abs(row.loss_rate - p) <= 3.0 * sigma + 0.01 * p

@@ -3,7 +3,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sitelink.config import MobilityConfig
@@ -39,12 +39,29 @@ def test_patrol_covers_the_corridor_and_returns():
     assert position_at(20.0, mobility, period) == pytest.approx(20.0)
 
 
-@settings(max_examples=300, deadline=None)
-@given(r0=st.floats(20.0, 200.0), speed=st.floats(0.0, 200.0),
-       t=st.floats(0.0, 120.0))
-def test_radial_distance_always_inside_bounds(r0, speed, t):
-    r = position_at(r0, _corridor(speed), t)
-    assert 20.0 - 1e-9 <= r <= 200.0 + 1e-9
+@st.composite
+def _radial_cases(draw):
+    lo = draw(st.floats(1.0, 500.0))
+    hi = draw(st.floats(lo, 1000.0).filter(lambda v: v > lo))
+    r0 = draw(st.floats(lo, hi))
+    return lo, hi, r0, draw(st.floats(0.0, 200.0)), draw(st.floats(0.0, 120.0))
+
+
+@settings(max_examples=500, deadline=None)
+@given(case=_radial_cases())
+# Unclamped, a static UE on a wall of these corridors sits one rounding
+# outside it: at 2.0000099999999996, 1.8999999999999773 and
+# 468.20000000000005.
+@example(case=(2.00001, 7.0, 2.00001, 0.0, 0.0))
+@example(case=(1.9, 258.0, 1.9, 0.0, 0.0))
+@example(case=(155.1, 468.2, 468.2, 0.0, 0.0))
+def test_radial_distance_always_inside_bounds(case):
+    # Exactly inside: a corridor that ends at the mmWave range must keep
+    # every UE, static ones on either wall included, within that range.
+    lo, hi, r0, speed, t = case
+    assert lo <= position_at(r0, _corridor(speed, lo, hi), t) <= hi
+    for wall in (lo, hi):
+        assert lo <= position_at(wall, _corridor(0.0, lo, hi), t) <= hi
 
 
 def _position_2d(x, y, vx, vy, min_r, max_r, t):
@@ -58,14 +75,6 @@ def _position_2d(x, y, vx, vy, min_r, max_r, t):
         return (r, 0.0)
     scale = r / r_naive
     return (px * scale, py * scale)
-
-
-@st.composite
-def _radial_cases(draw):
-    lo = draw(st.floats(1.0, 500.0))
-    hi = draw(st.floats(lo, 1000.0).filter(lambda v: v > lo))
-    r0 = draw(st.floats(lo, hi))
-    return lo, hi, r0, draw(st.floats(0.0, 200.0)), draw(st.floats(0.0, 120.0))
 
 
 @settings(max_examples=500, deadline=None)

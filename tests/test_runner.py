@@ -6,7 +6,6 @@ test_acceptance.py.
 
 import csv
 import io
-import math
 import os
 import tempfile
 from dataclasses import FrozenInstanceError
@@ -98,38 +97,39 @@ def test_nr_mobility_drops_via_harq_exhaustion():
     assert causes == {DropCause.HARQ_EXHAUSTED.value}
 
 
-def _force_channel(run, ue_idx, in_coverage):
-    """Pin one UE's link state regardless of what the refresh recomputes:
-    a dead link (SNR -inf), or a zero-rate link in range (finite SNR)."""
+def _force_channel(run, ue_idx):
+    """Pin one UE's rate to 0 regardless of what the refresh recomputes: a
+    link in range (finite SNR) below the SNR floor."""
     original = run._update_channel
 
     def patched(ue, t):
         original(ue, t)
         if ue.idx == ue_idx:
-            if not in_coverage:
-                ue.snr_la_db = -math.inf
             run.rates[ue_idx] = 0.0
     run._update_channel = patched
     patched(run.ues[ue_idx], 0.0)
 
 
-def test_transmissions_into_a_dead_link_drop_as_out_of_coverage():
-    cfg = parse_config(LIGHT)
-    run = _Run(cfg, "nr", 2.0, 0, seed=1)
-    _force_channel(run, 0, in_coverage=False)
-    result = run.execute()
-    flow = result.flows[0]
-    assert flow.rx_packets == 0
-    assert flow.drops_by_cause == {
-        DropCause.OUT_OF_COVERAGE.value: flow.tx_packets}
-    healthy = result.flows[1]
-    assert healthy.rx_packets == healthy.tx_packets
+def test_a_ue_on_the_far_wall_stays_in_mmwave_coverage():
+    # 155.1 + (468.2 - 155.1) rounds to 468.20000000000005: unclamped, the
+    # patrol put a static UE on the far wall one ulp past the mmWave range,
+    # and every packet of its dead link was lost.
+    cfg = parse_config(
+        "preset=custom\nrats=nr\nsweep_variable=speed_kmh\nsweep=0\n"
+        "ue_count=2\nduration_s=1\nwarmup_s=0.1\nreplications=1\n"
+        "mobility.corridor_min_m=155.1\nmobility.corridor_max_m=468.2\n"
+        "radio.nr.mmwave.max_range_m=468.2\nmobility.placement=300,468.2\n")
+    result = run_single(cfg, "nr", 0, 0)
+    assert result.loss_rate == 0.0
+    for flow in result.flows:
+        assert flow.tx_packets == flow.rx_packets == 180
+        assert flow.drops_by_cause == {}
 
 
 def test_unservable_backlog_written_off_at_drain():
     cfg = parse_config(LIGHT, overrides={"warmup_s": "0"})
     run = _Run(cfg, "nr", 2.0, 0, seed=1)
-    _force_channel(run, 0, in_coverage=True)   # in range but zero-rate link
+    _force_channel(run, 0)
     result = run.execute()
     flow = result.flows[0]
     assert flow.rx_packets == 0
@@ -447,12 +447,17 @@ def test_lte_run_never_calls_the_nr_scheduler(monkeypatch):
     assert result.loss_rate == 0.0
 
 
-def _counting(monkeypatch, name, calls, owner=runner):
+def _counting(monkeypatch, name, calls, owner=runner, returns=None):
+    """Count calls of *owner*.*name* in *calls*; with a *returns* list, also
+    keep what each call returned."""
     original = getattr(owner, name)
 
     def counted(*args):
         calls[name] += 1
-        return original(*args)
+        value = original(*args)
+        if returns is not None:
+            returns.append(value)
+        return value
     monkeypatch.setattr(owner, name, counted)
 
 
@@ -536,9 +541,10 @@ def test_run_invariants_over_random_small_configs(rat, ue_count, duration,
         f"traffic.data_volume_mbps={mbps!r}\n"
         f"traffic.packet_size_bytes={size}\n")
     calls = {"pf_schedule": 0, "nr_slot_schedule": 0}
+    picks = []
     with pytest.MonkeyPatch.context() as mp:
-        for name in calls:
-            _counting(mp, name, calls)
+        _counting(mp, "pf_schedule", calls)
+        _counting(mp, "nr_slot_schedule", calls, returns=picks)
         mp.setattr(runner, "_schedule", None)    # a replay would call neither
         result = run_single(cfg, rat, 0, 0)
     for flow in result.flows:
@@ -548,6 +554,9 @@ def test_run_invariants_over_random_small_configs(rat, ue_count, duration,
         assert result.mean_delay_s >= cfg.traffic.core_latency_ms * 1e-3
     used = {name for name, n in calls.items() if n}
     assert used == {"pf_schedule" if rat == "lte" else "nr_slot_schedule"}
+    # The NR slot chain runs only while a packet waits, so every slot the
+    # round robin schedules picks a UE.
+    assert None not in picks
 
 
 # Where the UEs start: at the 1 m inner edge of the corridor, or at the
@@ -690,9 +699,9 @@ def test_replayed_replications_equal_full_runs(rat, ue_count, speed, reps,
          sigma="20", edge=True, seed=11, full_runs=6)
 def test_reused_schedules_equal_full_runs(rat, ue_count, speeds, reps, harq,
                                           sigma, edge, seed, full_runs):
-    # A config that builds keeps the corridor inside the mmWave range, so no
-    # link is dead here; test_a_dead_link_is_checked_apart_from_its_rate
-    # forces one.
+    # The run_single calls below start from the record that run_scenario
+    # left, so even a point's first replication may reuse a schedule;
+    # reused or not, each must equal its full run, ledgers included.
     extra = {"radio.nr.mmwave.sigma_db": sigma}
     if edge:
         extra["mobility.placement"] = _EDGE["mobility.placement"]
@@ -795,27 +804,27 @@ def test_a_point_whose_rates_differ_runs_every_replication(full_runs):
     assert row == _full_row(cfg, "nr")
 
 
-def test_a_dead_link_is_checked_apart_from_its_rate(full_runs, monkeypatch):
-    # A dead link (SNR -inf) and a live one below the SNR floor both have
-    # rate 0, but a grant to the dead one drops its head packet.  In
-    # replication 0 UE 0's link is dead, in replication 1 it is below the
-    # floor: the rates match, the dead flags do not, so replication 1 runs
-    # in full.
+def test_a_zero_rate_link_reuses_when_only_its_snr_differs(full_runs,
+                                                           monkeypatch):
+    # The rates are all of the link state that the schedule reads.  UE 0's
+    # link sits below the -5 dB SNR floor in both replications, at -30 dB
+    # and then at -20 dB: its rate is 0 in both, so replication 1 reuses
+    # replication 0's schedule, and matches its own full run.
     cfg = _reuse_cfg("nr", reps=2)
     r0 = cfg.mobility.radii(cfg.ue_count)[0]
-    ue0_snr = [-math.inf]
+    ue0_snr = [-30.0]
     snr = runner.snr_db
 
     def patched(radio, d, penalties_db=0.0, shadow_db=0.0):
         return ue0_snr[0] if d == r0 else snr(radio, d, penalties_db,
                                               shadow_db)
     monkeypatch.setattr(runner, "snr_db", patched)
-    dead = run_single(cfg, "nr", 0, 0)
-    ue0_snr[0] = -30.0
-    below_floor = run_single(cfg, "nr", 0, 1)
-    assert full_runs == [0, 1]
-    assert dead.flows[0].rx_packets == below_floor.flows[0].rx_packets == 0
-    assert below_floor == _full_run(cfg, "nr", 1)
+    run_single(cfg, "nr", 0, 0)
+    ue0_snr[0] = -20.0
+    reused = run_single(cfg, "nr", 0, 1)
+    assert full_runs == [0]
+    assert reused.flows[0].rx_packets == 0
+    assert reused == _full_run(cfg, "nr", 1)
 
 
 def test_traced_replications_run_in_full(full_runs, tmp_path):
