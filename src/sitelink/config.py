@@ -103,7 +103,8 @@ class MobilityConfig:
         if n_ues == 1:
             return [(lo + hi) / 2.0]
         step = (hi - lo) / (n_ues - 1)
-        return [lo + i * step for i in range(n_ues)]
+        # lo + i * step can round one ulp past hi, and so past the corridor.
+        return [min(lo + i * step, hi) for i in range(n_ues)]
 
 
 @dataclass(frozen=True)

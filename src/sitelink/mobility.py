@@ -18,5 +18,7 @@ def _reflect(value: float, lo: float, hi: float) -> float:
 
 def position_at(r0: float, mobility: MobilityConfig, t: float) -> float:
     """Distance from the base station at time t of a UE that started at r0."""
+    if not mobility.speed_kmh:
+        return r0   # the fold can round a static UE off its placement
     return _reflect(r0 + mobility.speed_kmh / 3.6 * t,
                     mobility.corridor_min_m, mobility.corridor_max_m)

@@ -5,6 +5,11 @@ substreams, so a run is a pure function of (config, rat, sweep point, seed)
 and sweep points may execute in parallel worker processes without changing
 any output byte.
 
+Three event chains drive a run: channel refresh, CBR arrivals and slots.
+Each handler takes its event's time and returns its chain's next instant,
+or None to end the chain; only the construction (the three starts) and
+``_wake_slots`` (a sleeping slot chain) schedule events.
+
 Schedule reuse
 --------------
 A run has two parts.  Its *schedule* is which packets each grant serves, in
@@ -19,12 +24,13 @@ follow (more than one replication or sweep point), and a process keeps the
 last record.  A later run whose schedule key matches the record's (RAT, UE
 count, traffic without the core latency, duration, warm-up and drain
 windows, the scheduler's slot, RB count and PF window, and the refresh
-period) walks the recorded refresh epochs once.  At each it recomputes its
-link state, every UE's rate (from its position, its own shadowing draw in
-UE order, and SNR), and, if every rate equals the record's, hands the
-epoch's recorded grants to ``_deliver``, exactly as a full run would.
-Equal rates mean equal schedules.  On the first mismatch the run is dropped
-and runs in full from fresh streams.  What the key leaves out (mobility,
+period) first recomputes its link state at every recorded refresh epoch:
+every UE's rate (from its position, its own shadowing draw in UE order, and
+SNR).  Equal rates mean equal schedules.  On the first mismatch the run is
+dropped, before it draws any outcome, and runs in full from fresh streams.
+If every rate equals the record's, the run hands each epoch's recorded
+grants to ``_deliver`` at that epoch's link state, exactly as a full run
+would.  What the key leaves out (mobility,
 radio, link adaptation, HARQ, core latency, speed) reaches the schedule
 only through the rates, which the check compares, or touches only the
 outcomes.  A traced run neither reads nor writes the record, so
@@ -267,20 +273,17 @@ class _Run:
         return nxt <= self.stop_time and (
             self.backlog_pkts > 0 or (idle and nxt <= self.duration))
 
-    def _refresh(self) -> None:
-        t = self.sim.now
+    def _refresh(self, t: float) -> Optional[float]:
         for ue in self.ues:
             self._update_channel(ue, t)
         if self.record is not None:
             self.record.add_epoch(t, tuple(self.rates))
         nxt = t + self.refresh_s
-        if self._continues(nxt, True):
-            self.sim.schedule(nxt, self._refresh, "refresh")
+        return nxt if self._continues(nxt, True) else None
 
     # -- traffic ------------------------------------------------------------
 
-    def _arrival(self) -> None:
-        t = self.sim.now
+    def _arrival(self, t: float) -> Optional[float]:
         seq = self.grid_index
         self.grid_index = seq + 1
         pkt = Packet(seq, t)
@@ -294,9 +297,7 @@ class _Run:
         self.backlog_pkts += accepted
         if self.backlog_pkts and not self.slot_running:
             self._wake_slots(t)
-        t_next = next(self.grid, None)
-        if t_next is not None:
-            self.sim.schedule(t_next, self._arrival, "arrival")
+        return next(self.grid, None)
 
     def _wake_slots(self, t: float) -> None:
         # The slot chain sleeps when idle; wake it on the slot grid, but never
@@ -371,25 +372,14 @@ class _Run:
             self._deliver(ue, self._serve(ue, rate * self.slot_s, slot_end),
                           slot_end)
 
-    def _slot(self) -> None:
-        # Back-to-back slots run in this one call for as long as the engine
-        # lets the next slot claim its instant; a tie or the horizon sends
-        # it through the queue.  A claim moves the clock to t, so the loop
-        # carries t itself.
-        sim = self.sim
-        step, continues, claim = self._step, self._continues, sim.claim
-        slot_s, idle, rat = self.slot_s, self.idle_slots, self.rat
-        t = sim.now
-        while True:
-            step(t)
-            self.slot_index += 1
-            t = self.slot_index * slot_s
-            if not continues(t, idle):
-                self.slot_running = False
-                return
-            if not claim(t, "slot", rat):
-                sim.schedule(t, self._slot, "slot", rat)
-                return
+    def _slot(self, t: float) -> Optional[float]:
+        self._step(t)
+        self.slot_index += 1
+        nxt = self.slot_index * self.slot_s
+        if self._continues(nxt, self.idle_slots):
+            return nxt
+        self.slot_running = False
+        return None
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -417,18 +407,24 @@ class _Run:
     def reuse(self, schedule: _Schedule) -> Optional[RunResult]:
         """This run's result drawn over *schedule*, a record with this run's
         key; None if this run's rates differ from the record's at one of its
-        refresh instants.  The run is spent either way."""
+        refresh instants, found before any outcome is drawn.  The run is
+        spent either way."""
         ues = self.ues
-        deliver = self._deliver
-        served = iter(schedule.served)
-        grants = zip(schedule.grant_ue, schedule.grant_end, schedule.grant_n)
-        for e, (t, rates, n_grants) in enumerate(zip(
-                schedule.epoch_t, schedule.rates, schedule.epoch_grants)):
+        tables = []     # per epoch, every UE's HARQ tables
+        for e, (t, rates) in enumerate(zip(schedule.epoch_t, schedule.rates)):
             if e:   # the construction set epoch 0
                 for ue in ues:
                     self._update_channel(ue, t)
             if tuple(self.rates) != rates:
                 return None
+            tables.append([(ue.harq_probs, ue.harq_outage_probs)
+                           for ue in ues])
+        deliver = self._deliver
+        served = iter(schedule.served)
+        grants = zip(schedule.grant_ue, schedule.grant_end, schedule.grant_n)
+        for table, n_grants in zip(tables, schedule.epoch_grants):
+            for ue, (probs, outage_probs) in zip(ues, table):
+                ue.harq_probs, ue.harq_outage_probs = probs, outage_probs
             for i, slot_end, n in islice(grants, n_grants):
                 deliver(ues[i], islice(served, n), slot_end)
         for ue, (tx, drops) in zip(ues, schedule.ledgers):

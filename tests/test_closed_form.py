@@ -123,3 +123,44 @@ def test_nr_loss_tracks_the_outage_probability(snrs):
         p = nr_outage_probability(row.sweep_value, radio)
         sigma = math.sqrt(p * (1.0 - p) / n)
         assert abs(row.loss_rate - p) <= 3.0 * sigma + 0.01 * p
+
+
+@pytest.mark.parametrize("capacity, sweep", [(100, "20"), (10, "12,16,20")])
+def test_saturated_lte_carries_the_capped_cell_rate(snrs, capacity, sweep):
+    # With every rate at the cap, the cell carries B * overhead * eff_max
+    # and no more.  Once every queue is full, each flow loses what the cell
+    # cannot carry, and a packet waits behind a full queue on every UE.
+    cfg = parse_config(f"preset=scenario1\nrats=lte\nsweep={sweep}\n"
+                       f"duration_s=3\nreplications=1\n"
+                       f"traffic.queue_capacity_pkts={capacity}\n")
+    phy, radio = cfg.phy_lte, cfg.radio_lte
+    plateau = radio.bandwidth_hz * phy.la.overhead * phy.la.eff_max
+    assert plateau == 16.875e6
+    bits = cfg.traffic.packet_size_bytes * 8.0
+    interval = _packet_interval_s(cfg)
+    window = cfg.duration_s - cfg.warmup_s
+    core_s = cfg.traffic.core_latency_ms * 1e-3
+    rows = run_scenario(cfg)
+    # Precondition: at the lowest SNR any link took, the rate sits at the
+    # cap and a first attempt all but never fails.
+    lowest = min(snrs)
+    assert lowest >= _cap_snr_db(phy.la)
+    packets = sum(row.ue_count for row in rows) * cfg.duration_s / interval
+    assert phy.harq.fail_probs(lowest)[0] * packets < 1e-6
+    for row in rows:
+        n = row.ue_count
+        offered = n * cfg.traffic.data_volume_mbps * 1e6
+        # Precondition: the cell is overloaded, and every queue fills before
+        # the window opens.  (At capacity 100, 16 UEs take 1.06 s to fill
+        # theirs, and their loss reads 0.010 low.)
+        assert offered > plateau
+        assert n * capacity * bits / (offered - plateau) <= cfg.warmup_s
+        # Throughput and loss hold to one packet per flow over the window.
+        slack = n * bits / window
+        assert abs(row.throughput_bps - plateau) <= slack
+        assert abs(row.loss_rate - (1.0 - plateau / offered)) <= slack / offered
+        # A queue takes a packet only at a CBR instant, up to one packet
+        # interval after a departure freed its place, so the delay runs
+        # short of the full-queue wait by less than one interval.
+        saturated = core_s + n * capacity * bits / plateau
+        assert saturated - interval <= row.mean_delay_s <= saturated

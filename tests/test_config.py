@@ -3,7 +3,7 @@
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sitelink.config import (_SCHEMA, PRESET_NAMES, ConfigError,
@@ -328,6 +328,20 @@ def test_placement_specs():
     assert cfg2.mobility.radii(5) == [30.0, 60.0, 90.0, 30.0, 60.0]
     with pytest.raises(ConfigError, match="placement"):
         parse_config("mobility.placement=uniform:5,100")
+
+
+@settings(max_examples=300, deadline=None)
+@given(lo=st.floats(1.0, 500.0), width=st.floats(0.1, 500.0),
+       n=st.integers(2, 60))
+# Unclamped, the sixth radius is 200.00000000000003: a static UE there sits
+# past a 200 m corridor, beyond a 200 m mmWave range.
+@example(lo=20.1, width=179.9, n=6)
+def test_uniform_radii_stay_inside_the_placement_range(lo, width, n):
+    hi = lo + width
+    radii = MobilityConfig(placement=f"uniform:{lo!r},{hi!r}",
+                           corridor_min_m=lo, corridor_max_m=hi).radii(n)
+    assert radii[0] == lo and radii[-1] <= hi
+    assert all(a <= b for a, b in zip(radii, radii[1:]))
 
 
 def test_placement_without_radii_rejected():

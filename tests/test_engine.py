@@ -5,6 +5,8 @@ import io
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sitelink.engine import SchedulingInPastError, Simulator, rng_stream
 
@@ -12,7 +14,7 @@ from sitelink.engine import SchedulingInPastError, Simulator, rng_stream
 def test_schedule_on_empty_queue_returns_first_id():
     sim = Simulator()
     log = []
-    eid = sim.schedule(0.0, lambda: log.append("a"))
+    eid = sim.schedule(0.0, lambda t: log.append("a"))
     assert eid == 0
     assert log == []
     sim.run(1.0)
@@ -22,26 +24,26 @@ def test_schedule_on_empty_queue_returns_first_id():
 def test_simultaneous_events_run_in_insertion_order():
     sim = Simulator()
     log = []
-    sim.schedule(1.0, lambda: log.append("A"))
-    sim.schedule(1.0, lambda: log.append("B"))
-    sim.schedule(0.5, lambda: log.append("C"))
+    sim.schedule(1.0, lambda t: log.append("A"))
+    sim.schedule(1.0, lambda t: log.append("B"))
+    sim.schedule(0.5, lambda t: log.append("C"))
     sim.run(2.0)
     assert log == ["C", "A", "B"]
 
 
 def test_scheduling_in_the_past_is_rejected():
     sim = Simulator()
-    sim.schedule(1.0, lambda: None)
+    sim.schedule(1.0, lambda t: None)
     sim.run(1.0)
     with pytest.raises(SchedulingInPastError):
-        sim.schedule(0.5, lambda: None)
+        sim.schedule(0.5, lambda t: None)
 
 
 def test_run_processes_all_due_events_and_advances_clock():
     sim = Simulator()
     hits = []
     for t in (0.1, 0.2, 0.3):
-        sim.schedule(t, lambda t=t: hits.append(t))
+        sim.schedule(t, lambda now, t=t: hits.append(t))
     assert sim.run(1.0) == 3
     assert sim.now == 1.0
     assert hits == [0.1, 0.2, 0.3]
@@ -49,7 +51,7 @@ def test_run_processes_all_due_events_and_advances_clock():
 
 def test_run_is_idempotent_at_same_horizon():
     sim = Simulator()
-    sim.schedule(0.5, lambda: None)
+    sim.schedule(0.5, lambda t: None)
     assert sim.run(1.0) == 1
     assert sim.run(1.0) == 0
     assert sim.now == 1.0
@@ -62,7 +64,7 @@ def test_event_ids_unique_and_nothing_skipped_or_duplicated():
     ids = set()
     for i in range(500):
         t = rng.random() * 10.0
-        eid = sim.schedule(t, lambda i=i: fired.__setitem__(i, fired.get(i, 0) + 1))
+        eid = sim.schedule(t, lambda t, i=i: fired.__setitem__(i, fired.get(i, 0) + 1))
         assert eid not in ids
         ids.add(eid)
     processed = sim.run(10.0)
@@ -76,7 +78,7 @@ def test_processed_timestamps_are_nondecreasing():
     rng = rng_stream("times", 3)
     seen = []
     for _ in range(300):
-        sim.schedule(rng.random() * 5.0, lambda: seen.append(sim.now))
+        sim.schedule(rng.random() * 5.0, lambda t: seen.append(sim.now))
     sim.run(5.0)
     assert all(a <= b for a, b in zip(seen, seen[1:]))
 
@@ -86,9 +88,9 @@ def _scripted_trace(seed: int) -> list[str]:
     sim = Simulator(trace=out)
     rng = rng_stream("script", seed)
 
-    def emit():
-        if sim.now < 4.0:
-            sim.schedule(sim.now + rng.random(), emit, "tick", "scripted")
+    def emit(t):
+        if t < 4.0:
+            sim.schedule(t + rng.random(), emit, "tick", "scripted")
 
     sim.schedule(0.0, emit, "tick", "scripted")
     sim.run(5.0)
@@ -106,77 +108,99 @@ def test_trace_line_format():
     # One line per processed event: time, insertion sequence, kind, detail.
     out = io.StringIO()
     sim = Simulator(trace=out)
-    sim.schedule(1.25, lambda: None, "slot", "lte")
-    sim.schedule(0.5, lambda: None)
+    sim.schedule(1.25, lambda t: None, "slot", "lte")
+    sim.schedule(0.5, lambda t: None)
     sim.run(2.0)
     assert out.getvalue() == ("0.500000000\t1\tevent\t\n"
                               "1.250000000\t0\tslot\tlte\n")
 
 
-def _ticker(claim: bool):
-    """A chain of ticks at 0..9 s beside one queued event at 4 s, run to a
-    6.5 s horizon and then to the end; with *claim*, each tick claims its
-    successor and schedules it only when the claim is refused."""
+def _chains(cases, returning: bool):
+    """Run *cases* on one simulator: each chain ticks at its start and then
+    after each of its steps, beside one-off events, up to each horizon in
+    turn.  A returning chain hands its next instant back to run; otherwise
+    its action schedules it, as its last act."""
+    chains, one_offs, order, horizons = cases
     out = io.StringIO()
     sim = Simulator(trace=out)
     log = []
 
-    def tick():
-        while True:
-            log.append(("tick", sim.now))
-            nxt = sim.now + 1.0
-            if nxt > 9.0:
-                return
-            if not (claim and sim.claim(nxt, "tick", "chain")):
-                sim.schedule(nxt, tick, "tick", "chain")
-                return
+    def chain(c, steps):
+        pending = iter(steps)
 
-    sim.schedule(0.0, tick, "tick", "chain")
-    sim.schedule(4.0, lambda: log.append(("other", sim.now)), "other")
-    counts = (sim.run(6.5), sim.now, sim.run(20.0))
-    return log, out.getvalue(), counts
+        def tick(t):
+            log.append((c, t, sim.now))
+            step = next(pending, None)
+            if step is None:
+                return None
+            if returning:
+                return t + step
+            sim.schedule(t + step, tick, "tick", str(c))
+            return None
+        return tick
 
-
-def test_claimed_events_match_scheduled_ones_exactly():
-    # Same order (the event queued at 4 s runs before the tick it ties
-    # with), same trace lines and sequence numbers, same counts from run,
-    # and no tick past the 6.5 s horizon before the second run.
-    claimed, scheduled = _ticker(True), _ticker(False)
-    assert claimed == scheduled
-    log, _, counts = claimed
-    assert log.index(("other", 4.0)) == log.index(("tick", 4.0)) - 1
-    assert counts == (8, 6.5, 3)
+    starts = [(start, chain(c, steps), "tick", str(c))
+              for c, (start, steps) in enumerate(chains)]
+    starts += [(t, lambda now, k=k: log.append(("once", k, now)), "once", "")
+               for k, t in enumerate(one_offs)]
+    ids = [sim.schedule(*starts[i]) for i in order]
+    runs = [(sim.run(until), sim.now) for until in horizons]
+    return ids, log, out.getvalue(), runs
 
 
-def test_claim_takes_the_sequence_schedule_would_give():
+_QUARTERS = st.integers(0, 24).map(lambda q: q / 4.0)
+
+
+@st.composite
+def _chain_cases(draw):
+    chains = draw(st.lists(st.tuples(
+        _QUARTERS, st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0, 2.5]),
+                            max_size=12)), min_size=1, max_size=3))
+    one_offs = draw(st.lists(_QUARTERS, max_size=6))
+    order = draw(st.permutations(range(len(chains) + len(one_offs))))
+    horizons = sorted(draw(st.lists(st.integers(0, 48).map(lambda q: q / 4.0),
+                                    min_size=1, max_size=2)))
+    return chains, one_offs, order, horizons
+
+
+@settings(max_examples=300, deadline=None)
+@given(cases=_chain_cases())
+# A chain at 0, 1, 2, ... beside a one-off at 4 that it ties with, run to
+# 6.5 and then to the end: the one-off runs before the tick it ties with,
+# and the ticks past 6.5 wait for the second run.
+@example(cases=([(0.0, [1.0] * 9)], [4.0], [0, 1], [6.5, 12.0]))
+# Two chains that tie at every instant, one with a zero step.
+@example(cases=([(0.0, [0.5, 0.0, 0.5]), (0.5, [0.5, 0.5])], [], [1, 0],
+                [1.0]))
+def test_a_returned_successor_equals_a_scheduled_one(cases):
+    # Same sequence numbers and trace bytes, same order and clocks, and the
+    # same counts from run, horizon by horizon.
+    assert _chains(cases, True) == _chains(cases, False)
+
+
+def test_returned_successors_are_counted_and_traced():
     out = io.StringIO()
     sim = Simulator(trace=out)
-    claims = []
-    sim.schedule(0.25, lambda: claims.append(sim.claim(0.5, "slot", "nr")),
-                 "slot", "nr")
-    sim.schedule(1.0, lambda: claims.append(sim.now))
-    assert sim.run(2.0) == 3
-    assert claims == [True, 1.0]
+    ticks = []
+
+    def tick(t):
+        ticks.append(t)
+        return t + 0.25 if t < 0.75 else None
+    sim.schedule(0.25, tick, "slot", "nr")
+    sim.schedule(1.0, lambda t: ticks.append(("other", t)))
+    assert sim.run(2.0) == 4
+    assert ticks == [0.25, 0.5, 0.75, ("other", 1.0)]
     assert out.getvalue() == ("0.250000000\t0\tslot\tnr\n"
                               "0.500000000\t2\tslot\tnr\n"
+                              "0.750000000\t3\tslot\tnr\n"
                               "1.000000000\t1\tevent\t\n")
 
 
-def test_claim_refused_on_a_tie_past_the_horizon_and_outside_run():
+def test_a_returned_time_before_the_clock_is_rejected():
     sim = Simulator()
-    seen = []
-
-    def probe():
-        # 0.5 ties with a queued event and 1.5 is past the horizon; the
-        # clock and the sequence stay where they were.
-        seen.append((sim.claim(0.5), sim.claim(1.5), sim.now))
-        seen.append(sim.schedule(0.75, lambda: None))
-    sim.schedule(0.25, probe)
-    sim.schedule(0.5, lambda: None)
-    assert sim.run(1.0) == 3
-    assert seen == [(False, False, 0.25), 2]
-    assert sim.claim(1.0) is False    # no run in progress
-    assert sim.run(3.0) == 0
+    sim.schedule(1.0, lambda t: t - 0.5)
+    with pytest.raises(SchedulingInPastError):
+        sim.run(2.0)
 
 
 def test_rng_stream_same_inputs_same_draws():

@@ -49,19 +49,20 @@ def _radial_cases(draw):
 
 @settings(max_examples=500, deadline=None)
 @given(case=_radial_cases())
-# Unclamped, a static UE on a wall of these corridors sits one rounding
-# outside it: at 2.0000099999999996, 1.8999999999999773 and
-# 468.20000000000005.
+# Through the fold, a static UE on a wall of these corridors sits one
+# rounding off it: at 2.0000099999999996, 1.8999999999999773,
+# 468.20000000000005 and 155.10000000000002.
 @example(case=(2.00001, 7.0, 2.00001, 0.0, 0.0))
 @example(case=(1.9, 258.0, 1.9, 0.0, 0.0))
 @example(case=(155.1, 468.2, 468.2, 0.0, 0.0))
+@example(case=(155.1, 468.2, 155.1, 0.0, 0.0))
 def test_radial_distance_always_inside_bounds(case):
     # Exactly inside: a corridor that ends at the mmWave range must keep
-    # every UE, static ones on either wall included, within that range.
+    # every UE within that range, and a static UE on either wall on it.
     lo, hi, r0, speed, t = case
     assert lo <= position_at(r0, _corridor(speed, lo, hi), t) <= hi
     for wall in (lo, hi):
-        assert lo <= position_at(wall, _corridor(0.0, lo, hi), t) <= hi
+        assert position_at(wall, _corridor(0.0, lo, hi), t) == wall
 
 
 def _position_2d(x, y, vx, vy, min_r, max_r, t):
@@ -79,10 +80,17 @@ def _position_2d(x, y, vx, vy, min_r, max_r, t):
 
 @settings(max_examples=500, deadline=None)
 @given(case=_radial_cases())
+# The 2-D model folds this static UE to 1.4592704877742904, 64 ulps off.
+@example(case=(1.0, 130.0, 1.4592704877742761, 0.0, 5.0))
 def test_radial_patrol_matches_the_2d_model_within_one_ulp(case):
     # The 2-D model returned px * (r / px) for the reflected distance r, so
-    # its distance may differ from r by one rounding: at most 1 ulp.
+    # a moving UE's distance may differ from r by one rounding: at most
+    # 1 ulp.  The 2-D model folded a static UE too, which could move it off
+    # its start; radial patrol keeps it there exactly.
     lo, hi, r0, speed, t = case
     new = position_at(r0, _corridor(speed, lo, hi), t)
+    if speed == 0.0:
+        assert new == r0
+        return
     old = _position_2d(r0, 0.0, speed / 3.6, 0.0, lo, hi, t)
     assert abs(new - math.hypot(*old)) <= math.ulp(new)

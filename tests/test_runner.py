@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from sitelink import runner
 from sitelink.config import parse_config
+from sitelink.engine import Simulator
 from sitelink.metrics import (aggregate_replications, export_csv, finalize,
                               sweep_label)
 from sitelink.phymac import SUPPORTED_SCS_KHZ
@@ -341,7 +342,7 @@ def test_one_arrival_instant_shares_one_frozen_packet():
     run = _Run(cfg, "nr", cfg.sweep[0], 0, seed=1)
     held = Packet(99, 0.0)
     assert run.queues[1].offer(held)
-    run._arrival()
+    run._arrival(0.0)
     pkt = run.queues[0][0]
     assert pkt.seq == 0
     assert run.queues[1][0] is held
@@ -374,6 +375,27 @@ def test_one_arrival_and_one_refresh_event_serve_every_ue(rat):
                          for k in range(1, len(refreshes) + 1)]
     assert all(detail == "" for _, _, kind, detail in lines
                if kind in ("arrival", "refresh"))
+
+
+@pytest.mark.parametrize("rat", ["lte", "nr"])
+def test_only_chain_starts_and_wake_ups_schedule_events(monkeypatch, tmp_path,
+                                                        rat):
+    # Every other event is a chain's returned successor: the refresh,
+    # arrival and slot chains start once each (the NR slot chain on its
+    # first wake-up), and only a wake-up restarts a chain.
+    calls = {"schedule": 0, "_wake_slots": 0}
+    _counting(monkeypatch, "schedule", calls, Simulator)
+    _counting(monkeypatch, "_wake_slots", calls, _Run)
+    cfg = parse_config(MOBILE, overrides={"rats": rat, "duration_s": "1.5",
+                                          "warmup_s": "0"})
+    run_single(cfg, rat, 0, 0, trace_dir=str(tmp_path))
+    [trace] = tmp_path.iterdir()
+    events = len(trace.read_text().splitlines())
+    starts = 3 if rat == "lte" else 2
+    assert calls["schedule"] == starts + calls["_wake_slots"]
+    assert (calls["_wake_slots"] > 0) == (rat == "nr")
+    assert events > 2 * calls["schedule"]
+    assert not hasattr(Simulator, "claim")
 
 
 def test_trace_names_keep_close_sweep_values_apart(tmp_path):
@@ -795,6 +817,43 @@ def test_a_reused_replication_touches_no_queue_and_calls_no_scheduler(
     monkeypatch.setattr(_Run, "execute", execute)
     assert run_single(cfg, rat, 0, 1) == expected
     assert calls == dict.fromkeys(calls, 0)
+
+
+@pytest.mark.parametrize("rat, speed, harq", [
+    ("nr", 45.0, {}),
+    ("lte", 0.0, {"bler_threshold_db": 40}),
+], ids=["nr", "lte-retransmitting"])
+def test_a_reuse_that_fails_at_its_last_epoch_draws_no_outcome(
+        monkeypatch, full_runs, rat, speed, harq):
+    # The rates are checked at every epoch before any outcome is drawn, so
+    # a mismatch at the very last epoch costs no HARQ or outage draw; the
+    # replication then runs in full.
+    cfg = _reuse_cfg(rat, speeds=(speed,), **harq)
+    expected = _full_run(cfg, rat, 1)
+    full_runs.clear()
+    run_single(cfg, rat, 0, 0)      # records the schedule
+    record = runner._schedule
+    assert len(record.rates) > 2 and len(record.served) > 0
+    record.rates[-1] = tuple(rate + 1.0 for rate in record.rates[-1])
+    calls = {"harq_transmit": 0}
+    _counting(monkeypatch, "harq_transmit", calls)
+    outage_draws = []
+    stream = runner.rng_stream
+
+    def counted_stream(label, seed):
+        rng = stream(label, seed)
+        if label == "outage":
+            draw = rng.random
+            rng.random = lambda: outage_draws.append(seed) or draw()
+        return rng
+    monkeypatch.setattr(runner, "rng_stream", counted_stream)
+    seed = derive_run_seed(cfg.seed_base, 0, 1)
+    assert _Run(cfg, rat, speed, 1, seed).reuse(record) is None
+    assert calls["harq_transmit"] == 0 and outage_draws == []
+    assert run_single(cfg, rat, 0, 1) == expected
+    assert full_runs == [0, 1]
+    assert calls["harq_transmit"] > 0
+    assert (len(outage_draws) > 0) == (rat == "nr")
 
 
 def test_a_point_whose_rates_differ_runs_every_replication(full_runs):
