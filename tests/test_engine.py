@@ -165,10 +165,6 @@ def _chain_cases(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(cases=_chain_cases())
-# A chain at 0, 1, 2, ... beside a one-off at 4 that it ties with, run to
-# 6.5 and then to the end: the one-off runs before the tick it ties with,
-# and the ticks past 6.5 wait for the second run.
-@example(cases=([(0.0, [1.0] * 9)], [4.0], [0, 1], [6.5, 12.0]))
 # Two chains that tie at every instant, one with a zero step.
 @example(cases=([(0.0, [0.5, 0.0, 0.5]), (0.5, [0.5, 0.5])], [], [1, 0],
                 [1.0]))
@@ -176,6 +172,47 @@ def test_a_returned_successor_equals_a_scheduled_one(cases):
     # Same sequence numbers and trace bytes, same order and clocks, and the
     # same counts from run, horizon by horizon.
     assert _chains(cases, True) == _chains(cases, False)
+
+
+def test_claimed_events_match_scheduled_ones_exactly():
+    # An action claims its chain's next event by returning its time.  A
+    # chain of ticks at 0..9 s beside one event queued at 4 s, run to a
+    # 6.5 s horizon and then to the end: the same ids, order, trace lines
+    # and counts as a chain that schedules each tick; the queued event runs
+    # before the tick it ties with, and no tick past 6.5 s runs early.
+    cases = ([(0.0, [1.0] * 9)], [4.0], [0, 1], [6.5, 12.0])
+    claimed = _chains(cases, True)
+    assert claimed == _chains(cases, False)
+    _, log, _, runs = claimed
+    assert log.index(("once", 0, 4.0)) == log.index((0, 4.0, 4.0)) - 1
+    assert runs == [(8, 6.5), (3, 12.0)]
+
+
+def test_claim_refused_on_a_tie_past_the_horizon_and_outside_run():
+    # A returned time that ties with a queued event, or lies past the
+    # horizon, is queued behind it instead of run at once; a time returned
+    # outside run is no event at all.
+    out = io.StringIO()
+    sim = Simulator(trace=out)
+    seen = []
+    successor = {0.25: 0.5, 0.5: 1.5, 1.0: 1.25}
+
+    def probe(t):
+        seen.append((t, sim.now))
+        return successor.get(t)
+    sim.schedule(0.25, probe, "probe")
+    sim.schedule(0.5, lambda t: seen.append(("other", t)))
+    assert sim.run(1.0) == 3
+    assert seen == [(0.25, 0.25), ("other", 0.5), (0.5, 0.5)]
+    assert sim.now == 1.0
+    assert probe(1.0) == 1.25    # no run in progress
+    assert sim.run(1.25) == 0
+    assert sim.run(3.0) == 1
+    assert seen[-2:] == [(1.0, 1.0), (1.5, 1.5)]
+    assert out.getvalue() == ("0.250000000\t0\tprobe\t\n"
+                              "0.500000000\t1\tevent\t\n"
+                              "0.500000000\t2\tprobe\t\n"
+                              "1.500000000\t3\tprobe\t\n")
 
 
 def test_returned_successors_are_counted_and_traced():
