@@ -56,7 +56,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import multiprocessing
 import os
 from array import array
 from itertools import islice
@@ -521,6 +520,7 @@ def run_scenario(cfg: ScenarioConfig, workers: int = 1,
             for si in points]
     processes = min(workers, len(jobs), os.cpu_count() or 1)
     if processes > 1:
+        import multiprocessing
         with multiprocessing.Pool(processes=processes) as pool:
             return pool.starmap(run_point, jobs, chunksize=1)
     return [run_point(*job) for job in jobs]

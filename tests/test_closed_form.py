@@ -125,7 +125,19 @@ def test_nr_loss_tracks_the_outage_probability(snrs):
         assert abs(row.loss_rate - p) <= 3.0 * sigma + 0.01 * p
 
 
-@pytest.mark.parametrize("capacity, sweep", [(100, "20"), (10, "12,16,20")])
+# A one-packet queue carries 10.000 Mb/s and a two-packet one 15.0 Mb/s at
+# 12, 16 and 20 UEs, below the plateau.
+_SHORT_QUEUE = pytest.mark.xfail(
+    strict=True, raises=AssertionError,
+    reason="PF sizes grants from the backlog and _serve zeroes the credit "
+           "of an emptied queue, so a 1- or 2-packet queue stays below the "
+           "plateau")
+
+
+@pytest.mark.parametrize("capacity, sweep", [
+    (100, "20"), (10, "12,16,20"),
+    pytest.param(1, "12,16,20", marks=_SHORT_QUEUE),
+    pytest.param(2, "12,16,20", marks=_SHORT_QUEUE)])
 def test_saturated_lte_carries_the_capped_cell_rate(snrs, capacity, sweep):
     # With every rate at the cap, the cell carries B * overhead * eff_max
     # and no more.  Once every queue is full, each flow loses what the cell

@@ -26,6 +26,18 @@ def test_import_pulls_in_no_numpy():
     assert _probe(probe).strip() == "False"
 
 
+def test_single_process_run_loads_no_pool_machinery():
+    # Only run_scenario with workers > 1 needs multiprocessing; importing it
+    # costs every fresh interpreter (CLI, benchmark rep) its pickle, socket,
+    # selectors and signal modules.
+    probe = ("import sys, sitelink\n"
+             "cfg = sitelink.parse_config('sweep=2\\nduration_s=0.3\\n"
+             "warmup_s=0.1\\ndrain_max_s=0.1\\nreplications=1')\n"
+             "sitelink.run_single(cfg, 'lte', 0, 0)\n"
+             "print('multiprocessing' in sys.modules)")
+    assert _probe(probe).strip() == "False"
+
+
 def test_bench_tracer_installs_on_every_wrapped_name():
     # bench/tracer.py wraps sitelink's callables by name; a rename must fail
     # here, not only in the benchmark's own suite.

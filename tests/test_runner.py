@@ -6,6 +6,7 @@ test_acceptance.py.
 
 import csv
 import io
+import multiprocessing
 import os
 import tempfile
 from dataclasses import FrozenInstanceError
@@ -443,7 +444,9 @@ def test_pool_size_is_capped_by_cpus_and_jobs(monkeypatch, cpus, workers,
     def pool(processes):
         sizes.append(processes)
         return _InlinePool(chunksizes)
-    monkeypatch.setattr(runner.multiprocessing, "Pool", pool)
+    # run_scenario imports multiprocessing only when it starts a pool, and
+    # reads Pool from the module at call time.
+    monkeypatch.setattr(multiprocessing, "Pool", pool)
     monkeypatch.setattr(runner.os, "cpu_count", lambda: cpus)
     cfg = parse_config(LIGHT, overrides={"replications": "3",
                                          "sweep": "2,4", "duration_s": "1"})
