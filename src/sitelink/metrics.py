@@ -26,8 +26,9 @@ CSV_COLUMNS = (
 class FlowStats:
     """Counters for one flow; loss and delay metrics derive from these.
 
-    Packets created before ``warmup_s`` are ignored by every counter, so the
-    ledger alone decides which packets the measured window holds.
+    Packets created before ``warmup_s`` are ignored by every counter.  Its
+    creator sets ``tx_packets``: the runner counts the measured window's CBR
+    instants once, since every flow creates a packet at each of them.
     """
 
     flow_id: int
@@ -36,10 +37,6 @@ class FlowStats:
     rx_packets: int = 0
     delay_sum_s: float = 0.0
     drops_by_cause: dict = field(default_factory=dict)
-
-    def on_created(self, pkt: Packet) -> None:
-        if pkt.t_created >= self.warmup_s:
-            self.tx_packets += 1
 
     def on_delivered(self, pkt: Packet, t: float) -> None:
         if pkt.t_created >= self.warmup_s:

@@ -10,31 +10,35 @@ Each handler takes its event's time and returns its chain's next instant,
 or None to end the chain; only the construction (the three starts) and
 ``_wake_slots`` (a sleeping slot chain) schedule events.
 
-Schedule reuse
---------------
+Schedule pass, then outcome pass
+--------------------------------
 A run has two parts.  Its *schedule* is which packets each grant serves, in
-which slot and in which channel-refresh epoch: ``_Run._serve`` pops and
-charges them.  Its *outcomes* are the ``outage`` draw per NR grant and the
-``harq`` draw per served packet, with each packet's delivery or drop:
-``_Run._deliver`` draws them for one grant, at its UE's current link state.
-Nothing flows back from the outcomes to the schedule.
+which slot and in which channel-refresh epoch, with each epoch's rates:
+``_Run._serve`` pops and charges a grant's packets and notes them in the
+run's ``_Schedule``.  Its *outcomes* are the ``outage`` draw per NR grant
+and the ``harq`` draw per served packet, with each packet's delivery or
+drop.  Nothing flows back from the outcomes to the schedule, so every run
+first simulates its schedule (arrivals, queues, schedulers, shadowing) and
+then draws all its outcomes in one pass, ``_Run._outcomes``, in grant order
+and at each grant's epoch link state.  Each random stream sees the draws a
+single interleaved pass would make, in the same order.
 
-An untraced full run records its schedule when another run of the study can
-follow (more than one replication or sweep point), and a process keeps the
-last record.  A later run whose schedule key matches the record's (RAT, UE
+An untraced full run keeps its schedule as the process's record when
+another run of the study can follow (more than one replication or sweep
+point).  A later run whose schedule key matches the record's (RAT, UE
 count, traffic without the core latency, duration, warm-up and drain
 windows, the scheduler's slot, RB count and PF window, and the refresh
-period) first recomputes its link state at every recorded refresh epoch:
-every UE's rate (from its position, its own shadowing draw in UE order, and
-SNR).  Equal rates mean equal schedules.  On the first mismatch the run is
-dropped, before it draws any outcome, and runs in full from fresh streams.
-If every rate equals the record's, the run hands each epoch's recorded
-grants to ``_deliver`` at that epoch's link state, exactly as a full run
-would.  What the key leaves out (mobility,
-radio, link adaptation, HARQ, core latency, speed) reaches the schedule
-only through the rates, which the check compares, or touches only the
-outcomes.  A traced run neither reads nor writes the record, so
-``--trace`` writes one full trace per replication.
+period) skips the schedule pass: it recomputes its link state at every
+recorded refresh epoch, every UE's rate (from its position, its own
+shadowing draw in UE order, and SNR).  Equal rates mean equal schedules.
+On the first mismatch the run is dropped, before it draws any outcome, and
+runs in full from fresh streams.  If every rate equals the record's, the
+outcome pass runs over the record, exactly as it runs after a schedule
+pass.  What the key leaves out (mobility, radio, link adaptation, HARQ,
+core latency, speed) reaches the schedule only through the rates, which the
+check compares, or touches only the outcomes.  A traced run neither reads
+nor writes the record, so ``--trace`` writes one full trace per
+replication.
 
 Model notes
 -----------
@@ -59,7 +63,7 @@ import math
 import os
 from array import array
 from itertools import islice
-from typing import Iterable, Optional
+from typing import Optional
 
 from .channel import nr_outage_probability, snr_db
 from .config import ScenarioConfig, render_config
@@ -91,15 +95,13 @@ def derive_run_seed(seed_base: int, sweep_index: int, rep_index: int) -> int:
 
 class _Ue:
     __slots__ = ("idx", "r0", "queue", "credit_bits", "distance_m",
-                 "snr_la_db", "harq_probs", "harq_outage_probs", "stats",
-                 "sink")
+                 "snr_la_db", "harq_probs", "harq_outage_probs", "stats")
 
     def __init__(self, idx: int, r0: float, queue: FlowQueue,
                  stats: FlowStats):
         self.idx = idx
         self.r0 = r0
         self.queue = queue
-        self.sink = Sink(idx)
         self.credit_bits = 0.0
         # Where the link state below was computed; NaN until the first
         # channel update.
@@ -113,43 +115,34 @@ class _Ue:
 
 
 class _Schedule:
-    """One full run's schedule (see the module notes).
+    """One run's schedule (see the module notes).
 
-    Per refresh epoch, in array columns: its instant, every UE's rate and
-    its number of grants.  The rates are all of the link state that the
-    schedule reads: the corridor rule keeps every link live, so no dead
-    flag is kept.  Per grant: the UE, the slot end and the number of
+    Per refresh epoch, in columns: its instant, every UE's rate and the
+    grant offset where the epoch ends.  The rates are all of the link state
+    that the schedule reads: the corridor rule keeps every link live, so no
+    dead flag is kept.  Per grant: the UE, the slot end and the number of
     packets served; the packets themselves sit in one list, in grant order.
-    Per UE: the ledger entries that no outcome touches (packets created, and
-    drops other than HARQ's).
+    The small-int columns are lists, which append fastest; the slot ends
+    sit in a float array, which keeps no float object alive.  Per run: the
+    packets each flow created in the measured window (one CBR grid drives
+    every flow) and, per UE, the drops that no outcome decides (every cause
+    but HARQ's).
     """
 
-    __slots__ = ("key", "epoch_t", "epoch_grants", "rates", "grant_ue",
-                 "grant_end", "grant_n", "served", "ledgers")
+    __slots__ = ("key", "epoch_t", "epoch_end", "rates", "grant_ue",
+                 "grant_end", "grant_n", "served", "created", "drops")
 
     def __init__(self, key: tuple):
         self.key = key
         self.epoch_t = array("d")
-        self.epoch_grants = array("l")
+        self.epoch_end = array("l")
         self.rates: list[tuple[float, ...]] = []
-        self.grant_ue = array("l")
+        self.grant_ue: list[int] = []
         self.grant_end = array("d")
-        self.grant_n = array("l")
+        self.grant_n: list[int] = []
         self.served: list[Packet] = []
-        self.ledgers: list[tuple[int, dict]] = []
-
-    def add_epoch(self, t: float, rates: tuple[float, ...]) -> None:
-        self.epoch_t.append(t)
-        self.epoch_grants.append(0)
-        self.rates.append(rates)
-
-    def add_grant(self, ue_idx: int, slot_end: float,
-                  pkts: list[Packet]) -> None:
-        self.epoch_grants[-1] += 1
-        self.grant_ue.append(ue_idx)
-        self.grant_end.append(slot_end)
-        self.grant_n.append(len(pkts))
-        self.served += pkts
+        self.created = 0
+        self.drops: list[dict] = []
 
 
 class _Run:
@@ -178,6 +171,7 @@ class _Run:
         self.stop_time = cfg.duration_s + cfg.drain_max_s
         self.core_s = cfg.traffic.core_latency_ms * 1e-3
         self.packet_bytes = cfg.traffic.packet_size_bytes
+        self.packet_bits = self.packet_bytes * 8.0
 
         nr = cfg.radio_nr
         self.refresh_s = nr.beam_refresh_s if self.is_nr else LTE_REFRESH_S
@@ -193,8 +187,14 @@ class _Run:
                     cfg.duration_s, cfg.warmup_s, cfg.drain_max_s,
                     self.refresh_s, self.slot_s,
                     None if self.is_nr else (phy.rb_count, phy.pf_window))
-        # The schedule being recorded, if any (see execute).
-        self.record: Optional[_Schedule] = None
+        # The schedule this run records, with the grant columns' appends
+        # bound once, and per refresh epoch every UE's HARQ tables.
+        self.schedule = schedule = _Schedule(self.key)
+        self._add_packet = schedule.served.append
+        self._add_grant_ue = schedule.grant_ue.append
+        self._add_grant_end = schedule.grant_end.append
+        self._add_grant_n = schedule.grant_n.append
+        self.tables: list[list[tuple]] = []
 
         self.harq_rng = rng_stream("harq", seed)
         self.shadow_rng = rng_stream("shadowing", seed)
@@ -234,6 +234,7 @@ class _Run:
         # one arrival event serve every UE, in UE order.
         for ue in self.ues:
             self._update_channel(ue, 0.0)
+        self._open_epoch(0.0)
         self.sim.schedule(self.refresh_s, self._refresh, "refresh")
         if self.idle_slots:
             self.slot_running = True
@@ -272,11 +273,24 @@ class _Run:
         return nxt <= self.stop_time and (
             self.backlog_pkts > 0 or (idle and nxt <= self.duration))
 
+    def _harq_tables(self) -> list[tuple]:
+        return [(ue.harq_probs, ue.harq_outage_probs) for ue in self.ues]
+
+    def _open_epoch(self, t: float) -> None:
+        """Note a refresh epoch that starts at *t*: its rates go to the
+        schedule, its HARQ tables to this run."""
+        self.schedule.epoch_t.append(t)
+        self.schedule.rates.append(tuple(self.rates))
+        self.tables.append(self._harq_tables())
+
+    def _close_epoch(self) -> None:
+        self.schedule.epoch_end.append(len(self.schedule.grant_ue))
+
     def _refresh(self, t: float) -> Optional[float]:
         for ue in self.ues:
             self._update_channel(ue, t)
-        if self.record is not None:
-            self.record.add_epoch(t, tuple(self.rates))
+        self._close_epoch()
+        self._open_epoch(t)
         nxt = t + self.refresh_s
         return nxt if self._continues(nxt, True) else None
 
@@ -286,9 +300,10 @@ class _Run:
         seq = self.grid_index
         self.grid_index = seq + 1
         pkt = Packet(seq, t)
+        if t >= self.warmup:    # every flow creates this packet
+            self.schedule.created += 1
         accepted = 0
         for ue in self.ues:
-            ue.stats.on_created(pkt)
             if ue.queue.offer(pkt):
                 accepted += 1
             else:
@@ -309,43 +324,25 @@ class _Run:
 
     # -- serving ------------------------------------------------------------
 
-    def _serve(self, ue: _Ue, capacity_bits: float,
-               slot_end: float) -> list[Packet]:
+    def _serve(self, ue: _Ue, capacity_bits: float, slot_end: float) -> None:
         """One grant's schedule: pop and charge what the credit covers, and
-        return it; a recording run also notes the grant."""
+        note the grant and its packets."""
         credit = ue.credit_bits + capacity_bits
         queue = ue.queue
-        bits = self.packet_bytes * 8.0
-        pkts = []
+        bits = self.packet_bits
+        add_packet = self._add_packet
+        n = 0
         while queue and credit >= bits:
-            pkts.append(queue.pop())
+            add_packet(queue.pop())
             credit -= bits
+            n += 1
         if not queue:
             credit = 0.0    # no banking of idle airtime
         ue.credit_bits = credit
-        self.backlog_pkts -= len(pkts)
-        if self.record is not None:
-            self.record.add_grant(ue.idx, slot_end, pkts)
-        return pkts
-
-    def _deliver(self, ue: _Ue, pkts: Iterable[Packet],
-                 slot_end: float) -> None:
-        """One grant's outcomes, in a full run and a reused one alike: an NR
-        grant draws its outage, then each packet its HARQ result, at the
-        UE's current link state; a packet is delivered or dropped."""
-        probs = ue.harq_probs
-        if self.is_nr and self.outage_rng.random() < self.p_out:
-            probs = ue.harq_outage_probs
-        stats, sink = ue.stats, ue.sink
-        harq, rng, core_s = self.harq, self.harq_rng, self.core_s
-        for pkt in pkts:
-            outcome = harq_transmit(probs, harq, rng)
-            if outcome.delivered:
-                t_rx = slot_end + outcome.added_delay_s + core_s
-                sink.receive(pkt, t_rx)
-                stats.on_delivered(pkt, t_rx)
-            else:
-                stats.on_dropped(pkt, DropCause.HARQ_EXHAUSTED)
+        self.backlog_pkts -= n
+        self._add_grant_ue(ue.idx)
+        self._add_grant_end(slot_end)
+        self._add_grant_n(n)
 
     def _lte_step(self, t: float) -> None:
         ues = self.ues
@@ -357,19 +354,14 @@ class _Run:
         share = self.slot_s / self.sched.rb_count
         for i, rbs in enumerate(alloc):
             if rbs:
-                ue = ues[i]
-                self._deliver(ue, self._serve(ue, rates[i] * share * rbs,
-                                              slot_end), slot_end)
+                self._serve(ues[i], rates[i] * share * rbs, slot_end)
 
     def _nr_step(self, t: float) -> None:
         # The chain runs only while a packet waits, so the round robin
         # always picks a UE; a link below the SNR floor (rate 0) idles.
         pick = nr_slot_schedule(self.sched, self.queues)
         if (rate := self.rates[pick]) > 0.0:
-            ue = self.ues[pick]
-            slot_end = t + self.slot_s
-            self._deliver(ue, self._serve(ue, rate * self.slot_s, slot_end),
-                          slot_end)
+            self._serve(self.ues[pick], rate * self.slot_s, t + self.slot_s)
 
     def _slot(self, t: float) -> Optional[float]:
         self._step(t)
@@ -382,12 +374,10 @@ class _Run:
 
     # -- lifecycle ----------------------------------------------------------
 
-    def execute(self, record: bool = False) -> RunResult:
-        """Simulate the run in full; with *record*, keep its schedule in
-        ``self.record``."""
-        if record:
-            self.record = _Schedule(self.key)
-            self.record.add_epoch(self.sim.now, tuple(self.rates))
+    def execute(self, keep: bool = False) -> RunResult:
+        """Simulate the run in full: the schedule pass, then the outcome
+        pass.  With *keep*, the schedule becomes this process's record."""
+        global _schedule
         self.sim.run(self.stop_time)
         # Whatever is still queued could not be served within the drain
         # window: the link never carried it, so it counts as coverage loss.
@@ -395,40 +385,78 @@ class _Run:
             for pkt in ue.queue.drain():
                 ue.stats.on_dropped(pkt, DropCause.OUT_OF_COVERAGE)
         self.backlog_pkts = 0
-        if record:
-            self.record.ledgers = [
-                (ue.stats.tx_packets,
-                 {cause: n for cause, n in ue.stats.drops_by_cause.items()
-                  if cause != DropCause.HARQ_EXHAUSTED.value})
-                for ue in self.ues]
-        return self._result()
+        self._close_epoch()
+        schedule = self.schedule
+        schedule.drops = [dict(ue.stats.drops_by_cause) for ue in self.ues]
+        if keep:
+            _schedule = schedule
+        return self._outcomes(schedule, self.tables)
 
     def reuse(self, schedule: _Schedule) -> Optional[RunResult]:
         """This run's result drawn over *schedule*, a record with this run's
         key; None if this run's rates differ from the record's at one of its
         refresh instants, found before any outcome is drawn.  The run is
         spent either way."""
-        ues = self.ues
-        tables = []     # per epoch, every UE's HARQ tables
+        tables = []
         for e, (t, rates) in enumerate(zip(schedule.epoch_t, schedule.rates)):
             if e:   # the construction set epoch 0
-                for ue in ues:
+                for ue in self.ues:
                     self._update_channel(ue, t)
             if tuple(self.rates) != rates:
                 return None
-            tables.append([(ue.harq_probs, ue.harq_outage_probs)
-                           for ue in ues])
-        deliver = self._deliver
-        served = iter(schedule.served)
+            tables.append(self._harq_tables())
+        return self._outcomes(schedule, tables)
+
+    def _outcomes(self, schedule: _Schedule,
+                  tables: list[list[tuple]]) -> RunResult:
+        """Every outcome of *schedule*, in grant order: an NR grant draws its
+        outage, then each packet its HARQ result, with its epoch's entry of
+        *tables*; a packet is delivered (to its flow's sink, in seq order)
+        or dropped.  The ledgers take the schedule's counts and each UE's
+        sums, added in grant order."""
+        n_ues = len(self.ues)
+        last_seq = [-1] * n_ues
+        rx = [0] * n_ues
+        delay = [0.0] * n_ues
+        lost = [0] * n_ues
+        transmit = harq_transmit
+        harq, rng = self.harq, self.harq_rng
+        core_s, warmup = self.core_s, self.warmup
+        outage = self.outage_rng.random if self.is_nr else None
+        p_out = self.p_out
         grants = zip(schedule.grant_ue, schedule.grant_end, schedule.grant_n)
-        for table, n_grants in zip(tables, schedule.epoch_grants):
-            for ue, (probs, outage_probs) in zip(ues, table):
-                ue.harq_probs, ue.harq_outage_probs = probs, outage_probs
-            for i, slot_end, n in islice(grants, n_grants):
-                deliver(ues[i], islice(served, n), slot_end)
-        for ue, (tx, drops) in zip(ues, schedule.ledgers):
-            ue.stats.tx_packets = tx
-            ue.stats.drops_by_cause.update(drops)
+        next_packet = iter(schedule.served).__next__
+        start = 0
+        for table, end in zip(tables, schedule.epoch_end):
+            for i, slot_end, n in islice(grants, end - start):
+                probs, outage_probs = table[i]
+                if outage is not None and outage() < p_out:
+                    probs = outage_probs
+                while n:
+                    n -= 1
+                    pkt = next_packet()
+                    outcome = transmit(probs, harq, rng)
+                    created = pkt.t_created
+                    if outcome.delivered:
+                        t_rx = slot_end + outcome.added_delay_s + core_s
+                        if t_rx < created or pkt.seq <= last_seq[i]:
+                            Sink(i, last_seq[i]).receive(pkt, t_rx)  # raises
+                        last_seq[i] = pkt.seq
+                        if created >= warmup:
+                            rx[i] += 1
+                            delay[i] += t_rx - created
+                    elif created >= warmup:
+                        lost[i] += 1
+            start = end
+        harq_key = DropCause.HARQ_EXHAUSTED.value
+        for ue, drops in zip(self.ues, schedule.drops):
+            stats = ue.stats
+            stats.tx_packets = schedule.created
+            stats.rx_packets = rx[ue.idx]
+            stats.delay_sum_s = delay[ue.idx]
+            stats.drops_by_cause.update(drops)
+            if lost[ue.idx]:
+                stats.drops_by_cause[harq_key] = lost[ue.idx]
         return self._result()
 
     def _result(self) -> RunResult:
@@ -464,7 +492,6 @@ def run_single(cfg: ScenarioConfig, rat: str, sweep_index: int,
     """Execute one replication of one sweep point, or draw its outcomes
     over this process's schedule record when that is exact (see the module
     notes)."""
-    global _schedule
     seed = derive_run_seed(cfg.seed_base, sweep_index, rep_index)
     sweep_value = cfg.sweep[sweep_index]
     label = sweep_label(sweep_value)
@@ -480,11 +507,7 @@ def run_single(cfg: ScenarioConfig, rat: str, sweep_index: int,
             if result is not None:
                 return result
             run = _Run(cfg, rat, sweep_value, rep_index, seed)
-        record = cfg.replications > 1 or len(cfg.sweep) > 1
-        result = run.execute(record)
-        if record:
-            _schedule = run.record
-        return result
+        return run.execute(cfg.replications > 1 or len(cfg.sweep) > 1)
     except SimulationError as exc:
         raise SimulationError(
             f"run failed at rat={rat} {cfg.sweep_variable}={label} "

@@ -3,7 +3,9 @@
 Video is abstracted as UDP datagrams of the stream's fixed size, emitted on a
 strict CBR grid; there is no codec or jitter model.  A packet holds only its
 seq and creation time.  One frozen packet per CBR instant is shared by every
-flow's queue.  Each queue is a drop-tail deque, and each flow has its own sink.
+flow's queue.  Each queue is a drop-tail deque.  ``Sink`` is the rule a
+flow's deliveries obey; the runner's outcome loop checks it inline and calls
+``Sink.receive`` only to raise the error for a delivery that breaks it.
 """
 
 from __future__ import annotations
@@ -109,9 +111,9 @@ class Sink:
 
     __slots__ = ("flow_id", "last_seq")
 
-    def __init__(self, flow_id: int):
+    def __init__(self, flow_id: int, last_seq: int = -1):
         self.flow_id = flow_id
-        self.last_seq = -1
+        self.last_seq = last_seq
 
     def receive(self, pkt: Packet, t: float) -> None:
         if t < pkt.t_created:

@@ -277,35 +277,63 @@ def _run_at_speed(rat: str, speed_kmh: float, extra: str = "") -> _Run:
 def _served_slot_snr_cuts(speed_kmh: float, extra: str = "") -> list[float]:
     """Link-adaptation SNR minus transmit SNR of every served NR slot.
 
-    A slot's ``_deliver`` hands ``harq_transmit`` one HARQ table for all its
-    packets: the one at its UE's link-adaptation SNR, or in an outage the one
-    at that SNR less the configured depth.  Each table is checked against
-    the SNR it stands for.
+    The outcome pass draws each slot's outage and then hands ``harq_transmit``
+    one HARQ table for all the slot's packets: the one at its UE's
+    link-adaptation SNR, or in an outage the one at that SNR less the
+    configured depth.  Each table is checked against the SNR it stands for
+    and against the slot's outage draw.
     """
     run = _run_at_speed("nr", speed_kmh, extra)
-    deliver = run._deliver
     transmit = runner.harq_transmit
     depth = run.cfg.radio_nr.outage_penalty_db
+    # Every table a channel update hands out, by identity: (SNR, cut).
+    stands_for = {}
+    held = []
+
+    def note(ue):
+        for table, cut in ((ue.harq_probs, 0.0), (ue.harq_outage_probs, depth)):
+            stands_for[id(table)] = (ue.snr_la_db, cut)
+            held.append(table)      # keeps every id unique
+    update = run._update_channel
+
+    def updating(ue, t):
+        update(ue, t)
+        note(ue)
+    run._update_channel = updating
+    for ue in run.ues:
+        note(ue)
     cuts = []
-    tables = []
+    slots = []      # per outage draw: whether it hit, and the slot's tables
 
-    def transmitting(fail_probs, harq, rng):
-        tables.append(fail_probs)
-        return transmit(fail_probs, harq, rng)
-
-    def delivering(ue, pkts, slot_end):
-        tables.clear()
-        deliver(ue, pkts, slot_end)
+    def close_slot():
+        if not slots:
+            return
+        hit, tables = slots[-1]
         assert tables, "a served NR slot carries at least one packet"
         fail_probs = tables[0]
         assert all(table is fail_probs for table in tables)
-        cut = depth if fail_probs is ue.harq_outage_probs else 0.0
-        assert fail_probs == run.harq.fail_probs(ue.snr_la_db - cut)
+        snr, cut = stands_for[id(fail_probs)]
+        assert (cut > 0.0) == hit
+        assert fail_probs == run.harq.fail_probs(snr - cut)
         cuts.append(cut)
-    run._deliver = delivering
+
+    draw = run.outage_rng.random
+
+    def drawing():
+        close_slot()
+        u = draw()
+        slots.append((u < run.p_out, []))
+        return u
+    run.outage_rng.random = drawing
+
+    def transmitting(fail_probs, harq, rng):
+        slots[-1][1].append(fail_probs)
+        return transmit(fail_probs, harq, rng)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(runner, "harq_transmit", transmitting)
         run.execute()
+    close_slot()
+    assert len(cuts) == len(slots)
     return cuts
 
 

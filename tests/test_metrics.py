@@ -12,19 +12,16 @@ from sitelink.traffic import DropCause, Packet
 
 
 def _delivered_flow(n_pkts: int, delay: float = 0.01) -> FlowStats:
-    stats = FlowStats(0)
+    stats = FlowStats(0, tx_packets=n_pkts)
     for i in range(n_pkts):
-        pkt = Packet(i, t_created=float(i))
-        stats.on_created(pkt)
-        stats.on_delivered(pkt, i + delay)
+        stats.on_delivered(Packet(i, t_created=float(i)), i + delay)
     return stats
 
 
 def _dropped(stats: FlowStats, n_pkts: int, cause: DropCause) -> None:
+    stats.tx_packets += n_pkts
     for i in range(n_pkts):
-        pkt = Packet(i, t_created=0.0)
-        stats.on_created(pkt)
-        stats.on_dropped(pkt, cause)
+        stats.on_dropped(Packet(i, t_created=0.0), cause)
 
 
 def test_finalize_lossless_cbr_flow():
@@ -37,11 +34,9 @@ def test_finalize_lossless_cbr_flow():
 
 
 def test_finalize_overload_loss_rate():
-    stats = FlowStats(0)
+    stats = FlowStats(0, tx_packets=425)
     for i in range(425):
-        pkt = Packet(i, t_created=0.0)
-        stats.on_created(pkt)
-        stats.on_delivered(pkt, 0.02)
+        stats.on_delivered(Packet(i, t_created=0.0), 0.02)
     _dropped(stats, 575, DropCause.QUEUE_OVERFLOW)
     _, loss, _ = finalize([stats], 10.0, 1250)
     assert loss == pytest.approx(0.575)
@@ -77,10 +72,9 @@ def test_finalize_pools_packets_over_flows():
 
 
 def test_ledger_ignores_packets_created_before_warmup():
-    stats = FlowStats(0, warmup_s=1.0)
+    # tx_packets counts what the creator saw in the window: pkts[2:].
+    stats = FlowStats(0, warmup_s=1.0, tx_packets=2)
     pkts = [Packet(i, t) for i, t in enumerate((0.5, 0.999, 1.0, 1.5))]
-    for pkt in pkts:
-        stats.on_created(pkt)
     stats.on_delivered(pkts[0], 1.1)
     stats.on_dropped(pkts[1], DropCause.HARQ_EXHAUSTED)
     stats.on_delivered(pkts[2], 1.25)        # created exactly at warm-up

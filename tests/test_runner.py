@@ -21,9 +21,11 @@ from sitelink.engine import Simulator
 from sitelink.metrics import (aggregate_replications, export_csv, finalize,
                               sweep_label)
 from sitelink.phymac import SUPPORTED_SCS_KHZ
-from sitelink.runner import (SWEEP_SEED_STRIDE, _Run, derive_run_seed,
-                             run_metadata, run_scenario, run_single)
-from sitelink.traffic import DropCause, FlowQueue, Packet, cbr_emit_times
+from sitelink.runner import (SWEEP_SEED_STRIDE, _Run, _Schedule,
+                             derive_run_seed, run_metadata, run_scenario,
+                             run_single)
+from sitelink.traffic import (DropCause, DuplicateDeliveryError, FlowQueue,
+                              Packet, cbr_emit_times)
 
 LIGHT = """
 preset=custom
@@ -920,3 +922,79 @@ def test_a_single_run_study_records_nothing():
     assert runner._schedule is None
     run_single(_reuse_cfg("nr", reps=2), "nr", 0, 0)
     assert runner._schedule is not None
+
+
+# -- the schedule record -----------------------------------------------------
+
+def _record(schedule):
+    return {name: getattr(schedule, name) for name in _Schedule.__slots__}
+
+
+@settings(max_examples=30, deadline=None)
+@given(rat=st.sampled_from(["lte", "nr"]), ue_count=st.integers(1, 4),
+       duration=st.floats(0.3, 0.8), warmup=st.floats(0.0, 0.1),
+       speed=st.sampled_from([0.0, 30.0]), mbps=st.floats(2.0, 12.0),
+       queue=st.integers(1, 20), seed=st.integers(1, 10_000))
+def test_a_record_accounts_for_every_grant_and_epoch(rat, ue_count, duration,
+                                                     warmup, speed, mbps,
+                                                     queue, seed):
+    cfg = parse_config(
+        f"preset=custom\nrats={rat}\nsweep_variable=speed_kmh\nsweep={speed!r}\n"
+        f"ue_count={ue_count}\nduration_s={duration!r}\nwarmup_s={warmup!r}\n"
+        f"drain_max_s=0.2\nreplications=1\nseed_base={seed}\n"
+        f"traffic.data_volume_mbps={mbps!r}\n"
+        f"traffic.queue_capacity_pkts={queue}\n")
+    run = _Run(cfg, rat, speed, 0, seed)
+    result = run.execute()
+    record = run.schedule
+    grants = len(record.grant_ue)
+    assert len(record.grant_end) == len(record.grant_n) == grants
+    assert sum(record.grant_n) == len(record.served)
+    ends = list(record.epoch_end)
+    assert all(a <= b for a, b in zip(ends, ends[1:]))
+    assert ends[-1] == grants
+    assert (len(record.epoch_t) == len(record.rates) == len(run.tables)
+            == len(ends))
+    window = sum(t >= warmup for t in cbr_emit_times(run.stream))
+    assert record.created == window
+    assert all(flow.tx_packets == window for flow in result.flows)
+
+
+@pytest.mark.parametrize("rat", ["lte", "nr"])
+def test_a_traced_run_records_what_an_untraced_one_does(rat):
+    cfg = _reuse_cfg(rat, ue_count=3, speeds=(30.0,), extra=_EDGE)
+    seed = derive_run_seed(cfg.seed_base, 0, 2)
+    plain = _Run(cfg, rat, 30.0, 2, seed)
+    traced = _Run(cfg, rat, 30.0, 2, seed, trace_sink=io.StringIO())
+    assert plain.execute() == traced.execute()
+    assert len(plain.schedule.served) > 0
+    assert _record(plain.schedule) == _record(traced.schedule)
+
+
+@pytest.mark.parametrize("rat", ["lte", "nr"])
+def test_a_record_that_reorders_a_flow_fails_the_sink_check(rat):
+    # The outcome pass checks each delivery as a flow's sink would.  Swap
+    # two packets of UE 0 in the record, the later one created before the
+    # earlier one's slot ends: reusing the record delivers the later seq
+    # first, in time, and then the earlier one.  At 20 Mb/s per UE packets
+    # queue up on both RATs.
+    cfg = _reuse_cfg(rat, ue_count=8,
+                     extra={"traffic.data_volume_mbps": "20"})
+    run = _Run(cfg, rat, 0.0, 0, derive_run_seed(cfg.seed_base, 0, 0))
+    run.execute()
+    record = run.schedule
+    at, mine = 0, []    # UE 0's packets: (index in served, slot end)
+    for ue, slot_end, n in zip(record.grant_ue, record.grant_end,
+                               record.grant_n):
+        if ue == 0:
+            mine += [(k, slot_end) for k in range(at, at + n)]
+        at += n
+    served = record.served
+    first, second = next((a, b) for (a, end), (b, _) in zip(mine, mine[1:])
+                         if served[b].t_created <= end)
+    seq = served[first].seq
+    served[first], served[second] = served[second], served[first]
+    run = _Run(cfg, rat, 0.0, 1, derive_run_seed(cfg.seed_base, 0, 1))
+    with pytest.raises(DuplicateDeliveryError,
+                       match=f"flow 0 seq {seq} delivered after seq {seq + 1}"):
+        run.reuse(record)
