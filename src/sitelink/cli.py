@@ -111,6 +111,9 @@ def main(argv=None) -> int:
         print(f"{args.config}: ok")
         return 0
 
+    if args.workers < 1:
+        parser.error(f"argument --workers: must be at least 1, not "
+                     f"{args.workers}")
     cfg = _load_config(args.config, _run_overrides(args))
     if cfg is None:
         return 1
@@ -129,7 +132,7 @@ def main(argv=None) -> int:
         # only once the CSV and .meta are written; a failed run leaves none.
         with (tempfile.TemporaryDirectory(dir=out_dir, prefix=".sitelink-trace-")
               if args.trace else contextlib.nullcontext()) as trace_tmp:
-            results = run_scenario(cfg, workers=max(args.workers, 1),
+            results = run_scenario(cfg, workers=args.workers,
                                    trace_dir=trace_tmp)
             _write_outputs(results, cfg, args.out, meta_path)
             if trace_tmp is not None:

@@ -13,8 +13,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
-from .traffic import DropCause, Packet
-
 CSV_COLUMNS = (
     "scenario", "rat", "ue_count", "offered_mbps_per_ue", "speed_kmh",
     "replications", "throughput_mbps", "loss_rate", "mean_delay_ms",
@@ -24,29 +22,16 @@ CSV_COLUMNS = (
 
 @dataclass
 class FlowStats:
-    """Counters for one flow; loss and delay metrics derive from these.
-
-    Packets created before ``warmup_s`` are ignored by every counter.  Its
-    creator sets ``tx_packets``: the runner counts the measured window's CBR
-    instants once, since every flow creates a packet at each of them.
-    """
+    """One flow's ledger over the measured window; loss and delay metrics
+    derive from it.  The runner builds it once per run: the window's
+    packets created, delivered, their delay sum, and the drops by cause
+    (only causes that dropped a packet)."""
 
     flow_id: int
-    warmup_s: float = 0.0
-    tx_packets: int = 0
-    rx_packets: int = 0
-    delay_sum_s: float = 0.0
+    tx_packets: int
+    rx_packets: int
+    delay_sum_s: float
     drops_by_cause: dict = field(default_factory=dict)
-
-    def on_delivered(self, pkt: Packet, t: float) -> None:
-        if pkt.t_created >= self.warmup_s:
-            self.rx_packets += 1
-            self.delay_sum_s += t - pkt.t_created
-
-    def on_dropped(self, pkt: Packet, cause: DropCause) -> None:
-        if pkt.t_created >= self.warmup_s:
-            key = cause._value_    # the plain string; .value is a slow property
-            self.drops_by_cause[key] = self.drops_by_cause.get(key, 0) + 1
 
     @property
     def dropped_packets(self) -> int:

@@ -23,14 +23,13 @@ then draws all its outcomes in one pass, ``_Run._outcomes``, in grant order
 and at each grant's epoch link state.  Each random stream sees the draws a
 single interleaved pass would make, in the same order.
 
-An untraced full run keeps its schedule as the process's record when
-another run of the study can follow (more than one replication or sweep
-point).  A later run whose schedule key matches the record's (RAT, UE
-count, traffic without the core latency, duration, warm-up and drain
-windows, the scheduler's slot, RB count and PF window, and the refresh
-period) skips the schedule pass: it recomputes its link state at every
-recorded refresh epoch, every UE's rate (from its position, its own
-shadowing draw in UE order, and SNR).  Equal rates mean equal schedules.
+An untraced full run's schedule becomes the process's record.  A later
+run whose schedule key matches the record's (RAT, UE count, traffic
+without the core latency, duration, warm-up and drain windows, the
+scheduler's slot, RB count and PF window, and the refresh period) skips
+the schedule pass: it recomputes its link state at every recorded refresh
+epoch, every UE's rate (from its position, its own shadowing draw in UE
+order, and SNR).  Equal rates mean equal schedules.
 On the first mismatch the run is dropped, before it draws any outcome, and
 runs in full from fresh streams.  If every rate equals the record's, the
 outcome pass runs over the record, exactly as it runs after a schedule
@@ -51,9 +50,17 @@ Model notes
   corridor inside the mmWave range, so no run meets a dead link (SNR -inf):
   a rate of 0 only means a live link below the SNR floor, which is never
   served.
+* Only the measured window counts.  ``_Run._arrival`` is the one place
+  that compares a time with the warm-up instant: it counts the window's CBR
+  instants and the window packets a full queue rejects.  The grid's
+  instants never decrease, so the window's packets are exactly the seqs
+  from the record's ``first_seq`` on, which is how the drain write-off and
+  the outcome pass tell them apart.
 * Packets are accounted at their computed delivery time the moment they are
   served; queued residue after the drain phase is written off as
-  out-of-coverage loss so per-flow conservation is exact.
+  out-of-coverage loss.  The outcome pass builds each flow's ledger once,
+  from these tallies and its own sums, and checks that per-flow
+  conservation is exact.
 """
 
 from __future__ import annotations
@@ -95,10 +102,9 @@ def derive_run_seed(seed_base: int, sweep_index: int, rep_index: int) -> int:
 
 class _Ue:
     __slots__ = ("idx", "r0", "queue", "credit_bits", "distance_m",
-                 "snr_la_db", "harq_probs", "harq_outage_probs", "stats")
+                 "snr_la_db", "harq_probs", "harq_outage_probs")
 
-    def __init__(self, idx: int, r0: float, queue: FlowQueue,
-                 stats: FlowStats):
+    def __init__(self, idx: int, r0: float, queue: FlowQueue):
         self.idx = idx
         self.r0 = r0
         self.queue = queue
@@ -111,7 +117,6 @@ class _Ue:
         # the link-adaptation SNR, and (NR only) in a beam-tracking outage.
         self.harq_probs = ()
         self.harq_outage_probs = ()
-        self.stats = stats
 
 
 class _Schedule:
@@ -125,14 +130,16 @@ class _Schedule:
     The small-int columns are lists, which append fastest; the slot ends
     sit in a float array, which keeps no float object alive.  Per run: the
     packets each flow created in the measured window (one CBR grid drives
-    every flow) and, per UE, the drops that no outcome decides (every cause
-    but HARQ's).
+    every flow), the seq of the window's first packet and, per UE, the
+    window packets that no outcome decides: those its full queue rejected
+    (``overflow``) and those left queued at drain time (``stranded``).
     """
 
     __slots__ = ("key", "epoch_t", "epoch_end", "rates", "grant_ue",
-                 "grant_end", "grant_n", "served", "created", "drops")
+                 "grant_end", "grant_n", "served", "created", "first_seq",
+                 "overflow", "stranded")
 
-    def __init__(self, key: tuple):
+    def __init__(self, key: tuple, n_ues: int):
         self.key = key
         self.epoch_t = array("d")
         self.epoch_end = array("l")
@@ -142,7 +149,9 @@ class _Schedule:
         self.grant_n: list[int] = []
         self.served: list[Packet] = []
         self.created = 0
-        self.drops: list[dict] = []
+        self.first_seq = 0
+        self.overflow = [0] * n_ues
+        self.stranded = [0] * n_ues
 
 
 class _Run:
@@ -167,7 +176,6 @@ class _Run:
         self.slot_s = phy.slot_s
 
         self.duration = cfg.duration_s
-        self.warmup = cfg.warmup_s
         self.stop_time = cfg.duration_s + cfg.drain_max_s
         self.core_s = cfg.traffic.core_latency_ms * 1e-3
         self.packet_bytes = cfg.traffic.packet_size_bytes
@@ -189,7 +197,7 @@ class _Run:
                     None if self.is_nr else (phy.rb_count, phy.pf_window))
         # The schedule this run records, with the grant columns' appends
         # bound once, and per refresh epoch every UE's HARQ tables.
-        self.schedule = schedule = _Schedule(self.key)
+        self.schedule = schedule = _Schedule(self.key, cfg.ue_count)
         self._add_packet = schedule.served.append
         self._add_grant_ue = schedule.grant_ue.append
         self._add_grant_end = schedule.grant_end.append
@@ -211,8 +219,7 @@ class _Run:
         self._step = self._nr_step if self.is_nr else self._lte_step
 
         self.mobility = cfg.mobility
-        self.ues = [_Ue(i, r0, FlowQueue(cfg.traffic.queue_capacity_pkts),
-                        FlowStats(i, warmup_s=self.warmup))
+        self.ues = [_Ue(i, r0, FlowQueue(cfg.traffic.queue_capacity_pkts))
                     for i, r0 in enumerate(cfg.mobility.radii(cfg.ue_count))]
         # Per-UE serving rates, indexed like ``ues``: set at channel refresh
         # and handed to the scheduler as is.  Round robin takes the queues
@@ -300,14 +307,18 @@ class _Run:
         seq = self.grid_index
         self.grid_index = seq + 1
         pkt = Packet(seq, t)
-        if t >= self.warmup:    # every flow creates this packet
+        # The one warm-up test: every flow creates this packet, and whether
+        # it is measured decides whether its drops count.
+        measured = t >= self.cfg.warmup_s
+        if measured:
             self.schedule.created += 1
+        overflow = self.schedule.overflow
         accepted = 0
-        for ue in self.ues:
-            if ue.queue.offer(pkt):
+        for i, queue in enumerate(self.queues):
+            if queue.offer(pkt):
                 accepted += 1
-            else:
-                ue.stats.on_dropped(pkt, DropCause.QUEUE_OVERFLOW)
+            elif measured:
+                overflow[i] += 1
         self.backlog_pkts += accepted
         if self.backlog_pkts and not self.slot_running:
             self._wake_slots(t)
@@ -374,22 +385,20 @@ class _Run:
 
     # -- lifecycle ----------------------------------------------------------
 
-    def execute(self, keep: bool = False) -> RunResult:
+    def execute(self) -> RunResult:
         """Simulate the run in full: the schedule pass, then the outcome
-        pass.  With *keep*, the schedule becomes this process's record."""
-        global _schedule
+        pass."""
         self.sim.run(self.stop_time)
+        schedule = self.schedule
+        # The grid's instants never decrease, so the window's packets are
+        # the last ``created`` seqs.
+        first = schedule.first_seq = self.grid_index - schedule.created
         # Whatever is still queued could not be served within the drain
         # window: the link never carried it, so it counts as coverage loss.
-        for ue in self.ues:
-            for pkt in ue.queue.drain():
-                ue.stats.on_dropped(pkt, DropCause.OUT_OF_COVERAGE)
+        schedule.stranded = [sum(pkt.seq >= first for pkt in queue.drain())
+                             for queue in self.queues]
         self.backlog_pkts = 0
         self._close_epoch()
-        schedule = self.schedule
-        schedule.drops = [dict(ue.stats.drops_by_cause) for ue in self.ues]
-        if keep:
-            _schedule = schedule
         return self._outcomes(schedule, self.tables)
 
     def reuse(self, schedule: _Schedule) -> Optional[RunResult]:
@@ -412,8 +421,8 @@ class _Run:
         """Every outcome of *schedule*, in grant order: an NR grant draws its
         outage, then each packet its HARQ result, with its epoch's entry of
         *tables*; a packet is delivered (to its flow's sink, in seq order)
-        or dropped.  The ledgers take the schedule's counts and each UE's
-        sums, added in grant order."""
+        or dropped.  Each flow's ledger is built once, from the schedule's
+        tallies and the window packets' sums, added in grant order."""
         n_ues = len(self.ues)
         last_seq = [-1] * n_ues
         rx = [0] * n_ues
@@ -421,7 +430,7 @@ class _Run:
         lost = [0] * n_ues
         transmit = harq_transmit
         harq, rng = self.harq, self.harq_rng
-        core_s, warmup = self.core_s, self.warmup
+        core_s, first = self.core_s, schedule.first_seq
         outage = self.outage_rng.random if self.is_nr else None
         p_out = self.p_out
         grants = zip(schedule.grant_ue, schedule.grant_end, schedule.grant_n)
@@ -436,39 +445,34 @@ class _Run:
                     n -= 1
                     pkt = next_packet()
                     outcome = transmit(probs, harq, rng)
-                    created = pkt.t_created
+                    seq = pkt.seq
                     if outcome.delivered:
+                        created = pkt.t_created
                         t_rx = slot_end + outcome.added_delay_s + core_s
-                        if t_rx < created or pkt.seq <= last_seq[i]:
+                        if t_rx < created or seq <= last_seq[i]:
                             Sink(i, last_seq[i]).receive(pkt, t_rx)  # raises
-                        last_seq[i] = pkt.seq
-                        if created >= warmup:
+                        last_seq[i] = seq
+                        if seq >= first:
                             rx[i] += 1
                             delay[i] += t_rx - created
-                    elif created >= warmup:
+                    elif seq >= first:
                         lost[i] += 1
             start = end
-        harq_key = DropCause.HARQ_EXHAUSTED.value
-        for ue, drops in zip(self.ues, schedule.drops):
-            stats = ue.stats
-            stats.tx_packets = schedule.created
-            stats.rx_packets = rx[ue.idx]
-            stats.delay_sum_s = delay[ue.idx]
-            stats.drops_by_cause.update(drops)
-            if lost[ue.idx]:
-                stats.drops_by_cause[harq_key] = lost[ue.idx]
-        return self._result()
-
-    def _result(self) -> RunResult:
-        flows = [ue.stats for ue in self.ues]
-        for stats in flows:
+        flows = []
+        for i in range(n_ues):
+            drops = {cause.value: n for cause, n in (
+                (DropCause.QUEUE_OVERFLOW, schedule.overflow[i]),
+                (DropCause.HARQ_EXHAUSTED, lost[i]),
+                (DropCause.OUT_OF_COVERAGE, schedule.stranded[i])) if n}
+            stats = FlowStats(i, schedule.created, rx[i], delay[i], drops)
             if not stats.conservation_holds():
                 raise SimulationError(
-                    f"flow {stats.flow_id}: created {stats.tx_packets} != "
-                    f"delivered {stats.rx_packets} + dropped {stats.dropped_packets}")
-        throughput, loss, mean_delay = finalize(
-            flows, self.duration - self.warmup, self.packet_bytes)
+                    f"flow {i}: created {stats.tx_packets} != delivered "
+                    f"{stats.rx_packets} + dropped {stats.dropped_packets}")
+            flows.append(stats)
         cfg = self.cfg
+        throughput, loss, mean_delay = finalize(
+            flows, cfg.duration_s - cfg.warmup_s, self.packet_bytes)
         speed = cfg.mobility.speed_kmh
         if speed == 0 and cfg.sweep_variable != "speed_kmh":
             speed = None    # no UE of the study moves
@@ -482,8 +486,7 @@ class _Run:
             flows=flows)
 
 
-# This process's schedule record: the last untraced full run's, kept when
-# another run of its study could follow.
+# This process's schedule record: the last untraced full run's.
 _schedule: Optional[_Schedule] = None
 
 
@@ -492,6 +495,7 @@ def run_single(cfg: ScenarioConfig, rat: str, sweep_index: int,
     """Execute one replication of one sweep point, or draw its outcomes
     over this process's schedule record when that is exact (see the module
     notes)."""
+    global _schedule
     seed = derive_run_seed(cfg.seed_base, sweep_index, rep_index)
     sweep_value = cfg.sweep[sweep_index]
     label = sweep_label(sweep_value)
@@ -507,7 +511,9 @@ def run_single(cfg: ScenarioConfig, rat: str, sweep_index: int,
             if result is not None:
                 return result
             run = _Run(cfg, rat, sweep_value, rep_index, seed)
-        return run.execute(cfg.replications > 1 or len(cfg.sweep) > 1)
+        result = run.execute()
+        _schedule = run.schedule
+        return result
     except SimulationError as exc:
         raise SimulationError(
             f"run failed at rat={rat} {cfg.sweep_variable}={label} "

@@ -159,6 +159,21 @@ def test_missing_subcommand_exits_2():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_run_rejects_a_worker_count_below_one(tmp_path, capsys, monkeypatch,
+                                              workers):
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("run_scenario called with --workers below 1")
+
+    monkeypatch.setattr("sitelink.cli.run_scenario", no_sweep)
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--workers", workers, "--out", str(tmp_path / "w.csv")])
+    assert exc.value.code == 2
+    assert f"--workers: must be at least 1, not {workers}" in (
+        capsys.readouterr().err)
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("trace", [[], ["--trace"]], ids=["plain", "trace"])
 def test_run_with_unwritable_metadata_leaves_no_csv(tmp_path, capsys, trace):
     cfg_path = tmp_path / "tiny.cfg"

@@ -8,25 +8,15 @@ from hypothesis import strategies as st
 
 from sitelink.metrics import (CSV_COLUMNS, FlowStats, RunResult,
                               aggregate_replications, export_csv, finalize)
-from sitelink.traffic import DropCause, Packet
+from sitelink.traffic import DropCause
 
 
-def _delivered_flow(n_pkts: int, delay: float = 0.01) -> FlowStats:
-    stats = FlowStats(0, tx_packets=n_pkts)
-    for i in range(n_pkts):
-        stats.on_delivered(Packet(i, t_created=float(i)), i + delay)
-    return stats
-
-
-def _dropped(stats: FlowStats, n_pkts: int, cause: DropCause) -> None:
-    stats.tx_packets += n_pkts
-    for i in range(n_pkts):
-        stats.on_dropped(Packet(i, t_created=0.0), cause)
+OVERFLOW = DropCause.QUEUE_OVERFLOW.value
 
 
 def test_finalize_lossless_cbr_flow():
     # 200 pkt/s of 1250 B over 10 s, all delivered -> 2.0 Mb/s, zero loss.
-    stats = _delivered_flow(2000)
+    stats = FlowStats(0, 2000, 2000, 2000 * 0.01)
     throughput, loss, delay = finalize([stats], 10.0, 1250)
     assert throughput == 2_000_000.0
     assert loss == 0.0
@@ -34,18 +24,14 @@ def test_finalize_lossless_cbr_flow():
 
 
 def test_finalize_overload_loss_rate():
-    stats = FlowStats(0, tx_packets=425)
-    for i in range(425):
-        stats.on_delivered(Packet(i, t_created=0.0), 0.02)
-    _dropped(stats, 575, DropCause.QUEUE_OVERFLOW)
+    stats = FlowStats(0, 1000, 425, 425 * 0.02, {OVERFLOW: 575})
     _, loss, _ = finalize([stats], 10.0, 1250)
     assert loss == pytest.approx(0.575)
     assert stats.conservation_holds()
 
 
 def test_finalize_degenerate_flow_reports_absent_delay():
-    stats = FlowStats(0)
-    _dropped(stats, 10, DropCause.OUT_OF_COVERAGE)
+    stats = FlowStats(0, 10, 0, 0.0, {DropCause.OUT_OF_COVERAGE.value: 10})
     throughput, loss, delay = finalize([stats], 5.0, 1250)
     assert throughput == 0.0
     assert loss == 1.0
@@ -53,36 +39,21 @@ def test_finalize_degenerate_flow_reports_absent_delay():
 
 
 def test_loss_plus_delivery_fraction_is_one():
-    stats = _delivered_flow(123)
-    _dropped(stats, 45, DropCause.HARQ_EXHAUSTED)
+    stats = FlowStats(0, 168, 123, 123 * 0.01,
+                      {DropCause.HARQ_EXHAUSTED.value: 45})
     _, loss, _ = finalize([stats], 1.0, 1250)
     assert loss + stats.rx_packets / stats.tx_packets == pytest.approx(1.0, abs=1e-15)
 
 
 def test_finalize_pools_packets_over_flows():
-    fast = _delivered_flow(300, delay=0.01)
-    slow = _delivered_flow(100, delay=0.05)
-    _dropped(slow, 100, DropCause.QUEUE_OVERFLOW)
+    fast = FlowStats(0, 300, 300, 300 * 0.01)
+    slow = FlowStats(1, 200, 100, 100 * 0.05, {OVERFLOW: 100})
     throughput, loss, delay = finalize([fast, slow], 2.0, 1250)
     assert throughput == 400 * 1250 * 8.0 / 2.0
     assert finalize([fast, slow], 2.0, 1)[0] == 400 * 8.0 / 2.0
     assert loss == pytest.approx(100 / 500)
     assert delay == pytest.approx((300 * 0.01 + 100 * 0.05) / 400)
     assert finalize([], 1.0, 1250) == (0.0, 0.0, None)
-
-
-def test_ledger_ignores_packets_created_before_warmup():
-    # tx_packets counts what the creator saw in the window: pkts[2:].
-    stats = FlowStats(0, warmup_s=1.0, tx_packets=2)
-    pkts = [Packet(i, t) for i, t in enumerate((0.5, 0.999, 1.0, 1.5))]
-    stats.on_delivered(pkts[0], 1.1)
-    stats.on_dropped(pkts[1], DropCause.HARQ_EXHAUSTED)
-    stats.on_delivered(pkts[2], 1.25)        # created exactly at warm-up
-    stats.on_dropped(pkts[3], DropCause.QUEUE_OVERFLOW)
-    assert (stats.tx_packets, stats.rx_packets) == (2, 1)
-    assert stats.delay_sum_s == 0.25
-    assert stats.drops_by_cause == {DropCause.QUEUE_OVERFLOW.value: 1}
-    assert stats.conservation_holds()
 
 
 def _result(rep: int, thr: float, loss: float = 0.0, delay=0.002,

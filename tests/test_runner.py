@@ -18,8 +18,8 @@ from hypothesis import strategies as st
 from sitelink import runner
 from sitelink.config import parse_config
 from sitelink.engine import Simulator
-from sitelink.metrics import (aggregate_replications, export_csv, finalize,
-                              sweep_label)
+from sitelink.metrics import (FlowStats, aggregate_replications, export_csv,
+                              finalize, sweep_label)
 from sitelink.phymac import SUPPORTED_SCS_KHZ
 from sitelink.runner import (SWEEP_SEED_STRIDE, _Run, _Schedule,
                              derive_run_seed, run_metadata, run_scenario,
@@ -351,8 +351,7 @@ def test_one_arrival_instant_shares_one_frozen_packet():
     assert run.queues[1][0] is held
     assert all(q[0] is pkt for i, q in enumerate(run.queues) if i != 1)
     assert run.backlog_pkts == cfg.ue_count - 1
-    assert [ue.stats.drops_by_cause for ue in run.ues] == [
-        {}, {DropCause.QUEUE_OVERFLOW.value: 1}, {}, {}]
+    assert run.schedule.overflow == [0, 1, 0, 0]
     with pytest.raises(FrozenInstanceError):
         pkt.seq = 1
 
@@ -739,9 +738,9 @@ def test_reused_schedules_equal_full_runs(rat, ue_count, speeds, reps, harq,
     executed = []
     execute = _Run.execute
 
-    def counted(run, record=False):
+    def counted(run):
         executed.append(run.rep_index)
-        return execute(run, record)
+        return execute(run)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(_Run, "execute", counted)
         mp.setattr(runner, "_schedule", None)
@@ -764,9 +763,9 @@ def full_runs(monkeypatch):
     calls = []
     execute = _Run.execute
 
-    def counted(run, record=False):
+    def counted(run):
         calls.append(run.rep_index)
-        return execute(run, record)
+        return execute(run)
     monkeypatch.setattr(_Run, "execute", counted)
     return calls
 
@@ -817,7 +816,7 @@ def test_a_reused_replication_touches_no_queue_and_calls_no_scheduler(
         _counting(monkeypatch, name, calls,
                   FlowQueue if name in ("pop", "offer") else runner)
 
-    def execute(run, record=False):
+    def execute(run):
         raise AssertionError("a reused replication ran in full")
     monkeypatch.setattr(_Run, "execute", execute)
     assert run_single(cfg, rat, 0, 1) == expected
@@ -917,13 +916,6 @@ def test_a_replay_shares_no_state_with_returned_results(full_runs):
     assert run_single(cfg, "lte", 0, 2) == _full_run(cfg, "lte", 2)
 
 
-def test_a_single_run_study_records_nothing():
-    run_single(_reuse_cfg("nr", reps=1), "nr", 0, 0)
-    assert runner._schedule is None
-    run_single(_reuse_cfg("nr", reps=2), "nr", 0, 0)
-    assert runner._schedule is not None
-
-
 # -- the schedule record -----------------------------------------------------
 
 def _record(schedule):
@@ -958,6 +950,62 @@ def test_a_record_accounts_for_every_grant_and_epoch(rat, ue_count, duration,
     window = sum(t >= warmup for t in cbr_emit_times(run.stream))
     assert record.created == window
     assert all(flow.tx_packets == window for flow in result.flows)
+
+
+@pytest.mark.parametrize("rat, bler_threshold_db", [
+    ("lte", 43.0), ("nr", 50.0)], ids=["lte", "nr"])
+def test_ledgers_ignore_packets_created_before_warmup(monkeypatch, rat,
+                                                      bler_threshold_db):
+    # 2 Mb/s of 1250 B packets is one per 5 ms, so grid instant 100 lands
+    # exactly on the 0.5 s warm-up, and it is measured.  UE 0's link sits
+    # below the SNR floor: its 3-packet queue fills before warm-up, rejects
+    # every later packet and is written off at drain.  UEs 1 and 2 sit
+    # near the BLER threshold with no retransmission, so HARQ drops packets
+    # on both sides of warm-up.
+    cfg = parse_config(
+        f"preset=custom\nrats={rat}\nsweep_variable=speed_kmh\nsweep=0\n"
+        "ue_count=3\nmobility.placement=60,100,100\nduration_s=1\n"
+        "warmup_s=0.5\ndrain_max_s=0.1\nreplications=1\nseed_base=3\n"
+        "traffic.data_volume_mbps=2\ntraffic.packet_size_bytes=1250\n"
+        "traffic.queue_capacity_pkts=3\nradio.nr.mmwave.sigma_db=0\n"
+        f"phy.{rat}.harq.max_retx=0\n"
+        f"phy.{rat}.harq.bler_threshold_db={bler_threshold_db}\n")
+    snr = runner.snr_db
+
+    def patched(radio, d, penalties_db=0.0, shadow_db=0.0):
+        return -30.0 if d == 60.0 else snr(radio, d, penalties_db, shadow_db)
+    monkeypatch.setattr(runner, "snr_db", patched)
+    calls = {"harq_transmit": 0, "drain": 0}
+    outcomes, drained = [], []
+    _counting(monkeypatch, "harq_transmit", calls, returns=outcomes)
+    _counting(monkeypatch, "drain", calls, FlowQueue, returns=drained)
+    run = _Run(cfg, rat, 0.0, 0, seed=3)
+    result = run.execute()
+    emit = cbr_emit_times(run.stream)
+    assert emit[99] < emit[100] == 0.5
+    window = len(emit) - 100
+    assert [pkt.seq for pkt in drained[0]] == [0, 1, 2]
+    assert drained[1:] == [[], []]
+    assert result.flows[0] == FlowStats(
+        0, window, 0, 0.0, {DropCause.QUEUE_OVERFLOW.value: window})
+    record = run.schedule
+    grants = [(ue, end) for ue, end, n in zip(
+        record.grant_ue, record.grant_end, record.grant_n) for _ in range(n)]
+    assert len(outcomes) == len(record.served) == len(grants)
+    for i in (1, 2):
+        mine = [(pkt.t_created, end, outcome.delivered) for pkt, (ue, end),
+                outcome in zip(record.served, grants, outcomes) if ue == i]
+        assert not all(ok for t, _, ok in mine if t < 0.5)
+        measured = [(t, end, ok) for t, end, ok in mine if t >= 0.5]
+        rx = sum(ok for _, _, ok in measured)
+        assert len(measured) == window and 0 < rx < window
+        flow = result.flows[i]
+        assert (flow.tx_packets, flow.rx_packets) == (window, rx)
+        assert flow.delay_sum_s == pytest.approx(sum(
+            end + run.core_s - t for t, end, ok in measured if ok))
+        assert flow.drops_by_cause == {
+            DropCause.HARQ_EXHAUSTED.value: window - rx}
+    assert _Run(cfg, rat, 0.0, 0, seed=3).reuse(record) == result
 
 
 @pytest.mark.parametrize("rat", ["lte", "nr"])

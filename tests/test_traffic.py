@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sitelink.metrics import FlowStats
 from sitelink.phymac import RrState, nr_slot_schedule
 from sitelink.traffic import (DuplicateDeliveryError, FlowQueue, Packet, Sink,
                               VideoStream, cbr_emit_times)
@@ -120,13 +119,9 @@ def test_queue_operations_keep_capacity_and_fifo_order(capacities, steps):
 
 
 def test_sink_records_delay_and_rejects_duplicates():
-    # The runner hands one delivery time to the sink and to the flow ledger.
     sink = Sink(3)
-    stats = FlowStats(3)
-    pkt = Packet(17, t_created=1.000)
-    sink.receive(pkt, 1.012)
-    stats.on_delivered(pkt, 1.012)
-    assert stats.delay_sum_s == pytest.approx(0.012)
+    sink.receive(Packet(17, t_created=1.000), 1.012)
+    assert sink.last_seq == 17
     dup = Packet(17, t_created=1.005)
     with pytest.raises(DuplicateDeliveryError):
         sink.receive(dup, 1.02)
