@@ -21,7 +21,7 @@ from .phymac import (HarqOutcome, HarqProcess, LinkAdaptation, LtePhy, NrPhy,
                      nr_slot_schedule, pf_schedule)
 from .runner import (SimulationError, derive_run_seed, run_metadata,
                      run_scenario, run_single)
-from .traffic import (DropCause, DuplicateDeliveryError, FlowQueue, Packet,
-                      Sink, VideoStream, cbr_emit_times)
+from .traffic import (DropCause, DuplicateDeliveryError, FlowQueue, Sink,
+                      VideoStream, cbr_emit_times)
 
 __version__ = "0.1.0"

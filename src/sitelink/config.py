@@ -84,6 +84,8 @@ class MobilityConfig:
         if not points or not all(self.corridor_min_m <= r <= self.corridor_max_m
                                  for r in points):
             raise ValueError("placement: must name radii inside the corridor")
+        if self.placement.startswith("uniform:") and points[0] > points[1]:
+            raise ValueError("placement: uniform:lo,hi needs lo <= hi")
 
     def _points(self) -> list[float]:
         """The radii the placement spec names; ``uniform:lo,hi`` names two."""

@@ -130,10 +130,11 @@ def aggregate_replications(results: Sequence[RunResult],
 def sweep_label(value: Optional[float]) -> str:
     """Text of a dimension value in CSV cells and trace names: the shortest
     repr minus a trailing ".0", so 2.0 reads "2" and distinct values never
-    share a label.  None, a dimension the study does not exercise, is ""."""
+    share a label; -0.0, which equals 0.0, reads "0" too.  None, a dimension
+    the study does not exercise, is ""."""
     if value is None:
         return ""
-    text = repr(float(value))
+    text = repr(float(value) or 0.0)
     return text[:-2] if text.endswith(".0") else text
 
 

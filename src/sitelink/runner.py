@@ -10,6 +10,12 @@ Each handler takes its event's time and returns its chain's next instant,
 or None to end the chain; only the construction (the three starts) and
 ``_wake_slots`` (a sleeping slot chain) schedule events.
 
+A run's state is numbers.  A UE is its index into the run's per-UE columns
+(queue, carried credit, rate, HARQ tables, last distance, start radius),
+and ``_Run._open_epoch`` is the one function that computes every UE's link
+state at a refresh epoch.  A packet is its seq, the index of its instant on
+the cell's one CBR grid, whose time the schedule notes once per instant.
+
 Schedule pass, then outcome pass
 --------------------------------
 A run has two parts.  Its *schedule* is which packets each grant serves, in
@@ -33,7 +39,8 @@ order, and SNR).  Equal rates mean equal schedules.
 On the first mismatch the run is dropped, before it draws any outcome, and
 runs in full from fresh streams.  If every rate equals the record's, the
 outcome pass runs over the record, exactly as it runs after a schedule
-pass.  What the key leaves out (mobility, radio, link adaptation, HARQ,
+pass, reading each packet's creation time from the record's instants: the
+key pins the traffic grid, so they are this run's own.  What the key leaves out (mobility, radio, link adaptation, HARQ,
 core latency, speed) reaches the schedule only through the rates, which the
 check compares, or touches only the outcomes.  A traced run neither reads
 nor writes the record, so ``--trace`` writes one full trace per
@@ -80,8 +87,7 @@ from .metrics import (FlowStats, RunResult, aggregate_replications, finalize,
 from .mobility import position_at
 from .phymac import (PfState, RrState, achievable_rate_bps, harq_transmit,
                      nr_slot_schedule, pf_schedule)
-from .traffic import (DropCause, FlowQueue, Packet, Sink, VideoStream,
-                      cbr_grid)
+from .traffic import DropCause, FlowQueue, Sink, VideoStream, cbr_grid
 
 # Sweep points sit this far apart in seed space; within a sweep point the
 # replication seeds are seed_base + replication index.
@@ -100,54 +106,37 @@ def derive_run_seed(seed_base: int, sweep_index: int, rep_index: int) -> int:
     return seed_base + rep_index + SWEEP_SEED_STRIDE * sweep_index
 
 
-class _Ue:
-    __slots__ = ("idx", "r0", "queue", "credit_bits", "distance_m",
-                 "snr_la_db", "harq_probs", "harq_outage_probs")
-
-    def __init__(self, idx: int, r0: float, queue: FlowQueue):
-        self.idx = idx
-        self.r0 = r0
-        self.queue = queue
-        self.credit_bits = 0.0
-        # Where the link state below was computed; NaN until the first
-        # channel update.
-        self.distance_m = math.nan
-        self.snr_la_db = -math.inf
-        # HARQ failure probabilities per attempt, set at channel refresh: at
-        # the link-adaptation SNR, and (NR only) in a beam-tracking outage.
-        self.harq_probs = ()
-        self.harq_outage_probs = ()
-
-
 class _Schedule:
     """One run's schedule (see the module notes).
 
-    Per refresh epoch, in columns: its instant, every UE's rate and the
-    grant offset where the epoch ends.  The rates are all of the link state
-    that the schedule reads: the corridor rule keeps every link live, so no
-    dead flag is kept.  Per grant: the UE, the slot end and the number of
-    packets served; the packets themselves sit in one list, in grant order.
-    The small-int columns are lists, which append fastest; the slot ends
-    sit in a float array, which keeps no float object alive.  Per run: the
-    packets each flow created in the measured window (one CBR grid drives
-    every flow), the seq of the window's first packet and, per UE, the
+    Per CBR instant: its time, so a packet is its seq, the instant's grid
+    index (one grid drives every flow).  Per refresh epoch, in columns: its
+    instant, every UE's rate and the grant offset where the epoch ends.
+    The rates are all of the link state that the schedule reads: the
+    corridor rule keeps every link live, so no dead flag is kept.  Per
+    grant: the UE, the slot end and the number of packets served; the
+    served seqs sit in one list, in grant order.  The small-int columns are
+    lists, which append fastest; the times sit in float arrays, which keep
+    no float object alive.  Per run: the packets each flow created in the
+    measured window, the seq of the window's first packet and, per UE, the
     window packets that no outcome decides: those its full queue rejected
     (``overflow``) and those left queued at drain time (``stranded``).
     """
 
-    __slots__ = ("key", "epoch_t", "epoch_end", "rates", "grant_ue",
-                 "grant_end", "grant_n", "served", "created", "first_seq",
-                 "overflow", "stranded")
+    __slots__ = ("key", "instants", "epoch_t", "epoch_end", "rates",
+                 "grant_ue", "grant_end", "grant_n", "served", "created",
+                 "first_seq", "overflow", "stranded")
 
     def __init__(self, key: tuple, n_ues: int):
         self.key = key
+        self.instants = array("d")
         self.epoch_t = array("d")
         self.epoch_end = array("l")
         self.rates: list[tuple[float, ...]] = []
         self.grant_ue: list[int] = []
         self.grant_end = array("d")
         self.grant_n: list[int] = []
-        self.served: list[Packet] = []
+        self.served: list[int] = []
         self.created = 0
         self.first_seq = 0
         self.overflow = [0] * n_ues
@@ -218,14 +207,22 @@ class _Run:
         self.idle_slots = not self.is_nr
         self._step = self._nr_step if self.is_nr else self._lte_step
 
+        # A UE is its index into these columns.  The rates are set at each
+        # refresh epoch and handed to the scheduler as is; round robin takes
+        # the queues themselves, since an empty FlowQueue is falsy.  A UE's
+        # link state was last computed at ``distance`` (NaN before the first
+        # epoch), and ``fail_tables`` holds its HARQ failure probabilities
+        # per attempt from then: at the link-adaptation SNR, and (NR only) in
+        # a beam-tracking outage.
         self.mobility = cfg.mobility
-        self.ues = [_Ue(i, r0, FlowQueue(cfg.traffic.queue_capacity_pkts))
-                    for i, r0 in enumerate(cfg.mobility.radii(cfg.ue_count))]
-        # Per-UE serving rates, indexed like ``ues``: set at channel refresh
-        # and handed to the scheduler as is.  Round robin takes the queues
-        # themselves, since an empty FlowQueue is falsy.
-        self.rates = [0.0] * cfg.ue_count
-        self.queues = [ue.queue for ue in self.ues]
+        n_ues = cfg.ue_count
+        self.r0 = cfg.mobility.radii(n_ues)
+        self.queues = [FlowQueue(cfg.traffic.queue_capacity_pkts)
+                       for _ in range(n_ues)]
+        self.credit_bits = [0.0] * n_ues
+        self.rates = [0.0] * n_ues
+        self.distance = [math.nan] * n_ues
+        self.fail_tables: list[tuple] = [((), ())] * n_ues
 
         # Every UE streams the same CBR grid, so one stream drives the cell:
         # the packet created at grid index k is seq k of every flow.
@@ -239,8 +236,6 @@ class _Run:
         # Channel state first, then the slot chain, then the source, so that
         # simultaneous events resolve in that order.  One refresh event and
         # one arrival event serve every UE, in UE order.
-        for ue in self.ues:
-            self._update_channel(ue, 0.0)
         self._open_epoch(0.0)
         self.sim.schedule(self.refresh_s, self._refresh, "refresh")
         if self.idle_slots:
@@ -252,24 +247,6 @@ class _Run:
 
     # -- channel ------------------------------------------------------------
 
-    def _update_channel(self, ue: _Ue, t: float) -> None:
-        d = position_at(ue.r0, self.mobility, t)
-        if self.shadow_sigma:
-            shadow = self.shadow_rng.gauss(0.0, self.shadow_sigma)
-        elif d == ue.distance_m:
-            return      # same position, no shadowing: the link is unchanged
-        else:
-            shadow = 0.0
-        ue.distance_m = d
-        snr = snr_db(self.radio, d, penalties_db=self.lte_penalty_db,
-                     shadow_db=shadow)
-        ue.snr_la_db = snr
-        ue.harq_probs = self.harq.fail_probs(snr)
-        if self.is_nr:
-            ue.harq_outage_probs = self.harq.fail_probs(
-                snr - self.outage_penalty_db)
-        self.rates[ue.idx] = achievable_rate_bps(snr, self.radio, self.la)
-
     def _continues(self, nxt: float, idle: bool) -> bool:
         """Whether a periodic chain schedules its next instant *nxt*.
 
@@ -280,22 +257,35 @@ class _Run:
         return nxt <= self.stop_time and (
             self.backlog_pkts > 0 or (idle and nxt <= self.duration))
 
-    def _harq_tables(self) -> list[tuple]:
-        return [(ue.harq_probs, ue.harq_outage_probs) for ue in self.ues]
-
     def _open_epoch(self, t: float) -> None:
-        """Note a refresh epoch that starts at *t*: its rates go to the
-        schedule, its HARQ tables to this run."""
+        """Compute every UE's link state at refresh instant *t*, in UE order
+        with one shadowing draw each, and note the epoch: its rates go to
+        the schedule, its HARQ tables to this run."""
+        fail_probs = self.harq.fail_probs
+        rates, tables, distance = self.rates, self.fail_tables, self.distance
+        for i, r0 in enumerate(self.r0):
+            d = position_at(r0, self.mobility, t)
+            if self.shadow_sigma:
+                shadow = self.shadow_rng.gauss(0.0, self.shadow_sigma)
+            elif d == distance[i]:
+                continue    # same place, no shadowing: link unchanged
+            else:
+                shadow = 0.0
+            distance[i] = d
+            snr = snr_db(self.radio, d, penalties_db=self.lte_penalty_db,
+                         shadow_db=shadow)
+            tables[i] = (fail_probs(snr),
+                         fail_probs(snr - self.outage_penalty_db)
+                         if self.is_nr else ())
+            rates[i] = achievable_rate_bps(snr, self.radio, self.la)
         self.schedule.epoch_t.append(t)
-        self.schedule.rates.append(tuple(self.rates))
-        self.tables.append(self._harq_tables())
+        self.schedule.rates.append(tuple(rates))
+        self.tables.append(list(tables))
 
     def _close_epoch(self) -> None:
         self.schedule.epoch_end.append(len(self.schedule.grant_ue))
 
     def _refresh(self, t: float) -> Optional[float]:
-        for ue in self.ues:
-            self._update_channel(ue, t)
         self._close_epoch()
         self._open_epoch(t)
         nxt = t + self.refresh_s
@@ -306,7 +296,7 @@ class _Run:
     def _arrival(self, t: float) -> Optional[float]:
         seq = self.grid_index
         self.grid_index = seq + 1
-        pkt = Packet(seq, t)
+        self.schedule.instants.append(t)
         # The one warm-up test: every flow creates this packet, and whether
         # it is measured decides whether its drops count.
         measured = t >= self.cfg.warmup_s
@@ -315,7 +305,7 @@ class _Run:
         overflow = self.schedule.overflow
         accepted = 0
         for i, queue in enumerate(self.queues):
-            if queue.offer(pkt):
+            if queue.offer(seq):
                 accepted += 1
             elif measured:
                 overflow[i] += 1
@@ -335,11 +325,11 @@ class _Run:
 
     # -- serving ------------------------------------------------------------
 
-    def _serve(self, ue: _Ue, capacity_bits: float, slot_end: float) -> None:
-        """One grant's schedule: pop and charge what the credit covers, and
-        note the grant and its packets."""
-        credit = ue.credit_bits + capacity_bits
-        queue = ue.queue
+    def _serve(self, i: int, capacity_bits: float, slot_end: float) -> None:
+        """UE *i*'s grant: pop and charge what the credit covers, and note
+        the grant and its packets."""
+        credit = self.credit_bits[i] + capacity_bits
+        queue = self.queues[i]
         bits = self.packet_bits
         add_packet = self._add_packet
         n = 0
@@ -349,14 +339,13 @@ class _Run:
             n += 1
         if not queue:
             credit = 0.0    # no banking of idle airtime
-        ue.credit_bits = credit
+        self.credit_bits[i] = credit
         self.backlog_pkts -= n
-        self._add_grant_ue(ue.idx)
+        self._add_grant_ue(i)
         self._add_grant_end(slot_end)
         self._add_grant_n(n)
 
     def _lte_step(self, t: float) -> None:
-        ues = self.ues
         rates = self.rates
         size = self.packet_bytes
         alloc = pf_schedule(self.sched, rates,
@@ -365,14 +354,14 @@ class _Run:
         share = self.slot_s / self.sched.rb_count
         for i, rbs in enumerate(alloc):
             if rbs:
-                self._serve(ues[i], rates[i] * share * rbs, slot_end)
+                self._serve(i, rates[i] * share * rbs, slot_end)
 
     def _nr_step(self, t: float) -> None:
         # The chain runs only while a packet waits, so the round robin
         # always picks a UE; a link below the SNR floor (rate 0) idles.
         pick = nr_slot_schedule(self.sched, self.queues)
         if (rate := self.rates[pick]) > 0.0:
-            self._serve(self.ues[pick], rate * self.slot_s, t + self.slot_s)
+            self._serve(pick, rate * self.slot_s, t + self.slot_s)
 
     def _slot(self, t: float) -> Optional[float]:
         self._step(t)
@@ -395,35 +384,32 @@ class _Run:
         first = schedule.first_seq = self.grid_index - schedule.created
         # Whatever is still queued could not be served within the drain
         # window: the link never carried it, so it counts as coverage loss.
-        schedule.stranded = [sum(pkt.seq >= first for pkt in queue.drain())
+        schedule.stranded = [sum(seq >= first for seq in queue.drain())
                              for queue in self.queues]
         self.backlog_pkts = 0
         self._close_epoch()
-        return self._outcomes(schedule, self.tables)
+        return self._outcomes(schedule)
 
     def reuse(self, schedule: _Schedule) -> Optional[RunResult]:
         """This run's result drawn over *schedule*, a record with this run's
         key; None if this run's rates differ from the record's at one of its
         refresh instants, found before any outcome is drawn.  The run is
         spent either way."""
-        tables = []
         for e, (t, rates) in enumerate(zip(schedule.epoch_t, schedule.rates)):
-            if e:   # the construction set epoch 0
-                for ue in self.ues:
-                    self._update_channel(ue, t)
-            if tuple(self.rates) != rates:
+            if e:   # the construction opened epoch 0
+                self._open_epoch(t)
+            if self.schedule.rates[-1] != rates:
                 return None
-            tables.append(self._harq_tables())
-        return self._outcomes(schedule, tables)
+        return self._outcomes(schedule)
 
-    def _outcomes(self, schedule: _Schedule,
-                  tables: list[list[tuple]]) -> RunResult:
+    def _outcomes(self, schedule: _Schedule) -> RunResult:
         """Every outcome of *schedule*, in grant order: an NR grant draws its
-        outage, then each packet its HARQ result, with its epoch's entry of
-        *tables*; a packet is delivered (to its flow's sink, in seq order)
-        or dropped.  Each flow's ledger is built once, from the schedule's
-        tallies and the window packets' sums, added in grant order."""
-        n_ues = len(self.ues)
+        outage, then each packet its HARQ result, with its epoch's HARQ
+        tables from this run's link state; a packet is delivered (to its
+        flow's sink, in seq order) or dropped.  Each flow's ledger is built
+        once, from the schedule's tallies and the window packets' sums, added
+        in grant order."""
+        n_ues = len(self.queues)
         last_seq = [-1] * n_ues
         rx = [0] * n_ues
         delay = [0.0] * n_ues
@@ -434,23 +420,24 @@ class _Run:
         outage = self.outage_rng.random if self.is_nr else None
         p_out = self.p_out
         grants = zip(schedule.grant_ue, schedule.grant_end, schedule.grant_n)
-        next_packet = iter(schedule.served).__next__
+        next_seq = iter(schedule.served).__next__
+        instants = schedule.instants
         start = 0
-        for table, end in zip(tables, schedule.epoch_end):
+        for table, end in zip(self.tables, schedule.epoch_end):
             for i, slot_end, n in islice(grants, end - start):
                 probs, outage_probs = table[i]
                 if outage is not None and outage() < p_out:
                     probs = outage_probs
                 while n:
                     n -= 1
-                    pkt = next_packet()
+                    seq = next_seq()
                     outcome = transmit(probs, harq, rng)
-                    seq = pkt.seq
                     if outcome.delivered:
-                        created = pkt.t_created
+                        created = instants[seq]
                         t_rx = slot_end + outcome.added_delay_s + core_s
                         if t_rx < created or seq <= last_seq[i]:
-                            Sink(i, last_seq[i]).receive(pkt, t_rx)  # raises
+                            # The delivery breaks the sink rule: this raises.
+                            Sink(i, last_seq[i]).receive(seq, created, t_rx)
                         last_seq[i] = seq
                         if seq >= first:
                             rx[i] += 1

@@ -1,11 +1,12 @@
 """Constant-bitrate video sources (camera avatars), per-flow queues and sinks.
 
 Video is abstracted as UDP datagrams of the stream's fixed size, emitted on a
-strict CBR grid; there is no codec or jitter model.  A packet holds only its
-seq and creation time.  One frozen packet per CBR instant is shared by every
-flow's queue.  Each queue is a drop-tail deque.  ``Sink`` is the rule a
-flow's deliveries obey; the runner's outcome loop checks it inline and calls
-``Sink.receive`` only to raise the error for a delivery that breaks it.
+strict CBR grid; there is no codec or jitter model.  A packet is its seq: the
+index of its instant on the grid, whose time the runner notes once per
+instant.  Every flow's queue holds the seqs it accepted, in a drop-tail
+deque.  ``Sink`` is the rule a flow's deliveries obey; the runner's outcome
+loop checks it inline and calls ``Sink.receive`` only to raise the error for
+a delivery that breaks it.
 """
 
 from __future__ import annotations
@@ -63,18 +64,8 @@ def cbr_emit_times(stream: VideoStream) -> list[float]:
     return list(cbr_grid(stream))
 
 
-@dataclass(frozen=True, slots=True)
-class Packet:
-    """One datagram of the stream's size, built once per CBR instant and
-    shared by every flow's queue: the packet of grid index k is seq k of
-    every flow."""
-
-    seq: int
-    t_created: float
-
-
 class FlowQueue(deque):
-    """Drop-tail FIFO with a fixed packet capacity: the deque itself.
+    """Drop-tail FIFO of packet seqs with a fixed capacity: the deque itself.
 
     ``len``, truthiness and ``q[0]`` are the deque's own; ``pop`` is its
     ``popleft``, which takes the head."""
@@ -85,16 +76,16 @@ class FlowQueue(deque):
         super().__init__()
         self.capacity = capacity
 
-    def offer(self, pkt: Packet) -> bool:
+    def offer(self, seq: int) -> bool:
         """Enqueue unless full; False means the packet was rejected."""
         if len(self) >= self.capacity:
             return False
-        self.append(pkt)
+        self.append(seq)
         return True
 
     pop = deque.popleft
 
-    def drain(self) -> list[Packet]:
+    def drain(self) -> list[int]:
         out = list(self)
         self.clear()
         return out
@@ -115,13 +106,14 @@ class Sink:
         self.flow_id = flow_id
         self.last_seq = last_seq
 
-    def receive(self, pkt: Packet, t: float) -> None:
-        if t < pkt.t_created:
+    def receive(self, seq: int, t_created: float, t: float) -> None:
+        """Deliver packet *seq*, created at *t_created*, at time *t*."""
+        if t < t_created:
             raise ValueError(
-                f"flow {self.flow_id} seq {pkt.seq} delivered at t={t} "
-                f"before its creation at t={pkt.t_created}")
-        if pkt.seq <= self.last_seq:
+                f"flow {self.flow_id} seq {seq} delivered at t={t} "
+                f"before its creation at t={t_created}")
+        if seq <= self.last_seq:
             raise DuplicateDeliveryError(
-                f"flow {self.flow_id} seq {pkt.seq} delivered after seq "
+                f"flow {self.flow_id} seq {seq} delivered after seq "
                 f"{self.last_seq}")
-        self.last_seq = pkt.seq
+        self.last_seq = seq

@@ -274,76 +274,82 @@ def _run_at_speed(rat: str, speed_kmh: float, extra: str = "") -> _Run:
     return _Run(cfg, rat, speed_kmh, 0, seed=1)
 
 
+def _snr_calls(mp: pytest.MonkeyPatch) -> list[float]:
+    """Every SNR the runner computes from now on, in call order."""
+    snrs = []
+    snr = runner.snr_db
+
+    def noting(*args, **kwargs):
+        snrs.append(snr(*args, **kwargs))
+        return snrs[-1]
+    mp.setattr(runner, "snr_db", noting)
+    return snrs
+
+
 def _served_slot_snr_cuts(speed_kmh: float, extra: str = "") -> list[float]:
     """Link-adaptation SNR minus transmit SNR of every served NR slot.
 
     The outcome pass draws each slot's outage and then hands ``harq_transmit``
     one HARQ table for all the slot's packets: the one at its UE's
     link-adaptation SNR, or in an outage the one at that SNR less the
-    configured depth.  Each table is checked against the SNR it stands for
-    and against the slot's outage draw.
+    configured depth.  Each table is checked against the SNR it stands for,
+    its UE's at the slot's refresh epoch, and against the slot's outage draw.
     """
-    run = _run_at_speed("nr", speed_kmh, extra)
     transmit = runner.harq_transmit
-    depth = run.cfg.radio_nr.outage_penalty_db
-    # Every table a channel update hands out, by identity: (SNR, cut).
-    stands_for = {}
-    held = []
-
-    def note(ue):
-        for table, cut in ((ue.harq_probs, 0.0), (ue.harq_outage_probs, depth)):
-            stands_for[id(table)] = (ue.snr_la_db, cut)
-            held.append(table)      # keeps every id unique
-    update = run._update_channel
-
-    def updating(ue, t):
-        update(ue, t)
-        note(ue)
-    run._update_channel = updating
-    for ue in run.ues:
-        note(ue)
-    cuts = []
     slots = []      # per outage draw: whether it hit, and the slot's tables
-
-    def close_slot():
-        if not slots:
-            return
-        hit, tables = slots[-1]
-        assert tables, "a served NR slot carries at least one packet"
-        fail_probs = tables[0]
-        assert all(table is fail_probs for table in tables)
-        snr, cut = stands_for[id(fail_probs)]
-        assert (cut > 0.0) == hit
-        assert fail_probs == run.harq.fail_probs(snr - cut)
-        cuts.append(cut)
-
-    draw = run.outage_rng.random
-
-    def drawing():
-        close_slot()
-        u = draw()
-        slots.append((u < run.p_out, []))
-        return u
-    run.outage_rng.random = drawing
 
     def transmitting(fail_probs, harq, rng):
         slots[-1][1].append(fail_probs)
         return transmit(fail_probs, harq, rng)
     with pytest.MonkeyPatch.context() as mp:
+        snrs = _snr_calls(mp)
+        run = _run_at_speed("nr", speed_kmh, extra)
+        draw = run.outage_rng.random
+
+        def drawing():
+            u = draw()
+            slots.append((u < run.p_out, []))
+            return u
+        run.outage_rng.random = drawing
         mp.setattr(runner, "harq_transmit", transmitting)
         run.execute()
-    close_slot()
-    assert len(cuts) == len(slots)
+    record = run.schedule
+    n_ues = run.cfg.ue_count
+    # Shadowing redraws every NR link at every refresh epoch, so each epoch
+    # computes every UE's SNR once, in UE order.
+    assert len(snrs) == len(record.epoch_t) * n_ues
+    epochs = [e for e, (a, b) in enumerate(zip([0, *record.epoch_end],
+                                                record.epoch_end))
+              for _ in range(b - a)]
+    assert len(slots) == len(record.grant_ue) == len(epochs)
+    depth = run.cfg.radio_nr.outage_penalty_db
+    fail = run.harq.fail_probs
+    cuts = []
+    for (hit, tables), i, e in zip(slots, record.grant_ue, epochs):
+        assert tables, "a served NR slot carries at least one packet"
+        fail_probs = tables[0]
+        assert all(table is fail_probs for table in tables)
+        snr = snrs[e * n_ues + i]
+        stands_for = {fail(snr): 0.0, fail(snr - depth): depth}
+        assert len(stands_for) == 2
+        cut = stands_for[fail_probs]
+        assert (cut > 0.0) == hit
+        cuts.append(cut)
     return cuts
 
 
 def test_lte_velocity_penalty_is_deterministic_ramp():
     # Positions at t=0 do not depend on speed, so the whole SNR gap at t=0
     # is the 0.02 dB per km/h ramp.
-    static = _run_at_speed("lte", 0.0)
-    moving = _run_at_speed("lte", 60.0)
-    for a, b in zip(static.ues, moving.ues):
-        assert a.snr_la_db - b.snr_la_db == pytest.approx(1.2, abs=1e-9)
+    with pytest.MonkeyPatch.context() as mp:
+        static_snrs = _snr_calls(mp)
+        static = _run_at_speed("lte", 0.0)
+    with pytest.MonkeyPatch.context() as mp:
+        moving_snrs = _snr_calls(mp)
+        moving = _run_at_speed("lte", 60.0)
+    assert len(static_snrs) == len(moving_snrs) == static.cfg.ue_count
+    for a, b in zip(static_snrs, moving_snrs):
+        assert a - b == pytest.approx(1.2, abs=1e-9)
     assert static.p_out == moving.p_out == 0.0
 
 

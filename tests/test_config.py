@@ -188,6 +188,7 @@ _INVALID = [
     ("sweep_variable=ue_count\nsweep=0", "sweep"),
     ("mobility.placement=uniform:5,100", "mobility.placement"),
     ("mobility.placement=uniform:20", "mobility.placement"),
+    ("mobility.placement=uniform:100,20", "mobility.placement"),
     ("duration_s=1\nwarmup_s=2", "duration_s"),
     ("duration_s=2\nwarmup_s=0.5\ntraffic.app_start_s=3",
      "traffic.app_start_s"),

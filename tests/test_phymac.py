@@ -14,7 +14,7 @@ from sitelink.phymac import (_AVG_FLOOR_BPS, SUPPORTED_SCS_KHZ, HarqOutcome,
                              HarqProcess, LinkAdaptation, LtePhy, NrPhy,
                              PfState, RrState, achievable_rate_bps, bler,
                              harq_transmit, nr_slot_schedule, pf_schedule)
-from sitelink.traffic import FlowQueue, Packet
+from sitelink.traffic import FlowQueue
 
 
 # -- numerology ---------------------------------------------------------------
@@ -280,7 +280,7 @@ def test_rr_picks_the_same_ue_from_queues_as_from_lengths(steps):
         queues = [FlowQueue(4) for _ in counts]
         for i, k in enumerate(counts):
             for seq in range(k):
-                queues[i].offer(Packet(seq, 0.0))
+                queues[i].offer(seq)
         pos = by_len.rr_pos
         expect = next((i % 6 for i in range(pos, pos + 6) if counts[i % 6]),
                       None)

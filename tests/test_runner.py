@@ -9,7 +9,6 @@ import io
 import multiprocessing
 import os
 import tempfile
-from dataclasses import FrozenInstanceError
 
 import pytest
 from hypothesis import example, given, settings
@@ -25,7 +24,7 @@ from sitelink.runner import (SWEEP_SEED_STRIDE, _Run, _Schedule,
                              derive_run_seed, run_metadata, run_scenario,
                              run_single)
 from sitelink.traffic import (DropCause, DuplicateDeliveryError, FlowQueue,
-                              Packet, cbr_emit_times)
+                              cbr_emit_times)
 
 LIGHT = """
 preset=custom
@@ -104,14 +103,13 @@ def test_nr_mobility_drops_via_harq_exhaustion():
 def _force_channel(run, ue_idx):
     """Pin one UE's rate to 0 regardless of what the refresh recomputes: a
     link in range (finite SNR) below the SNR floor."""
-    original = run._update_channel
+    original = run._open_epoch
 
-    def patched(ue, t):
-        original(ue, t)
-        if ue.idx == ue_idx:
-            run.rates[ue_idx] = 0.0
-    run._update_channel = patched
-    patched(run.ues[ue_idx], 0.0)
+    def patched(t):
+        original(t)
+        run.rates[ue_idx] = 0.0
+    run._open_epoch = patched
+    run.rates[ue_idx] = 0.0
 
 
 def test_a_ue_on_the_far_wall_stays_in_mmwave_coverage():
@@ -318,12 +316,23 @@ def test_aggregate_throughput_equals_sum_of_flow_throughputs():
     assert result.throughput_bps == pytest.approx(per_flow, rel=1e-9)
 
 
-def test_static_lte_channel_is_time_invariant():
+def test_static_lte_channel_is_time_invariant(monkeypatch):
+    # A static LTE UE draws no shadowing, so no refresh recomputes its SNR.
     cfg = parse_config(LIGHT)
+    snrs = []
+    snr = runner.snr_db
+
+    def noting(*args, **kwargs):
+        snrs.append(snr(*args, **kwargs))
+        return snrs[-1]
+    monkeypatch.setattr(runner, "snr_db", noting)
     run = _Run(cfg, "lte", 2.0, 0, seed=3)
-    first = run.ues[0].snr_la_db
+    first = list(snrs)
     run.sim.run(1.0)    # several refresh periods elapse
-    assert run.ues[0].snr_la_db == first
+    assert len(first) == run.cfg.ue_count and snrs == first
+    assert len(run.schedule.rates) > 5
+    assert all(rates == run.schedule.rates[0] for rates in run.schedule.rates)
+    assert all(tables == run.tables[0] for tables in run.tables)
 
 
 def test_arrivals_follow_the_cbr_grid():
@@ -336,24 +345,19 @@ def test_arrivals_follow_the_cbr_grid():
         assert flow.tx_packets == len(cbr_emit_times(run.stream)) == 380
 
 
-def test_one_arrival_instant_shares_one_frozen_packet():
-    # Every flow's packet of an instant is the same immutable object; a full
-    # queue rejects it and keeps what it holds.
+def test_one_arrival_instant_offers_one_seq_to_every_queue():
+    # Every flow's packet of an instant is the instant's seq, whose time the
+    # schedule notes once; a full queue rejects it and keeps what it holds.
     cfg = parse_config(MOBILE, overrides={"warmup_s": "0",
                                           "traffic.app_start_s": "0",
                                           "traffic.queue_capacity_pkts": "1"})
     run = _Run(cfg, "nr", cfg.sweep[0], 0, seed=1)
-    held = Packet(99, 0.0)
-    assert run.queues[1].offer(held)
+    assert run.queues[1].offer(99)
     run._arrival(0.0)
-    pkt = run.queues[0][0]
-    assert pkt.seq == 0
-    assert run.queues[1][0] is held
-    assert all(q[0] is pkt for i, q in enumerate(run.queues) if i != 1)
+    assert [list(q) for q in run.queues] == [[0], [99], [0], [0]]
+    assert list(run.schedule.instants) == [0.0]
     assert run.backlog_pkts == cfg.ue_count - 1
     assert run.schedule.overflow == [0, 1, 0, 0]
-    with pytest.raises(FrozenInstanceError):
-        pkt.seq = 1
 
 
 @pytest.mark.parametrize("rat", ["lte", "nr"])
@@ -411,6 +415,21 @@ def test_trace_names_keep_close_sweep_values_apart(tmp_path):
     assert names == {"custom_lte_2_0.trace", "custom_lte_2.0000001_0.trace"}
     assert sweep_label(1000000.0) == "1000000"
     assert sweep_label(1000001.0) == "1000001"
+
+
+def test_a_negative_zero_sweep_value_reads_zero(tmp_path):
+    # -0.0 passes the speed check (it is not < 0) and equals 0.0, so it
+    # labels CSV cells and trace names as 0 does.
+    cfg = parse_config(LIGHT + "rats=lte",
+                       overrides={"sweep": "-0", "sweep_variable": "speed_kmh",
+                                  "duration_s": "1.5"})
+    result = run_single(cfg, "lte", 0, 0, trace_dir=str(tmp_path))
+    assert [p.name for p in tmp_path.iterdir()] == ["custom_lte_0_0.trace"]
+    export_csv([result], str(tmp_path / "out.csv"))
+    with open(tmp_path / "out.csv", newline="") as f:
+        [row] = csv.DictReader(f)
+    assert row["speed_kmh"] == "0"
+    assert sweep_label(-0.0) == sweep_label(0.0) == "0"
 
 
 class _InlinePool:
@@ -540,7 +559,8 @@ def test_position_is_computed_once_per_ue_per_channel_update(monkeypatch,
     run.execute()
     kinds = [line.split("\t")[2] for line in trace.getvalue().splitlines()]
     assert kinds.count("refresh") > 0
-    assert calls["position_at"] == len(run.ues) * (1 + kinds.count("refresh"))
+    assert calls["position_at"] == (run.cfg.ue_count
+                                    * (1 + kinds.count("refresh")))
 
 
 @settings(max_examples=40, deadline=None)
@@ -950,6 +970,18 @@ def test_a_record_accounts_for_every_grant_and_epoch(rat, ue_count, duration,
     window = sum(t >= warmup for t in cbr_emit_times(run.stream))
     assert record.created == window
     assert all(flow.tx_packets == window for flow in result.flows)
+    # A packet is its seq: the record notes every instant's time once, and
+    # each UE's served seqs are ints that strictly increase.
+    assert len(record.instants) == run.grid_index
+    emit = cbr_emit_times(run.stream)[:run.grid_index]
+    assert [t.hex() for t in record.instants] == [t.hex() for t in emit]
+    assert all(type(seq) is int for seq in record.served)
+    seqs = [[] for _ in range(ue_count)]
+    at = 0
+    for ue, n in zip(record.grant_ue, record.grant_n):
+        seqs[ue] += record.served[at:at + n]
+        at += n
+    assert all(a < b for mine in seqs for a, b in zip(mine, mine[1:]))
 
 
 @pytest.mark.parametrize("rat, bler_threshold_db", [
@@ -984,7 +1016,7 @@ def test_ledgers_ignore_packets_created_before_warmup(monkeypatch, rat,
     emit = cbr_emit_times(run.stream)
     assert emit[99] < emit[100] == 0.5
     window = len(emit) - 100
-    assert [pkt.seq for pkt in drained[0]] == [0, 1, 2]
+    assert drained[0] == [0, 1, 2]
     assert drained[1:] == [[], []]
     assert result.flows[0] == FlowStats(
         0, window, 0, 0.0, {DropCause.QUEUE_OVERFLOW.value: window})
@@ -993,8 +1025,9 @@ def test_ledgers_ignore_packets_created_before_warmup(monkeypatch, rat,
         record.grant_ue, record.grant_end, record.grant_n) for _ in range(n)]
     assert len(outcomes) == len(record.served) == len(grants)
     for i in (1, 2):
-        mine = [(pkt.t_created, end, outcome.delivered) for pkt, (ue, end),
-                outcome in zip(record.served, grants, outcomes) if ue == i]
+        mine = [(record.instants[seq], end, outcome.delivered) for seq,
+                (ue, end), outcome in zip(record.served, grants, outcomes)
+                if ue == i]
         assert not all(ok for t, _, ok in mine if t < 0.5)
         measured = [(t, end, ok) for t, end, ok in mine if t >= 0.5]
         rx = sum(ok for _, _, ok in measured)
@@ -1039,8 +1072,8 @@ def test_a_record_that_reorders_a_flow_fails_the_sink_check(rat):
         at += n
     served = record.served
     first, second = next((a, b) for (a, end), (b, _) in zip(mine, mine[1:])
-                         if served[b].t_created <= end)
-    seq = served[first].seq
+                         if record.instants[served[b]] <= end)
+    seq = served[first]
     served[first], served[second] = served[second], served[first]
     run = _Run(cfg, rat, 0.0, 1, derive_run_seed(cfg.seed_base, 0, 1))
     with pytest.raises(DuplicateDeliveryError,

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sitelink.phymac import RrState, nr_slot_schedule
-from sitelink.traffic import (DuplicateDeliveryError, FlowQueue, Packet, Sink,
+from sitelink.traffic import (DuplicateDeliveryError, FlowQueue, Sink,
                               VideoStream, cbr_emit_times)
 
 
@@ -59,22 +59,21 @@ def test_stream_invariants_enforced():
 
 def test_queue_accepts_until_capacity_then_rejects():
     q = FlowQueue(capacity=3)
-    pkts = [Packet(i, 0.0) for i in range(4)]
-    assert all(q.offer(p) for p in pkts[:3])
+    assert all(q.offer(seq) for seq in range(3))
     assert len(q) == 3
-    assert q.offer(pkts[3]) is False
+    assert q.offer(3) is False
     assert len(q) == 3
 
 
 def test_queue_fifo_order_and_drain():
     q = FlowQueue(capacity=10)
     for i in range(5):
-        q.offer(Packet(i, 0.0))
-    assert q[0].seq == 0
-    assert q.pop().seq == 0
+        q.offer(i)
+    assert q[0] == 0
+    assert q.pop() == 0
     assert len(q) == 4
     rest = q.drain()
-    assert [p.seq for p in rest] == [1, 2, 3, 4]
+    assert rest == [1, 2, 3, 4]
     assert len(q) == 0 and not q
 
 
@@ -93,25 +92,23 @@ def test_queue_operations_keep_capacity_and_fifo_order(capacities, steps):
     for seq, (which, op) in enumerate(steps):
         q, model = queues[which % len(queues)], models[which % len(queues)]
         if op == "offer":
-            pkt = Packet(seq, 0.0)
             full = len(model) == q.capacity
-            assert q.offer(pkt) is not full
+            assert q.offer(seq) is not full
             if not full:
-                model.append(pkt)
+                model.append(seq)
         elif op == "pop":
             if model:
-                assert q.pop() is model.pop(0)
+                assert q.pop() == model.pop(0)
             else:
                 with pytest.raises(IndexError):
                     q.pop()
         else:
             drained = q.drain()
-            assert len(drained) == len(model)
-            assert all(a is b for a, b in zip(drained, model))
+            assert drained == model
             model.clear()
         for q, model in zip(queues, models):
             assert len(q) == len(model) <= q.capacity
-            assert all(a is b for a, b in zip(q, model))
+            assert list(q) == model
             assert bool(q) is bool(model)
         pick = nr_slot_schedule(by_queue, queues)
         assert pick == nr_slot_schedule(by_len, [len(q) for q in queues])
@@ -120,31 +117,30 @@ def test_queue_operations_keep_capacity_and_fifo_order(capacities, steps):
 
 def test_sink_records_delay_and_rejects_duplicates():
     sink = Sink(3)
-    sink.receive(Packet(17, t_created=1.000), 1.012)
+    sink.receive(17, 1.000, 1.012)
     assert sink.last_seq == 17
-    dup = Packet(17, t_created=1.005)
     with pytest.raises(DuplicateDeliveryError):
-        sink.receive(dup, 1.02)
+        sink.receive(17, 1.005, 1.02)
 
 
 def test_sink_accepts_skipped_seqs_and_rejects_reordering():
     # One sink per flow: drops skip seqs, and nothing may go back.
     sink = Sink(4)
-    sink.receive(Packet(0, 0.0), 0.01)
-    sink.receive(Packet(5, 0.0), 0.02)    # seqs 1-4 were dropped
+    sink.receive(0, 0.0, 0.01)
+    sink.receive(5, 0.0, 0.02)    # seqs 1-4 were dropped
     for seq in (3, 5):
         with pytest.raises(DuplicateDeliveryError,
                            match=f"^flow 4 seq {seq} delivered after seq 5$"):
-            sink.receive(Packet(seq, 0.0), 0.03)
-    sink.receive(Packet(6, 0.0), 0.03)
+            sink.receive(seq, 0.0, 0.03)
+    sink.receive(6, 0.0, 0.03)
     assert sink.last_seq == 6
-    Sink(5).receive(Packet(0, 0.0), 0.03)   # another flow's sink
+    Sink(5).receive(0, 0.0, 0.03)   # another flow's sink
 
 
 def test_sink_rejects_delivery_before_creation():
     sink = Sink(2)
     with pytest.raises(ValueError) as err:
-        sink.receive(Packet(7, t_created=2.0), 1.5)
+        sink.receive(7, 2.0, 1.5)
     assert not isinstance(err.value, DuplicateDeliveryError)
     assert str(err.value) == ("flow 2 seq 7 delivered at t=1.5 before its "
                               "creation at t=2.0")
