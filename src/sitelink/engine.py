@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import hashlib
 import heapq
+import math
 import random
 from typing import Callable, Optional, TextIO
 
@@ -17,7 +18,7 @@ Action = Callable[[float], Optional[float]]
 
 
 class SchedulingInPastError(ValueError):
-    """Raised when an event is scheduled before the current virtual clock."""
+    """Raised when an event time is before the virtual clock, or NaN."""
 
 
 def _label_seed(label: str, seed: int) -> int:
@@ -61,13 +62,25 @@ class Simulator:
     def schedule(self, time: float, action: Action,
                  kind: str = "event", detail: str = "") -> int:
         """Enqueue *action* at virtual *time*; returns the unique event id."""
-        if time < self._now:
+        if not time >= self._now:   # NaN fails too
             raise SchedulingInPastError(
                 f"cannot schedule at t={time}: clock already at {self._now}")
         seq = self._seq
         self._seq = seq + 1
         heapq.heappush(self._heap, (time, seq, action, kind, detail))
         return seq
+
+    def horizon(self) -> float:
+        """The earliest queued event's time; inf if none.
+
+        An action may serve its chain's next instants itself, without an
+        event each, while they come strictly before it and not past the
+        run's *until*: the queue would run each of them next.  A traced
+        simulator returns -inf, so every instant keeps its trace line.
+        """
+        if self._trace is not None:
+            return -math.inf
+        return self._heap[0][0] if self._heap else math.inf
 
     def run(self, until: float) -> int:
         """Process every event with time <= until; leaves the clock at *until*.
@@ -76,7 +89,7 @@ class Simulator:
         every queued event, not past *until*) runs at once instead of being
         queued; it counts, and is traced, like any other event.
         """
-        if until < self._now:
+        if not until >= self._now:
             raise SchedulingInPastError(
                 f"cannot run to t={until}: clock already at {self._now}")
         heap = self._heap
@@ -93,7 +106,7 @@ class Simulator:
                 nxt = action(time)
                 if nxt is None:
                     break
-                if nxt < time:
+                if not nxt >= time:
                     raise SchedulingInPastError(
                         f"cannot continue at t={nxt}: clock already at {time}")
                 seq = self._seq

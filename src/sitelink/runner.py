@@ -8,7 +8,10 @@ any output byte.
 Three event chains drive a run: channel refresh, CBR arrivals and slots.
 Each handler takes its event's time and returns its chain's next instant,
 or None to end the chain; only the construction (the three starts) and
-``_wake_slots`` (a sleeping slot chain) schedule events.
+``_wake_slots`` (a sleeping slot chain) schedule events.  One slot event
+serves its slot and each next one before the simulator's horizon, the next
+queued event: one scheduler call per slot, and one block pops and charges
+the grants of both RATs.  A traced run's horizon is -inf: one line per slot.
 
 A run's state is numbers.  A UE is its index into the run's per-UE columns
 (queue, carried credit, rate, HARQ tables, last distance, start radius),
@@ -20,7 +23,7 @@ Schedule pass, then outcome pass
 --------------------------------
 A run has two parts.  Its *schedule* is which packets each grant serves, in
 which slot and in which channel-refresh epoch, with each epoch's rates:
-``_Run._serve`` pops and charges a grant's packets and notes them in the
+``_Run._slot`` pops and charges each grant's packets and notes them in the
 run's ``_Schedule``.  Its *outcomes* are the ``outage`` draw per NR grant
 and the ``harq`` draw per served packet, with each packet's delivery or
 drop.  Nothing flows back from the outcomes to the schedule, so every run
@@ -40,11 +43,11 @@ On the first mismatch the run is dropped, before it draws any outcome, and
 runs in full from fresh streams.  If every rate equals the record's, the
 outcome pass runs over the record, exactly as it runs after a schedule
 pass, reading each packet's creation time from the record's instants: the
-key pins the traffic grid, so they are this run's own.  What the key leaves out (mobility, radio, link adaptation, HARQ,
-core latency, speed) reaches the schedule only through the rates, which the
-check compares, or touches only the outcomes.  A traced run neither reads
-nor writes the record, so ``--trace`` writes one full trace per
-replication.
+key pins the traffic grid, so they are this run's own.  What the key leaves
+out (mobility, radio, link adaptation, HARQ, core latency, speed) reaches
+the schedule only through the rates, which the check compares, or touches
+only the outcomes.  A traced run neither reads nor writes the record, so
+``--trace`` writes one full trace per replication.
 
 Model notes
 -----------
@@ -184,13 +187,9 @@ class _Run:
                     cfg.duration_s, cfg.warmup_s, cfg.drain_max_s,
                     self.refresh_s, self.slot_s,
                     None if self.is_nr else (phy.rb_count, phy.pf_window))
-        # The schedule this run records, with the grant columns' appends
-        # bound once, and per refresh epoch every UE's HARQ tables.
-        self.schedule = schedule = _Schedule(self.key, cfg.ue_count)
-        self._add_packet = schedule.served.append
-        self._add_grant_ue = schedule.grant_ue.append
-        self._add_grant_end = schedule.grant_end.append
-        self._add_grant_n = schedule.grant_n.append
+        # The schedule this run records, and per refresh epoch every UE's
+        # HARQ tables.
+        self.schedule = _Schedule(self.key, cfg.ue_count)
         self.tables: list[list[tuple]] = []
 
         self.harq_rng = rng_stream("harq", seed)
@@ -205,7 +204,6 @@ class _Run:
         # LTE subframes tick through the measured window even when every
         # queue is empty; the mmWave slot chain runs only while data waits.
         self.idle_slots = not self.is_nr
-        self._step = self._nr_step if self.is_nr else self._lte_step
 
         # A UE is its index into these columns.  The rates are set at each
         # refresh epoch and handed to the scheduler as is; round robin takes
@@ -325,52 +323,54 @@ class _Run:
 
     # -- serving ------------------------------------------------------------
 
-    def _serve(self, i: int, capacity_bits: float, slot_end: float) -> None:
-        """UE *i*'s grant: pop and charge what the credit covers, and note
-        the grant and its packets."""
-        credit = self.credit_bits[i] + capacity_bits
-        queue = self.queues[i]
-        bits = self.packet_bits
-        add_packet = self._add_packet
-        n = 0
-        while queue and credit >= bits:
-            add_packet(queue.pop())
-            credit -= bits
-            n += 1
-        if not queue:
-            credit = 0.0    # no banking of idle airtime
-        self.credit_bits[i] = credit
-        self.backlog_pkts -= n
-        self._add_grant_ue(i)
-        self._add_grant_end(slot_end)
-        self._add_grant_n(n)
-
-    def _lte_step(self, t: float) -> None:
-        rates = self.rates
-        size = self.packet_bytes
-        alloc = pf_schedule(self.sched, rates,
-                            [len(q) * size for q in self.queues])
-        slot_end = t + self.slot_s
-        share = self.slot_s / self.sched.rb_count
-        for i, rbs in enumerate(alloc):
-            if rbs:
-                self._serve(i, rates[i] * share * rbs, slot_end)
-
-    def _nr_step(self, t: float) -> None:
-        # The chain runs only while a packet waits, so the round robin
-        # always picks a UE; a link below the SNR floor (rate 0) idles.
-        pick = nr_slot_schedule(self.sched, self.queues)
-        if (rate := self.rates[pick]) > 0.0:
-            self._serve(pick, rate * self.slot_s, t + self.slot_s)
-
     def _slot(self, t: float) -> Optional[float]:
-        self._step(t)
-        self.slot_index += 1
-        nxt = self.slot_index * self.slot_s
-        if self._continues(nxt, self.idle_slots):
-            return nxt
-        self.slot_running = False
-        return None
+        """Serve slot *t* and each next slot while the chain continues and
+        that slot comes strictly before every queued event, which no slot
+        can add to; return the first slot left to the queue, or None."""
+        horizon, sched = self.sim.horizon(), self.sched
+        slot_s, stop, bits = self.slot_s, self.stop_time, self.packet_bits
+        queues, rates, credits = self.queues, self.rates, self.credit_bits
+        size, record = self.packet_bytes, self.schedule
+        add_packet, add_ue = record.served.append, record.grant_ue.append
+        add_end, add_n = record.grant_end.append, record.grant_n.append
+        share = None if self.is_nr else slot_s / sched.rb_count
+        backlog, k = self.backlog_pkts, self.slot_index
+        while True:
+            if share is None:
+                # A packet waits, so the round robin picks a UE; a link below
+                # the SNR floor (rate 0) idles its slot.
+                pick = nr_slot_schedule(sched, queues)
+                rate = rates[pick]
+                grants = ((pick, rate * slot_s),) if rate > 0.0 else ()
+            else:
+                alloc = pf_schedule(sched, rates,
+                                    [len(q) * size for q in queues])
+                grants = [(i, rates[i] * share * rbs)
+                          for i, rbs in enumerate(alloc) if rbs]
+            slot_end = t + slot_s
+            for i, capacity in grants:
+                credit = credits[i] + capacity
+                queue = queues[i]
+                n = 0
+                while queue and credit >= bits:
+                    add_packet(queue.pop())
+                    credit -= bits
+                    n += 1
+                credits[i] = credit if queue else 0.0   # idle airtime: no bank
+                backlog -= n
+                add_ue(i)
+                add_end(slot_end)
+                add_n(n)
+            k += 1
+            t = k * slot_s
+            if backlog and t < horizon and t <= stop:
+                continue    # sure to continue, and before any queued event
+            self.backlog_pkts, self.slot_index = backlog, k
+            if not self._continues(t, self.idle_slots):
+                self.slot_running = False
+                return None
+            if not t < horizon:
+                return t
 
     # -- lifecycle ----------------------------------------------------------
 

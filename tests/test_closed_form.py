@@ -129,9 +129,9 @@ def test_nr_loss_tracks_the_outage_probability(snrs):
 # 12, 16 and 20 UEs, below the plateau.
 _SHORT_QUEUE = pytest.mark.xfail(
     strict=True, raises=AssertionError,
-    reason="PF sizes grants from the backlog and _serve zeroes the credit "
-           "of an emptied queue, so a 1- or 2-packet queue stays below the "
-           "plateau")
+    reason="PF sizes grants from the backlog and a grant that empties its "
+           "queue zeroes the UE's credit, so a 1- or 2-packet queue stays "
+           "below the plateau")
 
 
 @pytest.mark.parametrize("capacity, sweep", [

@@ -2,6 +2,7 @@
 
 import hashlib
 import io
+import math
 import random
 
 import pytest
@@ -115,28 +116,38 @@ def test_trace_line_format():
                               "1.250000000\t0\tslot\tlte\n")
 
 
-def _chains(cases, returning: bool):
+def _chains(cases, returning: bool, running: bool = False):
     """Run *cases* on one simulator: each chain ticks at its start and then
     after each of its steps, beside one-off events, up to each horizon in
     turn.  A returning chain hands its next instant back to run; otherwise
-    its action schedules it, as its last act."""
+    its action schedules it, as its last act.  A *running* returning chain,
+    on an untraced simulator, first ticks on through its next instants
+    itself while they come strictly before ``horizon()`` and not past the
+    run's end; such a tick logs its own instant as its clock."""
     chains, one_offs, order, horizons = cases
     out = io.StringIO()
-    sim = Simulator(trace=out)
+    sim = Simulator(trace=None if running else out)
     log = []
+    end = [0.0]
 
     def chain(c, steps):
         pending = iter(steps)
 
         def tick(t):
-            log.append((c, t, sim.now))
-            step = next(pending, None)
-            if step is None:
+            clock = sim.now
+            horizon = sim.horizon() if running else -math.inf
+            while True:
+                log.append((c, t, clock))
+                step = next(pending, None)
+                if step is None:
+                    return None
+                if t + step < horizon and t + step <= end[0]:
+                    t = clock = t + step
+                    continue
+                if returning:
+                    return t + step
+                sim.schedule(t + step, tick, "tick", str(c))
                 return None
-            if returning:
-                return t + step
-            sim.schedule(t + step, tick, "tick", str(c))
-            return None
         return tick
 
     starts = [(start, chain(c, steps), "tick", str(c))
@@ -144,7 +155,9 @@ def _chains(cases, returning: bool):
     starts += [(t, lambda now, k=k: log.append(("once", k, now)), "once", "")
                for k, t in enumerate(one_offs)]
     ids = [sim.schedule(*starts[i]) for i in order]
-    runs = [(sim.run(until), sim.now) for until in horizons]
+    runs = []
+    for end[0] in horizons:
+        runs.append((sim.run(end[0]), sim.now))
     return ids, log, out.getvalue(), runs
 
 
@@ -172,6 +185,63 @@ def test_a_returned_successor_equals_a_scheduled_one(cases):
     # Same sequence numbers and trace bytes, same order and clocks, and the
     # same counts from run, horizon by horizon.
     assert _chains(cases, True) == _chains(cases, False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(cases=_chain_cases())
+@example(cases=([(0.0, [0.5, 0.0, 0.5]), (0.5, [0.5, 0.5])], [], [1, 0],
+                [1.0]))
+# A burst of ticks up to a one-off, then across the first horizon.
+@example(cases=([(0.0, [0.25] * 8)], [1.0], [0, 1], [1.5, 3.0]))
+def test_a_chain_that_runs_its_successors_equals_a_returning_one(cases):
+    # The same actions, in the same order and at the same clock values,
+    # with the same ids and clocks after each run, in no more events.
+    ids, log, _, runs = _chains(cases, True, running=True)
+    returned_ids, returned_log, _, returned = _chains(cases, True)
+    assert (ids, log) == (returned_ids, returned_log)
+    assert [now for _, now in runs] == [now for _, now in returned]
+    assert all(a <= b for (a, _), (b, _) in zip(runs, returned))
+
+
+def test_horizon_is_the_earliest_queued_time():
+    sim = Simulator()
+    assert sim.horizon() == math.inf
+    seen = []
+    for t in (2.0, 0.5, 1.0):
+        sim.schedule(t, lambda now: seen.append((now, sim.horizon())))
+    assert sim.horizon() == 0.5
+    sim.run(3.0)
+    assert seen == [(0.5, 1.0), (1.0, 2.0), (2.0, math.inf)]
+    assert sim.horizon() == math.inf
+    traced = Simulator(trace=io.StringIO())
+    assert traced.horizon() == -math.inf
+    traced.schedule(1.0, lambda now: None)
+    assert traced.horizon() == -math.inf
+
+
+def test_a_nan_event_time_is_rejected():
+    sim = Simulator()
+    with pytest.raises(SchedulingInPastError):
+        sim.schedule(math.nan, lambda t: None)
+    assert sim.horizon() == math.inf
+
+
+def test_a_nan_run_end_is_rejected_and_leaves_the_clock():
+    sim = Simulator()
+    sim.schedule(1.0, lambda t: None)
+    with pytest.raises(SchedulingInPastError):
+        sim.run(math.nan)
+    assert sim.now == 0.0
+    assert sim.run(2.0) == 1
+    with pytest.raises(SchedulingInPastError):
+        sim.schedule(1.5, lambda t: None)
+
+
+def test_a_returned_nan_successor_is_rejected():
+    sim = Simulator()
+    sim.schedule(1.0, lambda t: math.nan)
+    with pytest.raises(SchedulingInPastError):
+        sim.run(2.0)
 
 
 def test_claimed_events_match_scheduled_ones_exactly():

@@ -531,7 +531,7 @@ def test_nr_wake_up_never_serves_a_slot_twice(mbps, size):
 def test_scheduler_is_called_once_per_processed_slot_event(monkeypatch, text,
                                                            rat, scheduler):
     # The benchmark's phymac.pf_calls and phymac.nr_sched_calls count these
-    # calls; one per slot event keeps them comparable between versions.
+    # calls; one per slot keeps them comparable between versions.
     cfg = parse_config(text, overrides={"duration_s": "1.5",
                                         "warmup_s": "0.5"})
     calls = {scheduler: 0}
@@ -1079,3 +1079,54 @@ def test_a_record_that_reorders_a_flow_fails_the_sink_check(rat):
     with pytest.raises(DuplicateDeliveryError,
                        match=f"flow 0 seq {seq} delivered after seq {seq + 1}"):
         run.reuse(record)
+
+
+# NR slots are 0.125 ms: a start on that grid puts every arrival of a CBR
+# interval that is a multiple of it on a slot instant.
+_ON_OR_OFF_THE_SLOT_GRID = st.one_of(
+    st.integers(0, 80).map(lambda k: k * 0.000125),
+    st.floats(0.0, 0.01, exclude_max=True))
+
+
+@settings(max_examples=40, deadline=None)
+@given(rat=st.sampled_from(["lte", "nr"]), ue_count=st.integers(1, 6),
+       mbps=st.floats(0.5, 150.0), size=st.integers(100, 1500),
+       queue=st.integers(1, 1000), app_start=_ON_OR_OFF_THE_SLOT_GRID,
+       duration=st.floats(0.05, 0.2), seed=st.integers(1, 10_000))
+# Arrivals every 0.125 ms, each on a slot instant: every burst meets one.
+@example(rat="nr", ue_count=3, mbps=64.0, size=1000, queue=5,
+         app_start=0.0, duration=0.05, seed=1)
+def test_a_burst_of_slots_equals_one_event_per_slot(rat, ue_count, mbps,
+                                                    size, queue, app_start,
+                                                    duration, seed):
+    # An untraced run serves back-to-back slots in one event; a traced run
+    # has one event per slot.  Both make one scheduler call per slot, which
+    # the benchmark's phymac.pf_calls and phymac.nr_sched_calls count.
+    cfg = parse_config(
+        f"preset=custom\nrats={rat}\nsweep_variable=ue_count\n"
+        f"sweep={ue_count}\nduration_s={duration!r}\nwarmup_s=0.01\n"
+        f"drain_max_s=0.05\nreplications=1\nseed_base={seed}\n"
+        f"traffic.app_start_s={app_start!r}\n"
+        f"traffic.data_volume_mbps={mbps!r}\n"
+        f"traffic.packet_size_bytes={size}\n"
+        f"traffic.queue_capacity_pkts={queue}\n")
+    runs, counts = [], []
+    for trace in (None, io.StringIO()):
+        calls = {"pf_schedule": 0, "nr_slot_schedule": 0, "_slot": 0}
+        with pytest.MonkeyPatch.context() as mp:
+            _counting(mp, "pf_schedule", calls)
+            _counting(mp, "nr_slot_schedule", calls)
+            _counting(mp, "_slot", calls, _Run)
+            run = _Run(cfg, rat, float(ue_count), 0, seed, trace_sink=trace)
+            runs.append((run.execute(), _record(run.schedule)))
+        counts.append(calls)
+    (plain, plain_record), (traced, traced_record) = runs
+    assert plain == traced
+    # Name the differing columns: a diff of whole columns is slow to print.
+    assert [name for name, column in plain_record.items()
+            if column != traced_record[name]] == []
+    bursts, slots = counts
+    assert bursts["pf_schedule"] == slots["pf_schedule"]
+    assert bursts["nr_slot_schedule"] == slots["nr_slot_schedule"]
+    assert bursts["_slot"] <= slots["_slot"]
+    assert slots["_slot"] == slots["pf_schedule"] + slots["nr_slot_schedule"]
