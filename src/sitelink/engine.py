@@ -75,8 +75,12 @@ class Simulator:
 
         An action may serve its chain's next instants itself, without an
         event each, while they come strictly before it and not past the
-        run's *until*: the queue would run each of them next.  A traced
-        simulator returns -inf, so every instant keeps its trace line.
+        run's *until*: the queue would run each of them next.  Under the
+        same rule an action may serve the instants of a chain it would
+        otherwise start (an arrival, the slot chain's) if they also come
+        strictly before its own successor, which is not queued yet.  A
+        traced simulator returns -inf, so every instant keeps its trace
+        line.
         """
         if self._trace is not None:
             return -math.inf

@@ -11,7 +11,22 @@ or None to end the chain; only the construction (the three starts) and
 ``_wake_slots`` (a sleeping slot chain) schedule events.  One slot event
 serves its slot and each next one before the simulator's horizon, the next
 queued event: one scheduler call per slot, and one block pops and charges
-the grants of both RATs.  A traced run's horizon is -inf: one line per slot.
+the grants of both RATs.  An NR arrival may serve the slot chain's next
+instants too, under the same strict-horizon rule (see below).  A traced
+run's horizon is -inf: one line per slot, and no arrival serves a slot.
+
+Repeating NR instants
+---------------------
+An NR instant is *clean* when its arrival finds every queue empty and the
+slot chain asleep.  Two clean instants in one refresh epoch with the same
+round-robin pointer open in the same state, up to the seq, so the slot
+loop would make the same grants at both.  ``_Run._replay`` notes the
+earlier instant's grants again for the later one, with each slot end
+recomputed from its slot index, if every slot it takes comes strictly
+before the horizon and the next arrival and not past the drain window;
+otherwise the arrival wakes the slot chain as usual.  The replay calls no
+scheduler and offers no packet, so it keeps the round-robin and credit
+rules in ``_slot`` alone.
 
 A run's state is numbers.  A UE is its index into the run's per-UE columns
 (queue, carried credit, rate, HARQ tables, last distance, start radius),
@@ -201,6 +216,9 @@ class _Run:
         self.backlog_pkts = 0
         self.slot_index = 0
         self.slot_running = False
+        # At the last arrival, if it was a clean NR one: the round-robin
+        # pointer, the epoch count and the grant offset.
+        self.note: Optional[tuple[int, int, int]] = None
         # LTE subframes tick through the measured window even when every
         # queue is empty; the mmWave slot chain runs only while data waits.
         self.idle_slots = not self.is_nr
@@ -294,13 +312,24 @@ class _Run:
     def _arrival(self, t: float) -> Optional[float]:
         seq = self.grid_index
         self.grid_index = seq + 1
-        self.schedule.instants.append(t)
+        record = self.schedule
+        record.instants.append(t)
         # The one warm-up test: every flow creates this packet, and whether
         # it is measured decides whether its drops count.
         measured = t >= self.cfg.warmup_s
         if measured:
-            self.schedule.created += 1
-        overflow = self.schedule.overflow
+            record.created += 1
+        nxt = next(self.grid, None)
+        # A clean NR instant finds every queue empty and the slot chain
+        # asleep (see the module notes).
+        note, self.note = self.note, None
+        if self.is_nr and not (self.backlog_pkts or self.slot_running):
+            self.note = (self.sched.rr_pos, len(record.epoch_t),
+                         len(record.grant_ue))
+            if (note is not None and note[:2] == self.note[:2]
+                    and self._replay(t, seq, nxt, note[2])):
+                return nxt
+        overflow = record.overflow
         accepted = 0
         for i, queue in enumerate(self.queues):
             if queue.offer(seq):
@@ -310,16 +339,46 @@ class _Run:
         self.backlog_pkts += accepted
         if self.backlog_pkts and not self.slot_running:
             self._wake_slots(t)
-        return next(self.grid, None)
+        return nxt
+
+    def _first_slot(self, t: float) -> tuple[int, float]:
+        """The index and start of the slot a wake-up at *t* serves first: on
+        the slot grid, but never the slot just served, whose instant an
+        arrival can share."""
+        k = max(math.ceil(t / self.slot_s - 1e-9), self.slot_index)
+        # Grid arithmetic can land an ulp before the clock; same-instant is fine.
+        return k, max(k * self.slot_s, t)
 
     def _wake_slots(self, t: float) -> None:
-        # The slot chain sleeps when idle; wake it on the slot grid, but never
-        # on the slot just served, whose instant an arrival can share.
+        # The slot chain sleeps when idle; wake it on the slot grid.
         self.slot_running = True
-        k = max(math.ceil(t / self.slot_s - 1e-9), self.slot_index)
-        self.slot_index = k
-        # Grid arithmetic can land an ulp before the clock; same-instant is fine.
-        self.sim.schedule(max(k * self.slot_s, t), self._slot, "slot", self.rat)
+        self.slot_index, s0 = self._first_slot(t)
+        self.sim.schedule(s0, self._slot, "slot", self.rat)
+
+    def _replay(self, t: float, seq: int, nxt: Optional[float],
+                start: int) -> bool:
+        """Note again, for clean instant *t* (packet *seq*), the grants made
+        since offset *start*, where the last clean instant's began, as the
+        slot loop would make them.  False, with nothing done, if there is
+        none, or if a slot they take comes at or after the horizon or the
+        next arrival *nxt*, or past the drain window."""
+        record, slot_s = self.schedule, self.slot_s
+        end = len(record.grant_ue)
+        m = end - start
+        k, s0 = self._first_slot(t)
+        last = max((k + m - 1) * slot_s, s0)
+        bound = min(self.sim.horizon(), math.inf if nxt is None else nxt)
+        if not (m and last < bound and last <= self.stop_time):
+            return False
+        record.grant_ue += record.grant_ue[start:end]
+        burst = record.grant_n[start:end]
+        record.grant_n += burst
+        record.served += [seq] * sum(burst)
+        record.grant_end.append(s0 + slot_s)
+        record.grant_end.extend([j * slot_s + slot_s
+                                 for j in range(k + 1, k + m)])
+        self.slot_index = k + m
+        return True
 
     # -- serving ------------------------------------------------------------
 

@@ -942,6 +942,12 @@ def _record(schedule):
     return {name: getattr(schedule, name) for name in _Schedule.__slots__}
 
 
+def _differing_columns(schedule, other):
+    theirs = _record(other)
+    return [name for name, column in _record(schedule).items()
+            if column != theirs[name]]
+
+
 @settings(max_examples=30, deadline=None)
 @given(rat=st.sampled_from(["lte", "nr"]), ue_count=st.integers(1, 4),
        duration=st.floats(0.3, 0.8), warmup=st.floats(0.0, 0.1),
@@ -1049,7 +1055,8 @@ def test_a_traced_run_records_what_an_untraced_one_does(rat):
     traced = _Run(cfg, rat, 30.0, 2, seed, trace_sink=io.StringIO())
     assert plain.execute() == traced.execute()
     assert len(plain.schedule.served) > 0
-    assert _record(plain.schedule) == _record(traced.schedule)
+    # Name the differing columns: a diff of whole columns is slow to print.
+    assert _differing_columns(plain.schedule, traced.schedule) == []
 
 
 @pytest.mark.parametrize("rat", ["lte", "nr"])
@@ -1088,6 +1095,34 @@ _ON_OR_OFF_THE_SLOT_GRID = st.one_of(
     st.floats(0.0, 0.01, exclude_max=True))
 
 
+def _small_cfg(rat, ue_count, mbps, size, duration, seed, app_start=0.0,
+               queue=100, drain=0.05, extra=""):
+    return parse_config(
+        f"preset=custom\nrats={rat}\nsweep_variable=ue_count\n"
+        f"sweep={ue_count}\nduration_s={duration!r}\nwarmup_s=0.01\n"
+        f"drain_max_s={drain!r}\nreplications=1\nseed_base={seed}\n"
+        f"traffic.app_start_s={app_start!r}\n"
+        f"traffic.data_volume_mbps={mbps!r}\n"
+        f"traffic.packet_size_bytes={size}\n"
+        f"traffic.queue_capacity_pkts={queue}\n{extra}")
+
+
+def _untraced_and_traced(cfg, rat):
+    """Run *cfg* untraced and traced: per run its result, its schedule and
+    its calls of the two schedulers and of ``_Run._slot``."""
+    runs = []
+    for trace in (None, io.StringIO()):
+        calls = {"pf_schedule": 0, "nr_slot_schedule": 0, "_slot": 0}
+        with pytest.MonkeyPatch.context() as mp:
+            _counting(mp, "pf_schedule", calls)
+            _counting(mp, "nr_slot_schedule", calls)
+            _counting(mp, "_slot", calls, _Run)
+            run = _Run(cfg, rat, cfg.sweep[0], 0, cfg.seed_base,
+                       trace_sink=trace)
+            runs.append((run.execute(), run.schedule, calls))
+    return runs
+
+
 @settings(max_examples=40, deadline=None)
 @given(rat=st.sampled_from(["lte", "nr"]), ue_count=st.integers(1, 6),
        mbps=st.floats(0.5, 150.0), size=st.integers(100, 1500),
@@ -1099,34 +1134,127 @@ _ON_OR_OFF_THE_SLOT_GRID = st.one_of(
 def test_a_burst_of_slots_equals_one_event_per_slot(rat, ue_count, mbps,
                                                     size, queue, app_start,
                                                     duration, seed):
-    # An untraced run serves back-to-back slots in one event; a traced run
-    # has one event per slot.  Both make one scheduler call per slot, which
-    # the benchmark's phymac.pf_calls and phymac.nr_sched_calls count.
-    cfg = parse_config(
-        f"preset=custom\nrats={rat}\nsweep_variable=ue_count\n"
-        f"sweep={ue_count}\nduration_s={duration!r}\nwarmup_s=0.01\n"
-        f"drain_max_s=0.05\nreplications=1\nseed_base={seed}\n"
-        f"traffic.app_start_s={app_start!r}\n"
-        f"traffic.data_volume_mbps={mbps!r}\n"
-        f"traffic.packet_size_bytes={size}\n"
-        f"traffic.queue_capacity_pkts={queue}\n")
-    runs, counts = [], []
-    for trace in (None, io.StringIO()):
-        calls = {"pf_schedule": 0, "nr_slot_schedule": 0, "_slot": 0}
-        with pytest.MonkeyPatch.context() as mp:
-            _counting(mp, "pf_schedule", calls)
-            _counting(mp, "nr_slot_schedule", calls)
-            _counting(mp, "_slot", calls, _Run)
-            run = _Run(cfg, rat, float(ue_count), 0, seed, trace_sink=trace)
-            runs.append((run.execute(), _record(run.schedule)))
-        counts.append(calls)
-    (plain, plain_record), (traced, traced_record) = runs
+    # An untraced run serves back-to-back slots in one event, and replays
+    # a repeating NR instant with no scheduler call; a traced run has one
+    # event and one scheduler call per slot.  LTE never replays, so its
+    # untraced run makes one PF call per slot too.
+    cfg = _small_cfg(rat, ue_count, mbps, size, duration, seed, app_start,
+                     queue)
+    (plain, plain_record, bursts), (traced, traced_record, slots) = (
+        _untraced_and_traced(cfg, rat))
     assert plain == traced
     # Name the differing columns: a diff of whole columns is slow to print.
-    assert [name for name, column in plain_record.items()
-            if column != traced_record[name]] == []
-    bursts, slots = counts
+    assert _differing_columns(plain_record, traced_record) == []
     assert bursts["pf_schedule"] == slots["pf_schedule"]
-    assert bursts["nr_slot_schedule"] == slots["nr_slot_schedule"]
+    assert bursts["nr_slot_schedule"] <= slots["nr_slot_schedule"]
     assert bursts["_slot"] <= slots["_slot"]
     assert slots["_slot"] == slots["pf_schedule"] + slots["nr_slot_schedule"]
+
+
+def test_nr_instants_that_cannot_repeat_make_every_scheduler_call():
+    # An arrival every 0.125 ms slot, while an instant's burst takes a slot
+    # per UE: after the first, no arrival finds the slot chain asleep, so
+    # none is replayed.
+    cfg = _small_cfg("nr", 4, 64.0, 1000, 0.1, seed=1)
+    (plain, _, bursts), (traced, _, slots) = _untraced_and_traced(cfg, "nr")
+    assert plain == traced
+    assert bursts["nr_slot_schedule"] == slots["nr_slot_schedule"] >= 800
+
+
+def test_repeating_nr_instants_make_a_tenth_of_the_scheduler_calls():
+    # 8 UEs at 8 Mb/s of 1250 B packets, as in the nr_flood benchmark: an
+    # instant every 1.25 ms, served in 8 of its 10 slots.  Only about one
+    # instant per 0.1 s refresh epoch, its first, runs the slot loop.
+    cfg = _small_cfg("nr", 8, 8.0, 1250, 1.0, seed=1)
+    (plain, _, bursts), (traced, _, slots) = _untraced_and_traced(cfg, "nr")
+    assert plain == traced
+    assert slots["nr_slot_schedule"] == 8 * 800
+    assert 0 < bursts["nr_slot_schedule"] < slots["nr_slot_schedule"] / 10
+
+
+@settings(max_examples=40, deadline=None)
+@given(rat=st.sampled_from(["lte", "nr"]), ue_count=st.integers(1, 6),
+       mbps=st.floats(0.5, 40.0), size=st.integers(100, 1500),
+       app_start=_ON_OR_OFF_THE_SLOT_GRID, refresh=st.floats(0.001, 0.05),
+       duration=st.floats(0.05, 0.2), drain=st.sampled_from([0.0, 0.05]),
+       edge=st.booleans(), ue0_snr=st.sampled_from([None, -30.0, -2.0]),
+       seed=st.integers(1, 10_000))
+# 4 UEs, an instant every 1 ms served in slots 0-3 of its 8: the refresh at
+# 10.3 ms comes after the third slot of the 10 ms instant, whose burst would
+# otherwise repeat the 9 ms one.
+@example(rat="nr", ue_count=4, mbps=8.0, size=1000, app_start=0.0,
+         refresh=0.0103, duration=0.05, drain=0.05, edge=False,
+         ue0_snr=None, seed=1)
+# An instant every 0.5 ms, as long as its 4-slot burst: each replay starts
+# on the slot after the last one served.
+@example(rat="nr", ue_count=4, mbps=16.0, size=1000, app_start=0.0,
+         refresh=0.1, duration=0.05, drain=0.05, edge=False,
+         ue0_snr=None, seed=1)
+# UE 0's link sits below the SNR floor: its queue never empties, so no
+# instant is clean.
+@example(rat="nr", ue_count=3, mbps=8.0, size=1000, app_start=0.0,
+         refresh=0.1, duration=0.05, drain=0.05, edge=False,
+         ue0_snr=-30.0, seed=1)
+# At -2 dB UE 0 takes two slots per packet, so the first instant's burst
+# leaves the round-robin pointer on UE 1, and the second instant's burst
+# differs from it.
+@example(rat="nr", ue_count=3, mbps=8.0, size=1000, app_start=0.0,
+         refresh=0.1, duration=0.05, drain=0.05, edge=False,
+         ue0_snr=-2.0, seed=1)
+# One UE, one slot per instant, from a start one slot in: instants 9, 13,
+# 18, ... land an ulp after their slot's grid instant, so their slot starts
+# at the arrival.
+@example(rat="nr", ue_count=1, mbps=8.0, size=1000, app_start=0.000125,
+         refresh=0.1, duration=0.05, drain=0.05, edge=False,
+         ue0_snr=None, seed=1)
+# One UE, an instant every 0.1 ms: the 0.4 ms instant takes the slot at
+# 0.5 ms, so the 0.5 ms instant waits for the slot at 0.625 ms, after the
+# next arrival, and that slot carries both packets.
+@example(rat="nr", ue_count=1, mbps=8.0, size=100, app_start=0.0,
+         refresh=0.1, duration=0.05, drain=0.05, edge=False,
+         ue0_snr=None, seed=1)
+# One UE at the coverage edge: its link falls below the SNR floor for the
+# ninth refresh epoch, whose first instant opens as the one before it did,
+# but in a new epoch.
+@example(rat="nr", ue_count=1, mbps=1.0, size=100, app_start=0.000125,
+         refresh=0.0078125, duration=0.125, drain=0.0, edge=True,
+         ue0_snr=None, seed=186)
+# The LTE subframe chain stops after its last subframe in the window, at
+# 50 ms, and the arrivals at 50.1-50.4 ms find it asleep with every queue
+# empty.  PF's averages drift, so no LTE instant is replayed.
+@example(rat="lte", ue_count=2, mbps=8.0, size=100, app_start=0.0,
+         refresh=0.1, duration=0.0505, drain=0.05, edge=False,
+         ue0_snr=None, seed=1)
+# The 50 ms instant's burst would take slots to 50.375 ms, and the run
+# stops at 50.3 ms: the slot loop leaves its last packet queued.
+@example(rat="nr", ue_count=4, mbps=8.0, size=1000, app_start=0.0,
+         refresh=0.1, duration=0.0503, drain=0.0, edge=False,
+         ue0_snr=None, seed=1)
+def test_a_replaying_run_records_what_a_traced_one_does(rat, ue_count, mbps,
+                                                        size, app_start,
+                                                        refresh, duration,
+                                                        drain, edge,
+                                                        ue0_snr, seed):
+    # An untraced NR run replays each instant that repeats the one before
+    # it; a traced run never does.  Their records must match column by
+    # column, and their results must be equal.  At the coverage edge under
+    # 20 dB shadowing, rates change from one refresh epoch to the next;
+    # *ue0_snr* pins UE 0's link.
+    extra = f"radio.nr.beam_refresh_s={refresh!r}\n"
+    if edge:
+        extra += "".join(f"{key}={value}\n" for key, value in _EDGE.items())
+    cfg = _small_cfg(rat, ue_count, mbps, size, duration, seed, app_start,
+                     drain=drain, extra=extra)
+    r0 = cfg.mobility.radii(ue_count)[0]
+    snr = runner.snr_db
+
+    def patched(radio, d, penalties_db=0.0, shadow_db=0.0):
+        if ue0_snr is not None and d == r0:
+            return ue0_snr
+        return snr(radio, d, penalties_db, shadow_db)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(runner, "snr_db", patched)
+        (plain, plain_record, _), (traced, traced_record, _) = (
+            _untraced_and_traced(cfg, rat))
+    assert plain == traced
+    assert _differing_columns(plain_record, traced_record) == []
