@@ -121,10 +121,17 @@ def main(argv=None) -> int:
     out_dir = os.path.dirname(os.path.abspath(args.out))
     meta_path = args.out + ".meta"
     # Refuse an unusable --out before the sweep spends any simulation on it.
-    taken = [p for p in (args.out, meta_path) if os.path.isdir(p)]
-    if taken or not os.path.isdir(out_dir):
-        reason = (f"{taken[0]!r} is a directory" if taken
-                  else f"directory {out_dir!r} does not exist")
+    # The first check that holds gives the reason.
+    checks = [
+        (os.path.isdir(args.out), f"{args.out!r} is a directory"),
+        (os.path.isdir(meta_path), f"{meta_path!r} is a directory"),
+        (not os.path.basename(args.out), f"{args.out!r} names no file"),
+        (not os.path.isdir(out_dir), f"directory {out_dir!r} does not exist"),
+        # A trace moved in beside the CSV would replace it.
+        (args.trace and args.out.endswith(".trace"),
+         f"{args.out!r} ends in .trace, as the --trace files do")]
+    reason = next((why for bad, why in checks if bad), None)
+    if reason is not None:
         print(f"error: cannot write results: {reason}", file=sys.stderr)
         return 1
     try:

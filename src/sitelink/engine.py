@@ -73,14 +73,9 @@ class Simulator:
     def horizon(self) -> float:
         """The earliest queued event's time; inf if none.
 
-        An action may serve its chain's next instants itself, without an
-        event each, while they come strictly before it and not past the
-        run's *until*: the queue would run each of them next.  Under the
-        same rule an action may serve the instants of a chain it would
-        otherwise start (an arrival, the slot chain's) if they also come
-        strictly before its own successor, which is not queued yet.  A
-        traced simulator returns -inf, so every instant keeps its trace
-        line.
+        A chain serves its own next instants strictly before the horizon,
+        and the engine queues every successor.  A traced simulator returns
+        -inf, so every instant keeps its event and trace line.
         """
         if self._trace is not None:
             return -math.inf
@@ -89,9 +84,7 @@ class Simulator:
     def run(self, until: float) -> int:
         """Process every event with time <= until; leaves the clock at *until*.
 
-        A returned successor that the queue would pop next (strictly before
-        every queued event, not past *until*) runs at once instead of being
-        queued; it counts, and is traced, like any other event.
+        An action's returned successor is queued like a scheduled event.
         """
         if not until >= self._now:
             raise SchedulingInPastError(
@@ -102,22 +95,17 @@ class Simulator:
         count = 0
         while heap and heap[0][0] <= until:
             time, seq, action, kind, detail = pop(heap)
-            while True:
-                self._now = time
-                if trace is not None:
-                    trace.write(f"{time:.9f}\t{seq}\t{kind}\t{detail}\n")
-                count += 1
-                nxt = action(time)
-                if nxt is None:
-                    break
+            self._now = time
+            if trace is not None:
+                trace.write(f"{time:.9f}\t{seq}\t{kind}\t{detail}\n")
+            count += 1
+            nxt = action(time)
+            if nxt is not None:
                 if not nxt >= time:
                     raise SchedulingInPastError(
                         f"cannot continue at t={nxt}: clock already at {time}")
                 seq = self._seq
                 self._seq = seq + 1
-                if nxt > until or (heap and heap[0][0] <= nxt):
-                    push(heap, (nxt, seq, action, kind, detail))
-                    break
-                time = nxt
+                push(heap, (nxt, seq, action, kind, detail))
         self._now = until
         return count

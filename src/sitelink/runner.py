@@ -8,12 +8,12 @@ any output byte.
 Three event chains drive a run: channel refresh, CBR arrivals and slots.
 Each handler takes its event's time and returns its chain's next instant,
 or None to end the chain; only the construction (the three starts) and
-``_wake_slots`` (a sleeping slot chain) schedule events.  One slot event
-serves its slot and each next one before the simulator's horizon, the next
-queued event: one scheduler call per slot, and one block pops and charges
-the grants of both RATs.  An NR arrival may serve the slot chain's next
-instants too, under the same strict-horizon rule (see below).  A traced
-run's horizon is -inf: one line per slot, and no arrival serves a slot.
+``_wake_slots`` (a sleeping slot chain) schedule events.  A chain serves
+its own next instants strictly before the simulator's horizon, the next
+queued event, and the engine queues every successor: one slot event serves
+a burst of slots, one scheduler call each, and an arrival event each CBR
+instant up to the horizon; an NR arrival may replay slots under the same
+rule (see below).  A traced run's horizon is -inf: one event per instant.
 
 Repeating NR instants
 ---------------------
@@ -310,36 +310,41 @@ class _Run:
     # -- traffic ------------------------------------------------------------
 
     def _arrival(self, t: float) -> Optional[float]:
-        seq = self.grid_index
-        self.grid_index = seq + 1
-        record = self.schedule
-        record.instants.append(t)
-        # The one warm-up test: every flow creates this packet, and whether
-        # it is measured decides whether its drops count.
-        measured = t >= self.cfg.warmup_s
-        if measured:
-            record.created += 1
-        nxt = next(self.grid, None)
-        # A clean NR instant finds every queue empty and the slot chain
-        # asleep (see the module notes).
-        note, self.note = self.note, None
-        if self.is_nr and not (self.backlog_pkts or self.slot_running):
-            self.note = (self.sched.rr_pos, len(record.epoch_t),
-                         len(record.grant_ue))
-            if (note is not None and note[:2] == self.note[:2]
-                    and self._replay(t, seq, nxt, note[2])):
-                return nxt
+        """Serve CBR instant *t* and each next one strictly before the
+        horizon, which a wake-up moves; return the first instant left to the
+        queue, or None.  The grid ends before the drain window starts."""
+        record, horizon = self.schedule, self.sim.horizon
         overflow = record.overflow
-        accepted = 0
-        for i, queue in enumerate(self.queues):
-            if queue.offer(seq):
-                accepted += 1
-            elif measured:
-                overflow[i] += 1
-        self.backlog_pkts += accepted
-        if self.backlog_pkts and not self.slot_running:
-            self._wake_slots(t)
-        return nxt
+        while True:
+            seq = self.grid_index
+            self.grid_index = seq + 1
+            record.instants.append(t)
+            # The one warm-up test: every flow creates this packet, and
+            # whether it is measured decides whether its drops count.
+            measured = t >= self.cfg.warmup_s
+            if measured:
+                record.created += 1
+            nxt = next(self.grid, None)
+            # A clean NR instant finds every queue empty and the slot chain
+            # asleep (see the module notes).
+            note, self.note = self.note, None
+            if self.is_nr and not (self.backlog_pkts or self.slot_running):
+                self.note = (self.sched.rr_pos, len(record.epoch_t),
+                             len(record.grant_ue))
+            if not (note and self.note and note[:2] == self.note[:2]
+                    and self._replay(t, seq, nxt, note[2])):
+                accepted = 0
+                for i, queue in enumerate(self.queues):
+                    if queue.offer(seq):
+                        accepted += 1
+                    elif measured:
+                        overflow[i] += 1
+                self.backlog_pkts += accepted
+                if self.backlog_pkts and not self.slot_running:
+                    self._wake_slots(t)
+            if nxt is None or not nxt < horizon():
+                return nxt
+            t = nxt
 
     def _first_slot(self, t: float) -> tuple[int, float]:
         """The index and start of the slot a wake-up at *t* serves first: on
@@ -387,7 +392,7 @@ class _Run:
         that slot comes strictly before every queued event, which no slot
         can add to; return the first slot left to the queue, or None."""
         horizon, sched = self.sim.horizon(), self.sched
-        slot_s, stop, bits = self.slot_s, self.stop_time, self.packet_bits
+        slot_s, bits = self.slot_s, self.packet_bits
         queues, rates, credits = self.queues, self.rates, self.credit_bits
         size, record = self.packet_bytes, self.schedule
         add_packet, add_ue = record.served.append, record.grant_ue.append
@@ -422,8 +427,6 @@ class _Run:
                 add_n(n)
             k += 1
             t = k * slot_s
-            if backlog and t < horizon and t <= stop:
-                continue    # sure to continue, and before any queued event
             self.backlog_pkts, self.slot_index = backlog, k
             if not self._continues(t, self.idle_slots):
                 self.slot_running = False

@@ -209,21 +209,47 @@ def test_non_utf8_config_fails_cleanly(tmp_path, capsys, command):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["latin1.cfg"]
 
 
-@pytest.mark.parametrize("out", ["existing_dir", "missing_dir/o.csv"])
-@pytest.mark.parametrize("trace", [[], ["--trace"]], ids=["plain", "trace"])
-def test_run_rejects_a_bad_out_before_simulating(tmp_path, capsys,
-                                                 monkeypatch, out, trace):
+def _refuses_before_the_sweep(monkeypatch, capsys, tmp_path, *args):
+    """Run ``sitelink run`` on the tiny config with *args* from *tmp_path*:
+    it must fail with one ``cannot write results`` line before any
+    simulation, and leave no file behind."""
     def no_sweep(*args, **kwargs):
         raise AssertionError("run_scenario called for an unusable --out")
 
     monkeypatch.setattr("sitelink.cli.run_scenario", no_sweep)
-    cfg_path = tmp_path / "tiny.cfg"
-    cfg_path.write_text(TINY)
-    (tmp_path / "existing_dir").mkdir()
-    assert main(["run", "--config", str(cfg_path),
-                 "--out", str(tmp_path / out), *trace]) == 1
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "tiny.cfg").write_text(TINY)
+    before = sorted(tmp_path.rglob("*"))
+    assert main(["run", "--config", "tiny.cfg", *args]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and len(err.splitlines()) == 1
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["existing_dir",
-                                                          "tiny.cfg"]
-    assert not list(tmp_path.rglob("*.meta"))
+    assert err.startswith("error: cannot write results: ")
+    assert len(err.splitlines()) == 1
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+# "" and "x.csv/" name an existing directory, but no file in it.
+@pytest.mark.parametrize("out", ["existing_dir", "missing_dir/o.csv", "",
+                                 "x.csv/"])
+@pytest.mark.parametrize("trace", [[], ["--trace"]], ids=["plain", "trace"])
+def test_run_rejects_a_bad_out_before_simulating(tmp_path, capsys,
+                                                 monkeypatch, out, trace):
+    (tmp_path / "existing_dir").mkdir()
+    _refuses_before_the_sweep(monkeypatch, capsys, tmp_path, "--out", out,
+                              *trace)
+
+
+def test_run_refuses_a_trace_suffixed_out_with_trace(tmp_path, capsys,
+                                                     monkeypatch):
+    # The first run's trace is custom_lte_2_0.trace: moved in beside the
+    # CSV, it would replace it.  Any .trace name is refused, not just that
+    # one, so the check needs no copy of the trace-naming rule.
+    _refuses_before_the_sweep(monkeypatch, capsys, tmp_path, "--trace",
+                              "--out", "custom_lte_2_0.trace")
+
+
+def test_run_accepts_a_trace_suffixed_out_without_trace(tmp_path):
+    (tmp_path / "tiny.cfg").write_text(TINY)
+    out = tmp_path / "r.trace"
+    assert main(["run", "--config", str(tmp_path / "tiny.cfg"),
+                 "--out", str(out)]) == 0
+    assert out.read_text().startswith("scenario,")

@@ -1,9 +1,15 @@
-"""The installed package needs nothing outside the standard library, and
-keeps every name the benchmark's tracer wraps."""
+"""The installed package needs nothing outside the standard library, parses
+at the oldest Python it supports, and keeps every name the benchmark's
+tracer wraps."""
 
+import ast
+import glob
 import os
+import re
 import subprocess
 import sys
+
+import pytest
 
 import sitelink
 
@@ -83,3 +89,29 @@ def test_bench_tracer_sees_every_run_boundary_called():
     assert len(counts) == len(_RUN_BOUNDARIES)
     missed = [name for name, c in zip(_RUN_BOUNDARIES, counts) if c < 1]
     assert missed == []
+
+
+def _oldest_python() -> tuple[int, int]:
+    # A regex, not tomllib, which is new in 3.11.
+    with open(os.path.join(ROOT, "pyproject.toml"), encoding="utf-8") as fh:
+        found = re.search(r'^requires-python = ">=(\d+)\.(\d+)"$', fh.read(),
+                          re.MULTILINE)
+    assert found is not None
+    return int(found[1]), int(found[2])
+
+
+def test_sources_parse_at_the_oldest_supported_python():
+    # Only one interpreter runs the suite here; this catches syntax newer
+    # than requires-python before a CI leg on that version does.
+    version = _oldest_python()
+    paths = sorted(glob.glob(os.path.join(ROOT, "src", "sitelink", "*.py"))
+                   + glob.glob(os.path.join(ROOT, "tests", "*.py")))
+    assert len(paths) > 20
+    for path in paths:
+        with open(path, encoding="utf-8") as fh:
+            ast.parse(fh.read(), path, feature_version=version)
+    # The guard bites: except* is new in 3.11.
+    if version < (3, 11):
+        with pytest.raises(SyntaxError):
+            ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n",
+                      feature_version=version)

@@ -1109,14 +1109,17 @@ def _small_cfg(rat, ue_count, mbps, size, duration, seed, app_start=0.0,
 
 def _untraced_and_traced(cfg, rat):
     """Run *cfg* untraced and traced: per run its result, its schedule and
-    its calls of the two schedulers and of ``_Run._slot``."""
+    its calls of the two schedulers and of ``_Run._slot`` and
+    ``_Run._arrival``."""
     runs = []
     for trace in (None, io.StringIO()):
-        calls = {"pf_schedule": 0, "nr_slot_schedule": 0, "_slot": 0}
+        calls = {"pf_schedule": 0, "nr_slot_schedule": 0, "_slot": 0,
+                 "_arrival": 0}
         with pytest.MonkeyPatch.context() as mp:
             _counting(mp, "pf_schedule", calls)
             _counting(mp, "nr_slot_schedule", calls)
             _counting(mp, "_slot", calls, _Run)
+            _counting(mp, "_arrival", calls, _Run)
             run = _Run(cfg, rat, cfg.sweep[0], 0, cfg.seed_base,
                        trace_sink=trace)
             runs.append((run.execute(), run.schedule, calls))
@@ -1164,12 +1167,16 @@ def test_nr_instants_that_cannot_repeat_make_every_scheduler_call():
 def test_repeating_nr_instants_make_a_tenth_of_the_scheduler_calls():
     # 8 UEs at 8 Mb/s of 1250 B packets, as in the nr_flood benchmark: an
     # instant every 1.25 ms, served in 8 of its 10 slots.  Only about one
-    # instant per 0.1 s refresh epoch, its first, runs the slot loop.
+    # instant per 0.1 s refresh epoch, its first, runs the slot loop.  The
+    # arrival chain serves each instant before the next queued event in
+    # the same event, so arrival events are about as few.
     cfg = _small_cfg("nr", 8, 8.0, 1250, 1.0, seed=1)
     (plain, _, bursts), (traced, _, slots) = _untraced_and_traced(cfg, "nr")
     assert plain == traced
     assert slots["nr_slot_schedule"] == 8 * 800
     assert 0 < bursts["nr_slot_schedule"] < slots["nr_slot_schedule"] / 10
+    assert slots["_arrival"] == 800
+    assert 0 < bursts["_arrival"] < slots["_arrival"] / 10
 
 
 @settings(max_examples=40, deadline=None)
@@ -1224,6 +1231,11 @@ def test_repeating_nr_instants_make_a_tenth_of_the_scheduler_calls():
 # empty.  PF's averages drift, so no LTE instant is replayed.
 @example(rat="lte", ue_count=2, mbps=8.0, size=100, app_start=0.0,
          refresh=0.1, duration=0.0505, drain=0.05, edge=False,
+         ue0_snr=None, seed=1)
+# 1000 B packets at 8.192 Mb/s: an instant every 2^-10 s, so every 8th one
+# ties exactly with a 2^-7 s refresh, which was queued first and runs first.
+@example(rat="nr", ue_count=4, mbps=8.192, size=1000, app_start=0.0,
+         refresh=0.0078125, duration=0.05, drain=0.05, edge=False,
          ue0_snr=None, seed=1)
 # The 50 ms instant's burst would take slots to 50.375 ms, and the run
 # stops at 50.3 ms: the slot loop leaves its last packet queued.
