@@ -62,12 +62,13 @@ def _run_overrides(args) -> dict:
 def _load_config(path: Optional[str],
                  overrides: dict) -> Optional[ScenarioConfig]:
     """The config file at *path* (none: the defaults) with *overrides* on
-    top.  On failure it prints ``error:`` for a file it cannot read as UTF-8,
-    or one ``invalid:`` line per config error, and returns None."""
+    top; a leading UTF-8 byte-order mark is dropped.  On failure it prints
+    ``error:`` for a file it cannot read as UTF-8, or one ``invalid:`` line
+    per config error, and returns None."""
     try:
         text = ""
         if path:
-            with open(path, encoding="utf-8") as fh:
+            with open(path, encoding="utf-8-sig") as fh:
                 text = fh.read()
         return parse_config(text, overrides)
     except OSError as exc:

@@ -244,28 +244,31 @@ def _coerce(raw: str, default):
     return type(default)(raw)
 
 
-def _preset_overlay(preset: Optional[str],
-                    sweep_variable: Optional[str]) -> dict:
-    if preset == "scenario1":
-        return {"sweep_variable": "ue_count",
-                "sweep": tuple(float(n) for n in range(2, 21, 2)),
-                "traffic.data_volume_mbps": 2.0,
-                "mobility.speed_kmh": 0.0}
-    if preset == "scenario2":
-        return {"sweep_variable": "offered_mbps",
-                "sweep": tuple(float(n) for n in range(1, 9)),
-                "ue_count": 8,
-                "mobility.speed_kmh": 0.0}
-    if preset == "scenario3":
-        overlay = {"ue_count": 8, "traffic.data_volume_mbps": 2.0}
-        if sweep_variable == "start_distance":
-            overlay["sweep_variable"] = "start_distance"
-            overlay["sweep"] = tuple(float(d) for d in range(20, 201, 20))
-        else:
-            overlay["sweep_variable"] = "speed_kmh"
-            overlay["sweep"] = tuple(float(v) for v in range(0, 61, 5))
-        return overlay
-    return {}
+# Per preset: the keys it fixes, and a sweep grid per sweep variable it has
+# one for; the first is the preset's own.
+_PRESETS = {
+    "scenario1": ({"traffic.data_volume_mbps": 2.0, "mobility.speed_kmh": 0.0},
+                  {"ue_count": range(2, 21, 2)}),
+    "scenario2": ({"ue_count": 8, "mobility.speed_kmh": 0.0},
+                  {"offered_mbps": range(1, 9)}),
+    "scenario3": ({"ue_count": 8, "traffic.data_volume_mbps": 2.0},
+                  {"speed_kmh": range(0, 61, 5),
+                   "start_distance": range(20, 201, 20)}),
+}
+
+
+def _preset_overlay(typed: dict) -> dict:
+    """The keys that *typed*'s preset sets.  A preset has no grid for
+    another sweep variable, so sweeping one under it needs ``sweep``."""
+    fixed, grids = _PRESETS.get(typed.get("preset"), ({}, {}))
+    var = typed.get("sweep_variable", next(iter(grids), None))
+    if var in grids:
+        return {**fixed, "sweep_variable": var,
+                "sweep": tuple(map(float, grids[var]))}
+    if grids and "sweep" not in typed and var in SWEEP_VARIABLES:
+        raise ConfigError([f"sweep: preset {typed['preset']} has no grid for "
+                           f"sweep_variable {var!r}; set sweep"])
+    return fixed
 
 
 def parse_config(text: str, overrides: Optional[dict] = None) -> ScenarioConfig:
@@ -309,8 +312,7 @@ def parse_config(text: str, overrides: Optional[dict] = None) -> ScenarioConfig:
     if errors:
         raise ConfigError(errors)
     # explicit keys beat the preset expansion
-    effective = {**_preset_overlay(typed.get("preset"),
-                                   typed.get("sweep_variable")), **typed}
+    effective = {**_preset_overlay(typed), **typed}
 
     tree: dict = {}
     for key, value in effective.items():

@@ -73,12 +73,9 @@ class Simulator:
     def horizon(self) -> float:
         """The earliest queued event's time; inf if none.
 
-        A chain serves its own next instants strictly before the horizon,
-        and the engine queues every successor.  A traced simulator returns
-        -inf, so every instant keeps its event and trace line.
+        A chain may serve its own next instants strictly before the horizon,
+        and the engine queues every successor.
         """
-        if self._trace is not None:
-            return -math.inf
         return self._heap[0][0] if self._heap else math.inf
 
     def run(self, until: float) -> int:

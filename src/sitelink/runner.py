@@ -9,11 +9,11 @@ Three event chains drive a run: channel refresh, CBR arrivals and slots.
 Each handler takes its event's time and returns its chain's next instant,
 or None to end the chain; only the construction (the three starts) and
 ``_wake_slots`` (a sleeping slot chain) schedule events.  A chain serves
-its own next instants strictly before the simulator's horizon, the next
-queued event, and the engine queues every successor: one slot event serves
-a burst of slots, one scheduler call each, and an arrival event each CBR
+its own next instants strictly before the run's horizon, the next queued
+event, and the engine queues every successor: one slot event serves a
+burst of slots, one scheduler call each, and an arrival event each CBR
 instant up to the horizon; an NR arrival may replay slots under the same
-rule (see below).  A traced run's horizon is -inf: one event per instant.
+rule (see below).  A traced run's horizon is -inf (``_Run.horizon``).
 
 Repeating NR instants
 ---------------------
@@ -29,10 +29,12 @@ scheduler and offers no packet, so it keeps the round-robin and credit
 rules in ``_slot`` alone.
 
 A run's state is numbers.  A UE is its index into the run's per-UE columns
-(queue, carried credit, rate, HARQ tables, last distance, start radius),
-and ``_Run._open_epoch`` is the one function that computes every UE's link
-state at a refresh epoch.  A packet is its seq, the index of its instant on
-the cell's one CBR grid, whose time the schedule notes once per instant.
+(queue, carried credit, rate, HARQ tables, start radius), and
+``_Run._open_epoch`` is the one function that computes every UE's link
+state at a refresh epoch.  Every UE shares the run's speed and shadowing
+spread, so static links are a fact of the run, computed at epoch 0 only.
+A packet is its seq, the index of its instant on the cell's one CBR grid,
+whose time the schedule notes once per instant.
 
 Schedule pass, then outcome pass
 --------------------------------
@@ -195,16 +197,18 @@ class _Run:
         self.lte_penalty_db = (0.0 if self.is_nr
                                else cfg.radio_lte.velocity_db_per_kmh * speed)
         self.shadow_sigma = nr.mmwave.sigma_db if self.is_nr else 0.0
+        self.static_links = not (speed or self.shadow_sigma)
 
-        # Everything the schedule reads besides the link state.
-        self.key = (rat, cfg.ue_count,
-                    dataclasses.replace(cfg.traffic, core_latency_ms=0.0),
-                    cfg.duration_s, cfg.warmup_s, cfg.drain_max_s,
-                    self.refresh_s, self.slot_s,
-                    None if self.is_nr else (phy.rb_count, phy.pf_window))
-        # The schedule this run records, and per refresh epoch every UE's
+        # The schedule this run records, keyed by everything the schedule
+        # reads besides the link state, and per refresh epoch every UE's
         # HARQ tables.
-        self.schedule = _Schedule(self.key, cfg.ue_count)
+        self.schedule = _Schedule(
+            (rat, cfg.ue_count,
+             dataclasses.replace(cfg.traffic, core_latency_ms=0.0),
+             cfg.duration_s, cfg.warmup_s, cfg.drain_max_s, self.refresh_s,
+             self.slot_s, None if self.is_nr else (phy.rb_count,
+                                                   phy.pf_window)),
+            cfg.ue_count)
         self.tables: list[list[tuple]] = []
 
         self.harq_rng = rng_stream("harq", seed)
@@ -212,6 +216,9 @@ class _Run:
         self.outage_rng = rng_stream("outage", seed)
 
         self.sim = Simulator(trace=trace_sink)
+        # The traced-run rule: -inf keeps every instant's event and trace line.
+        self.horizon = (self.sim.horizon if trace_sink is None
+                        else lambda: -math.inf)
         self.sched = RrState() if self.is_nr else PfState(phy, cfg.ue_count)
         self.backlog_pkts = 0
         self.slot_index = 0
@@ -219,17 +226,13 @@ class _Run:
         # At the last arrival, if it was a clean NR one: the round-robin
         # pointer, the epoch count and the grant offset.
         self.note: Optional[tuple[int, int, int]] = None
-        # LTE subframes tick through the measured window even when every
-        # queue is empty; the mmWave slot chain runs only while data waits.
-        self.idle_slots = not self.is_nr
 
         # A UE is its index into these columns.  The rates are set at each
         # refresh epoch and handed to the scheduler as is; round robin takes
-        # the queues themselves, since an empty FlowQueue is falsy.  A UE's
-        # link state was last computed at ``distance`` (NaN before the first
-        # epoch), and ``fail_tables`` holds its HARQ failure probabilities
-        # per attempt from then: at the link-adaptation SNR, and (NR only) in
-        # a beam-tracking outage.
+        # the queues themselves, since an empty FlowQueue is falsy.
+        # ``fail_tables`` holds each UE's HARQ failure probabilities per
+        # attempt at the last epoch: at the link-adaptation SNR, and (NR
+        # only) in a beam-tracking outage.
         self.mobility = cfg.mobility
         n_ues = cfg.ue_count
         self.r0 = cfg.mobility.radii(n_ues)
@@ -237,7 +240,6 @@ class _Run:
                        for _ in range(n_ues)]
         self.credit_bits = [0.0] * n_ues
         self.rates = [0.0] * n_ues
-        self.distance = [math.nan] * n_ues
         self.fail_tables: list[tuple] = [((), ())] * n_ues
 
         # Every UE streams the same CBR grid, so one stream drives the cell:
@@ -247,14 +249,15 @@ class _Run:
             packet_size_bytes=self.packet_bytes,
             start_s=cfg.traffic.app_start_s, stop_s=cfg.app_stop_effective_s())
         self.grid = cbr_grid(self.stream)
-        self.grid_index = 0
 
         # Channel state first, then the slot chain, then the source, so that
         # simultaneous events resolve in that order.  One refresh event and
         # one arrival event serve every UE, in UE order.
         self._open_epoch(0.0)
         self.sim.schedule(self.refresh_s, self._refresh, "refresh")
-        if self.idle_slots:
+        if not self.is_nr:
+            # LTE subframes tick through the measured window even when
+            # every queue is empty; NR slots run only while data waits.
             self.slot_running = True
             self.sim.schedule(0.0, self._slot, "slot", self.rat)
         t_first = next(self.grid, None)
@@ -275,25 +278,22 @@ class _Run:
 
     def _open_epoch(self, t: float) -> None:
         """Compute every UE's link state at refresh instant *t*, in UE order
-        with one shadowing draw each, and note the epoch: its rates go to
-        the schedule, its HARQ tables to this run."""
-        fail_probs = self.harq.fail_probs
-        rates, tables, distance = self.rates, self.fail_tables, self.distance
-        for i, r0 in enumerate(self.r0):
-            d = position_at(r0, self.mobility, t)
-            if self.shadow_sigma:
-                shadow = self.shadow_rng.gauss(0.0, self.shadow_sigma)
-            elif d == distance[i]:
-                continue    # same place, no shadowing: link unchanged
-            else:
-                shadow = 0.0
-            distance[i] = d
-            snr = snr_db(self.radio, d, penalties_db=self.lte_penalty_db,
-                         shadow_db=shadow)
-            tables[i] = (fail_probs(snr),
-                         fail_probs(snr - self.outage_penalty_db)
-                         if self.is_nr else ())
-            rates[i] = achievable_rate_bps(snr, self.radio, self.la)
+        with one shadowing draw each, unless links are static (all UEs share
+        the run's speed and spread) and epoch 0 computed them, and note the
+        epoch: its rates go to the schedule, its HARQ tables to this run."""
+        rates, tables = self.rates, self.fail_tables
+        if not (self.static_links and self.tables):
+            fail_probs = self.harq.fail_probs
+            for i, r0 in enumerate(self.r0):
+                d = position_at(r0, self.mobility, t)
+                shadow = (self.shadow_rng.gauss(0.0, self.shadow_sigma)
+                          if self.shadow_sigma else 0.0)
+                snr = snr_db(self.radio, d, penalties_db=self.lte_penalty_db,
+                             shadow_db=shadow)
+                tables[i] = (fail_probs(snr),
+                             fail_probs(snr - self.outage_penalty_db)
+                             if self.is_nr else ())
+                rates[i] = achievable_rate_bps(snr, self.radio, self.la)
         self.schedule.epoch_t.append(t)
         self.schedule.rates.append(tuple(rates))
         self.tables.append(list(tables))
@@ -313,12 +313,11 @@ class _Run:
         """Serve CBR instant *t* and each next one strictly before the
         horizon, which a wake-up moves; return the first instant left to the
         queue, or None.  The grid ends before the drain window starts."""
-        record, horizon = self.schedule, self.sim.horizon
-        overflow = record.overflow
+        record, horizon = self.schedule, self.horizon
+        overflow, instants = record.overflow, record.instants
         while True:
-            seq = self.grid_index
-            self.grid_index = seq + 1
-            record.instants.append(t)
+            seq = len(instants)     # the instant's index on the grid
+            instants.append(t)
             # The one warm-up test: every flow creates this packet, and
             # whether it is measured decides whether its drops count.
             measured = t >= self.cfg.warmup_s
@@ -372,7 +371,7 @@ class _Run:
         m = end - start
         k, s0 = self._first_slot(t)
         last = max((k + m - 1) * slot_s, s0)
-        bound = min(self.sim.horizon(), math.inf if nxt is None else nxt)
+        bound = min(self.horizon(), math.inf if nxt is None else nxt)
         if not (m and last < bound and last <= self.stop_time):
             return False
         record.grant_ue += record.grant_ue[start:end]
@@ -391,7 +390,7 @@ class _Run:
         """Serve slot *t* and each next slot while the chain continues and
         that slot comes strictly before every queued event, which no slot
         can add to; return the first slot left to the queue, or None."""
-        horizon, sched = self.sim.horizon(), self.sched
+        horizon, sched = self.horizon(), self.sched
         slot_s, bits = self.slot_s, self.packet_bits
         queues, rates, credits = self.queues, self.rates, self.credit_bits
         size, record = self.packet_bytes, self.schedule
@@ -428,7 +427,7 @@ class _Run:
             k += 1
             t = k * slot_s
             self.backlog_pkts, self.slot_index = backlog, k
-            if not self._continues(t, self.idle_slots):
+            if not self._continues(t, not self.is_nr):
                 self.slot_running = False
                 return None
             if not t < horizon:
@@ -443,7 +442,7 @@ class _Run:
         schedule = self.schedule
         # The grid's instants never decrease, so the window's packets are
         # the last ``created`` seqs.
-        first = schedule.first_seq = self.grid_index - schedule.created
+        first = schedule.first_seq = len(schedule.instants) - schedule.created
         # Whatever is still queued could not be served within the drain
         # window: the link never carried it, so it counts as coverage loss.
         schedule.stranded = [sum(seq >= first for seq in queue.drain())
@@ -555,7 +554,7 @@ def run_single(cfg: ScenarioConfig, rat: str, sweep_index: int,
                 return _Run(cfg, rat, sweep_value, rep_index, seed,
                             trace).execute()
         run = _Run(cfg, rat, sweep_value, rep_index, seed)
-        if _schedule is not None and _schedule.key == run.key:
+        if _schedule is not None and _schedule.key == run.schedule.key:
             result = run.reuse(_schedule)
             if result is not None:
                 return result

@@ -209,6 +209,25 @@ def test_non_utf8_config_fails_cleanly(tmp_path, capsys, command):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["latin1.cfg"]
 
 
+def test_validate_accepts_a_config_with_a_byte_order_mark(tmp_path, capsys):
+    # Windows editors often save UTF-8 with a BOM before the first key.
+    path = tmp_path / "bom.cfg"
+    path.write_bytes(b"\xef\xbb\xbfpreset=scenario1\n")
+    assert main(["validate", "--config", str(path)]) == 0
+    assert capsys.readouterr().out == f"{path}: ok\n"
+
+
+def test_run_reads_a_config_with_a_byte_order_mark(tmp_path):
+    path = tmp_path / "bom.cfg"
+    path.write_bytes(b"\xef\xbb\xbf" + TINY.lstrip().encode())
+    out = tmp_path / "bom.csv"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 0
+    meta = (tmp_path / "bom.csv.meta").read_text()
+    assert parse_config(meta) == parse_config(TINY)
+    with open(out, newline="") as fh:
+        assert [row[2] for row in csv.reader(fh)][1:] == ["2", "4"]
+
+
 def _refuses_before_the_sweep(monkeypatch, capsys, tmp_path, *args):
     """Run ``sitelink run`` on the tiny config with *args* from *tmp_path*:
     it must fail with one ``cannot write results`` line before any

@@ -44,6 +44,28 @@ def test_scenario3_distance_interpretation_selectable():
     assert cfg.sweep == tuple(float(d) for d in range(20, 201, 20))
 
 
+# Each preset paired with every sweep variable it has no grid for.
+_GRIDLESS = [("scenario1", "offered_mbps"), ("scenario1", "speed_kmh"),
+             ("scenario1", "start_distance"), ("scenario2", "ue_count"),
+             ("scenario2", "speed_kmh"), ("scenario2", "start_distance"),
+             ("scenario3", "ue_count"), ("scenario3", "offered_mbps")]
+
+
+@pytest.mark.parametrize("preset, var", _GRIDLESS)
+def test_a_preset_lends_no_grid_to_another_sweep_variable(preset, var):
+    # Its own grid would sweep the wrong quantity: scenario1's UE counts
+    # read as 2-20 km/h, scenario2's rates as 1-8 UEs.
+    with pytest.raises(ConfigError) as info:
+        parse_config(f"preset={preset}\nsweep_variable={var}")
+    assert len(info.value.errors) == 1
+    assert info.value.errors[0].startswith("sweep: ")
+    assert "no grid" in info.value.errors[0]
+    # With a grid of its own, the study keeps the preset's other keys.
+    cfg = parse_config(f"preset={preset}\nsweep_variable={var}\nsweep=40")
+    assert cfg == replace(parse_config(f"preset={preset}"),
+                          sweep_variable=var, sweep=(40.0,))
+
+
 def test_explicit_keys_override_preset_values():
     cfg = parse_config("preset=scenario1\nsweep=2,4\nduration_s=5")
     assert cfg.sweep == (2.0, 4.0)

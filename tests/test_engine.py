@@ -213,10 +213,10 @@ def test_horizon_is_the_earliest_queued_time():
     sim.run(3.0)
     assert seen == [(0.5, 1.0), (1.0, 2.0), (2.0, math.inf)]
     assert sim.horizon() == math.inf
+    # Tracing leaves the horizon alone; the runner sets a traced run's.
     traced = Simulator(trace=io.StringIO())
-    assert traced.horizon() == -math.inf
     traced.schedule(1.0, lambda now: None)
-    assert traced.horizon() == -math.inf
+    assert traced.horizon() == 1.0
 
 
 def test_a_nan_event_time_is_rejected():
@@ -244,12 +244,12 @@ def test_a_returned_nan_successor_is_rejected():
         sim.run(2.0)
 
 
-def test_claimed_events_match_scheduled_ones_exactly():
-    # An action claims its chain's next event by returning its time.  A
-    # chain of ticks at 0..9 s beside one event queued at 4 s, run to a
-    # 6.5 s horizon and then to the end: the same ids, order, trace lines
-    # and counts as a chain that schedules each tick; the queued event runs
-    # before the tick it ties with, and no tick past 6.5 s runs early.
+def test_returned_successors_match_scheduled_ones_exactly():
+    # An action continues its chain by returning its next time.  A chain
+    # of ticks at 0..9 s beside one event queued at 4 s, run to 6.5 s and
+    # then to the end: the same ids, order, trace lines and counts as a
+    # chain that schedules each tick; the queued event runs before the tick
+    # it ties with, and no tick past 6.5 s runs in the first run.
     cases = ([(0.0, [1.0] * 9)], [4.0], [0, 1], [6.5, 12.0])
     claimed = _chains(cases, True)
     assert claimed == _chains(cases, False)
@@ -258,10 +258,10 @@ def test_claimed_events_match_scheduled_ones_exactly():
     assert runs == [(8, 6.5), (3, 12.0)]
 
 
-def test_claim_refused_on_a_tie_past_the_horizon_and_outside_run():
-    # A returned time that ties with a queued event, or lies past the
-    # horizon, is queued behind it instead of run at once; a time returned
-    # outside run is no event at all.
+def test_a_returned_successor_queues_behind_a_tie_and_past_the_run_end():
+    # The engine queues a returned time like a scheduled one: behind a
+    # queued event it ties with, and, past the end of run, for a later
+    # run.  A time returned outside run is no event at all.
     out = io.StringIO()
     sim = Simulator(trace=out)
     seen = []

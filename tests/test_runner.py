@@ -547,9 +547,10 @@ def test_scheduler_is_called_once_per_processed_slot_event(monkeypatch, text,
                          ids=["lte", "nr"])
 def test_position_is_computed_once_per_ue_per_channel_update(monkeypatch,
                                                              text, rat):
-    # The benchmark's mobility.position_calls counts these calls; one per UE
-    # per channel update (the t=0 one plus each refresh event) keeps it
-    # comparable between versions.
+    # The benchmark's mobility.position_calls counts these calls: one per UE
+    # per channel update (the t=0 one plus each refresh event), except that
+    # a run with static links (no UE moves, no shadowing, as in the LTE
+    # case) computes them at t=0 only.
     cfg = parse_config(text, overrides={"duration_s": "1.5",
                                         "warmup_s": "0.5"})
     calls = {"position_at": 0}
@@ -559,8 +560,9 @@ def test_position_is_computed_once_per_ue_per_channel_update(monkeypatch,
     run.execute()
     kinds = [line.split("\t")[2] for line in trace.getvalue().splitlines()]
     assert kinds.count("refresh") > 0
-    assert calls["position_at"] == (run.cfg.ue_count
-                                    * (1 + kinds.count("refresh")))
+    assert run.static_links == (rat == "lte")
+    updates = 1 if run.static_links else 1 + kinds.count("refresh")
+    assert calls["position_at"] == run.cfg.ue_count * updates
 
 
 @settings(max_examples=40, deadline=None)
@@ -978,8 +980,7 @@ def test_a_record_accounts_for_every_grant_and_epoch(rat, ue_count, duration,
     assert all(flow.tx_packets == window for flow in result.flows)
     # A packet is its seq: the record notes every instant's time once, and
     # each UE's served seqs are ints that strictly increase.
-    assert len(record.instants) == run.grid_index
-    emit = cbr_emit_times(run.stream)[:run.grid_index]
+    emit = cbr_emit_times(run.stream)
     assert [t.hex() for t in record.instants] == [t.hex() for t in emit]
     assert all(type(seq) is int for seq in record.served)
     seqs = [[] for _ in range(ue_count)]
@@ -1268,5 +1269,53 @@ def test_a_replaying_run_records_what_a_traced_one_does(rat, ue_count, mbps,
         mp.setattr(runner, "snr_db", patched)
         (plain, plain_record, _), (traced, traced_record, _) = (
             _untraced_and_traced(cfg, rat))
+    assert plain == traced
+    assert _differing_columns(plain_record, traced_record) == []
+
+
+# CBR intervals that are exact binary fractions: 2^-12 to 2^-8 s (1000 B at
+# 8.192 Mb/s is 2^-10 s), or 1 to 16 NR slots of 0.125 ms (1000 B at
+# 64 Mb/s is one slot, 8 of them an LTE subframe).  Refresh periods and
+# application starts sit on the same two grids, so arrivals, refreshes and
+# slots tie often, exactly.
+_EXACT_TRAFFIC = st.one_of(
+    st.tuples(st.sampled_from([500, 1000, 1500]),
+              st.integers(-2, 2).map(lambda k: 8.192 * 2.0 ** k)),
+    st.tuples(st.just(1000), st.integers(0, 4).map(lambda k: 64.0 / 2 ** k)))
+def _on_exact_grids(least, most):
+    return st.one_of(
+        st.integers(least, most).map(lambda m: m / 1024),
+        st.integers(8 * least, 8 * most).map(lambda m: m * 0.000125))
+
+
+@settings(max_examples=150, deadline=None)
+@given(rat=st.sampled_from(["lte", "nr"]), ue_count=st.integers(1, 6),
+       traffic=_EXACT_TRAFFIC, queue=st.integers(1, 50),
+       app_start=_on_exact_grids(0, 16), refresh=_on_exact_grids(1, 128),
+       duration=st.floats(0.05, 0.2), drain=st.sampled_from([0.0, 0.05]),
+       seed=st.integers(1, 10_000))
+# One LTE UE with an arrival every NR slot: eight arrivals per subframe,
+# and the one on each subframe instant ties with that subframe's slot.
+@example(rat="lte", ue_count=1, traffic=(1000, 64.0), queue=1,
+         app_start=0.0, refresh=1 / 1024, duration=0.1875, drain=0.0, seed=1)
+# Two NR UEs with an arrival every two slots and a refresh every 2^-10 s:
+# every 2^-6 s, 125 slots, a busy slot ties with a refresh.
+@example(rat="nr", ue_count=2, traffic=(1000, 32.0), queue=1,
+         app_start=0.0, refresh=1 / 1024, duration=0.125, drain=0.0, seed=1)
+def test_ties_resolve_as_in_a_traced_run(rat, ue_count, traffic, queue,
+                                         app_start, refresh, duration, drain,
+                                         seed):
+    # At a tie the queued event goes first: an untraced run's chains stop
+    # strictly before the horizon, and a traced run queues every instant.
+    # Their records must match column by column, and their results must
+    # be equal.
+    size, mbps = traffic
+    interval = size * 8.0 / (mbps * 1e6)
+    assert any((interval / base).is_integer() for base in (2 ** -16, 0.000125))
+    cfg = _small_cfg(rat, ue_count, mbps, size, duration, seed, app_start,
+                     queue, drain,
+                     extra=f"radio.nr.beam_refresh_s={refresh!r}\n")
+    (plain, plain_record, _), (traced, traced_record, _) = (
+        _untraced_and_traced(cfg, rat))
     assert plain == traced
     assert _differing_columns(plain_record, traced_record) == []
