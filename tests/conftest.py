@@ -1,16 +1,8 @@
-"""Fixtures and settings shared by every test module."""
-
-import os
+"""Fixtures shared by every test module."""
 
 import pytest
-from hypothesis import settings
 
 from sitelink import runner
-
-# HYPOTHESIS_PROFILE=ci prints each failing example's blob, which
-# @reproduce_failure replays exactly on any machine.
-settings.register_profile("ci", print_blob=True)
-settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 @pytest.fixture(autouse=True)

@@ -1180,84 +1180,117 @@ def test_repeating_nr_instants_make_a_tenth_of_the_scheduler_calls():
     assert 0 < bursts["_arrival"] < slots["_arrival"] / 10
 
 
-@settings(max_examples=40, deadline=None)
+# CBR traffic as (Mb/s, packet bytes): drawn freely, or with an interval
+# that is an exact binary fraction, a multiple of 2^-13 s (1000 B at
+# 8.192 Mb/s is 2^-10 s), or 1 to 16 NR slots of 0.125 ms (1000 B at
+# 64 Mb/s is one slot, 8 of them an LTE subframe).  Refresh periods and
+# application starts are also drawn on those two grids, so that arrivals,
+# refreshes and slots tie often, exactly.
+_TRAFFIC = st.one_of(
+    st.tuples(st.floats(0.5, 40.0), st.integers(100, 1500)),
+    st.tuples(st.integers(-2, 2).map(lambda k: 8.192 * 2.0 ** k),
+              st.sampled_from([500, 1000, 1500])),
+    st.tuples(st.integers(0, 4).map(lambda k: 64.0 / 2 ** k), st.just(1000)))
+
+
+def _on_exact_grids(least, most):
+    return st.one_of(
+        st.integers(least, most).map(lambda m: m / 1024),
+        st.integers(8 * least, 8 * most).map(lambda m: m * 0.000125))
+
+
+@settings(max_examples=150, deadline=None)
 @given(rat=st.sampled_from(["lte", "nr"]), ue_count=st.integers(1, 6),
-       mbps=st.floats(0.5, 40.0), size=st.integers(100, 1500),
-       app_start=_ON_OR_OFF_THE_SLOT_GRID, refresh=st.floats(0.001, 0.05),
+       traffic=_TRAFFIC, queue=st.integers(1, 100),
+       app_start=st.one_of(_ON_OR_OFF_THE_SLOT_GRID, _on_exact_grids(0, 16)),
+       refresh=st.one_of(st.floats(0.001, 0.05), _on_exact_grids(1, 128)),
        duration=st.floats(0.05, 0.2), drain=st.sampled_from([0.0, 0.05]),
        edge=st.booleans(), ue0_snr=st.sampled_from([None, -30.0, -2.0]),
        seed=st.integers(1, 10_000))
 # 4 UEs, an instant every 1 ms served in slots 0-3 of its 8: the refresh at
 # 10.3 ms comes after the third slot of the 10 ms instant, whose burst would
 # otherwise repeat the 9 ms one.
-@example(rat="nr", ue_count=4, mbps=8.0, size=1000, app_start=0.0,
-         refresh=0.0103, duration=0.05, drain=0.05, edge=False,
-         ue0_snr=None, seed=1)
+@example(rat="nr", ue_count=4, traffic=(8.0, 1000), queue=100, app_start=0.0,
+         refresh=0.0103, duration=0.05, drain=0.05, edge=False, ue0_snr=None,
+         seed=1)
 # An instant every 0.5 ms, as long as its 4-slot burst: each replay starts
 # on the slot after the last one served.
-@example(rat="nr", ue_count=4, mbps=16.0, size=1000, app_start=0.0,
-         refresh=0.1, duration=0.05, drain=0.05, edge=False,
-         ue0_snr=None, seed=1)
+@example(rat="nr", ue_count=4, traffic=(16.0, 1000), queue=100, app_start=0.0,
+         refresh=0.1, duration=0.05, drain=0.05, edge=False, ue0_snr=None,
+         seed=1)
 # UE 0's link sits below the SNR floor: its queue never empties, so no
 # instant is clean.
-@example(rat="nr", ue_count=3, mbps=8.0, size=1000, app_start=0.0,
-         refresh=0.1, duration=0.05, drain=0.05, edge=False,
-         ue0_snr=-30.0, seed=1)
+@example(rat="nr", ue_count=3, traffic=(8.0, 1000), queue=100, app_start=0.0,
+         refresh=0.1, duration=0.05, drain=0.05, edge=False, ue0_snr=-30.0,
+         seed=1)
 # At -2 dB UE 0 takes two slots per packet, so the first instant's burst
 # leaves the round-robin pointer on UE 1, and the second instant's burst
 # differs from it.
-@example(rat="nr", ue_count=3, mbps=8.0, size=1000, app_start=0.0,
-         refresh=0.1, duration=0.05, drain=0.05, edge=False,
-         ue0_snr=-2.0, seed=1)
+@example(rat="nr", ue_count=3, traffic=(8.0, 1000), queue=100, app_start=0.0,
+         refresh=0.1, duration=0.05, drain=0.05, edge=False, ue0_snr=-2.0,
+         seed=1)
 # One UE, one slot per instant, from a start one slot in: instants 9, 13,
 # 18, ... land an ulp after their slot's grid instant, so their slot starts
 # at the arrival.
-@example(rat="nr", ue_count=1, mbps=8.0, size=1000, app_start=0.000125,
-         refresh=0.1, duration=0.05, drain=0.05, edge=False,
-         ue0_snr=None, seed=1)
+@example(rat="nr", ue_count=1, traffic=(8.0, 1000), queue=100,
+         app_start=0.000125, refresh=0.1, duration=0.05, drain=0.05,
+         edge=False, ue0_snr=None, seed=1)
 # One UE, an instant every 0.1 ms: the 0.4 ms instant takes the slot at
 # 0.5 ms, so the 0.5 ms instant waits for the slot at 0.625 ms, after the
 # next arrival, and that slot carries both packets.
-@example(rat="nr", ue_count=1, mbps=8.0, size=100, app_start=0.0,
-         refresh=0.1, duration=0.05, drain=0.05, edge=False,
-         ue0_snr=None, seed=1)
+@example(rat="nr", ue_count=1, traffic=(8.0, 100), queue=100, app_start=0.0,
+         refresh=0.1, duration=0.05, drain=0.05, edge=False, ue0_snr=None,
+         seed=1)
 # One UE at the coverage edge: its link falls below the SNR floor for the
 # ninth refresh epoch, whose first instant opens as the one before it did,
 # but in a new epoch.
-@example(rat="nr", ue_count=1, mbps=1.0, size=100, app_start=0.000125,
-         refresh=0.0078125, duration=0.125, drain=0.0, edge=True,
-         ue0_snr=None, seed=186)
+@example(rat="nr", ue_count=1, traffic=(1.0, 100), queue=100,
+         app_start=0.000125, refresh=0.0078125, duration=0.125, drain=0.0,
+         edge=True, ue0_snr=None, seed=186)
 # The LTE subframe chain stops after its last subframe in the window, at
 # 50 ms, and the arrivals at 50.1-50.4 ms find it asleep with every queue
 # empty.  PF's averages drift, so no LTE instant is replayed.
-@example(rat="lte", ue_count=2, mbps=8.0, size=100, app_start=0.0,
-         refresh=0.1, duration=0.0505, drain=0.05, edge=False,
-         ue0_snr=None, seed=1)
+@example(rat="lte", ue_count=2, traffic=(8.0, 100), queue=100, app_start=0.0,
+         refresh=0.1, duration=0.0505, drain=0.05, edge=False, ue0_snr=None,
+         seed=1)
 # 1000 B packets at 8.192 Mb/s: an instant every 2^-10 s, so every 8th one
 # ties exactly with a 2^-7 s refresh, which was queued first and runs first.
-@example(rat="nr", ue_count=4, mbps=8.192, size=1000, app_start=0.0,
+@example(rat="nr", ue_count=4, traffic=(8.192, 1000), queue=100, app_start=0.0,
          refresh=0.0078125, duration=0.05, drain=0.05, edge=False,
          ue0_snr=None, seed=1)
 # The 50 ms instant's burst would take slots to 50.375 ms, and the run
 # stops at 50.3 ms: the slot loop leaves its last packet queued.
-@example(rat="nr", ue_count=4, mbps=8.0, size=1000, app_start=0.0,
-         refresh=0.1, duration=0.0503, drain=0.0, edge=False,
+@example(rat="nr", ue_count=4, traffic=(8.0, 1000), queue=100, app_start=0.0,
+         refresh=0.1, duration=0.0503, drain=0.0, edge=False, ue0_snr=None,
+         seed=1)
+# One LTE UE with an arrival every NR slot: eight arrivals per subframe,
+# and the one on each subframe instant ties with that subframe's slot.
+@example(rat="lte", ue_count=1, traffic=(64.0, 1000), queue=1, app_start=0.0,
+         refresh=1 / 1024, duration=0.1875, drain=0.0, edge=False,
          ue0_snr=None, seed=1)
-def test_a_replaying_run_records_what_a_traced_one_does(rat, ue_count, mbps,
-                                                        size, app_start,
-                                                        refresh, duration,
-                                                        drain, edge,
+# Two NR UEs with an arrival every two slots and a refresh every 2^-10 s:
+# every 2^-6 s, 125 slots, a busy slot ties with a refresh.
+@example(rat="nr", ue_count=2, traffic=(32.0, 1000), queue=1, app_start=0.0,
+         refresh=1 / 1024, duration=0.125, drain=0.0, edge=False,
+         ue0_snr=None, seed=1)
+def test_a_replaying_run_records_what_a_traced_one_does(rat, ue_count,
+                                                        traffic, queue,
+                                                        app_start, refresh,
+                                                        duration, drain, edge,
                                                         ue0_snr, seed):
     # An untraced NR run replays each instant that repeats the one before
-    # it; a traced run never does.  Their records must match column by
+    # it; a traced run never does.  At a tie the queued event goes first:
+    # an untraced run's chains stop strictly before the horizon, and a
+    # traced run queues every instant.  Their records must match column by
     # column, and their results must be equal.  At the coverage edge under
     # 20 dB shadowing, rates change from one refresh epoch to the next;
     # *ue0_snr* pins UE 0's link.
+    mbps, size = traffic
     extra = f"radio.nr.beam_refresh_s={refresh!r}\n"
     if edge:
         extra += "".join(f"{key}={value}\n" for key, value in _EDGE.items())
     cfg = _small_cfg(rat, ue_count, mbps, size, duration, seed, app_start,
-                     drain=drain, extra=extra)
+                     queue, drain, extra)
     r0 = cfg.mobility.radii(ue_count)[0]
     snr = runner.snr_db
 
@@ -1269,53 +1302,5 @@ def test_a_replaying_run_records_what_a_traced_one_does(rat, ue_count, mbps,
         mp.setattr(runner, "snr_db", patched)
         (plain, plain_record, _), (traced, traced_record, _) = (
             _untraced_and_traced(cfg, rat))
-    assert plain == traced
-    assert _differing_columns(plain_record, traced_record) == []
-
-
-# CBR intervals that are exact binary fractions: 2^-12 to 2^-8 s (1000 B at
-# 8.192 Mb/s is 2^-10 s), or 1 to 16 NR slots of 0.125 ms (1000 B at
-# 64 Mb/s is one slot, 8 of them an LTE subframe).  Refresh periods and
-# application starts sit on the same two grids, so arrivals, refreshes and
-# slots tie often, exactly.
-_EXACT_TRAFFIC = st.one_of(
-    st.tuples(st.sampled_from([500, 1000, 1500]),
-              st.integers(-2, 2).map(lambda k: 8.192 * 2.0 ** k)),
-    st.tuples(st.just(1000), st.integers(0, 4).map(lambda k: 64.0 / 2 ** k)))
-def _on_exact_grids(least, most):
-    return st.one_of(
-        st.integers(least, most).map(lambda m: m / 1024),
-        st.integers(8 * least, 8 * most).map(lambda m: m * 0.000125))
-
-
-@settings(max_examples=150, deadline=None)
-@given(rat=st.sampled_from(["lte", "nr"]), ue_count=st.integers(1, 6),
-       traffic=_EXACT_TRAFFIC, queue=st.integers(1, 50),
-       app_start=_on_exact_grids(0, 16), refresh=_on_exact_grids(1, 128),
-       duration=st.floats(0.05, 0.2), drain=st.sampled_from([0.0, 0.05]),
-       seed=st.integers(1, 10_000))
-# One LTE UE with an arrival every NR slot: eight arrivals per subframe,
-# and the one on each subframe instant ties with that subframe's slot.
-@example(rat="lte", ue_count=1, traffic=(1000, 64.0), queue=1,
-         app_start=0.0, refresh=1 / 1024, duration=0.1875, drain=0.0, seed=1)
-# Two NR UEs with an arrival every two slots and a refresh every 2^-10 s:
-# every 2^-6 s, 125 slots, a busy slot ties with a refresh.
-@example(rat="nr", ue_count=2, traffic=(1000, 32.0), queue=1,
-         app_start=0.0, refresh=1 / 1024, duration=0.125, drain=0.0, seed=1)
-def test_ties_resolve_as_in_a_traced_run(rat, ue_count, traffic, queue,
-                                         app_start, refresh, duration, drain,
-                                         seed):
-    # At a tie the queued event goes first: an untraced run's chains stop
-    # strictly before the horizon, and a traced run queues every instant.
-    # Their records must match column by column, and their results must
-    # be equal.
-    size, mbps = traffic
-    interval = size * 8.0 / (mbps * 1e6)
-    assert any((interval / base).is_integer() for base in (2 ** -16, 0.000125))
-    cfg = _small_cfg(rat, ue_count, mbps, size, duration, seed, app_start,
-                     queue, drain,
-                     extra=f"radio.nr.beam_refresh_s={refresh!r}\n")
-    (plain, plain_record, _), (traced, traced_record, _) = (
-        _untraced_and_traced(cfg, rat))
     assert plain == traced
     assert _differing_columns(plain_record, traced_record) == []
