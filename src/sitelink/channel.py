@@ -224,10 +224,14 @@ def snr_db(cfg: LteRadio | NrRadio, distance_m: float, penalties_db: float = 0.0
     return rx_power - penalties_db - cfg.noise_dbm
 
 
-def nr_outage_probability(speed_kmh: float, radio: NrRadio) -> float:
-    """Probability that beam tracking loses the link for one slot at this
-    speed: logistic around *radio*'s ``v_mid_kmh`` with scale ``s_v_kmh``."""
-    x = -(speed_kmh - radio.v_mid_kmh) / radio.s_v_kmh
+def falling_logistic(x: float) -> float:
+    """1 / (1 + exp(x)): 1 far below 0, 0 far above, where exp overflows."""
     if x > 700.0:
         return 0.0
     return 1.0 / (1.0 + math.exp(x))
+
+
+def nr_outage_probability(speed_kmh: float, radio: NrRadio) -> float:
+    """Probability that beam tracking loses the link for one slot at this
+    speed: logistic around *radio*'s ``v_mid_kmh`` with scale ``s_v_kmh``."""
+    return falling_logistic(-(speed_kmh - radio.v_mid_kmh) / radio.s_v_kmh)

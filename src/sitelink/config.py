@@ -18,7 +18,20 @@ from typing import Optional
 from .channel import LteRadio, NrRadio
 from .phymac import LtePhy, NrPhy
 
-PRESET_NAMES = ("scenario1", "scenario2", "scenario3", "custom")
+# Per preset: the keys it fixes, and a sweep grid per sweep variable it has
+# one for; the first is the preset's own.  ``custom``, the default, fixes no
+# key and sweeps the default UE count.
+_PRESETS = {
+    "scenario1": ({"traffic.data_volume_mbps": 2.0, "mobility.speed_kmh": 0.0},
+                  {"ue_count": range(2, 21, 2)}),
+    "scenario2": ({"ue_count": 8, "mobility.speed_kmh": 0.0},
+                  {"offered_mbps": range(1, 9)}),
+    "scenario3": ({"ue_count": 8, "traffic.data_volume_mbps": 2.0},
+                  {"speed_kmh": range(0, 61, 5),
+                   "start_distance": range(20, 201, 20)}),
+    "custom": ({}, {"ue_count": (8,)}),
+}
+PRESET_NAMES = tuple(_PRESETS)
 SWEEP_VARIABLES = ("ue_count", "offered_mbps", "speed_kmh", "start_distance")
 
 
@@ -43,6 +56,11 @@ class TrafficConfig:
         if self.data_volume_mbps <= 0:
             raise ValueError(
                 f"data_volume_mbps: must be > 0, got {self.data_volume_mbps}")
+        # 1e303 is finite, but at an infinite bit rate packets come 0 s
+        # apart, and the CBR grid never ends.
+        if not math.isfinite(self.data_volume_mbps * 1e6):
+            raise ValueError(f"data_volume_mbps: must be finite in bit/s, "
+                             f"got {self.data_volume_mbps}")
         if not 0 < self.packet_size_bytes <= 1500:
             raise ValueError(f"packet_size_bytes: must be in 1..1500, "
                              f"got {self.packet_size_bytes}")
@@ -150,6 +168,10 @@ class ScenarioConfig:
         start, stop = self.traffic.app_start_s, self.traffic.app_stop_s
         corridor_max, nr_range = (self.mobility.corridor_max_m,
                                   self.radio_nr.mmwave.max_range_m)
+        # The NR refresh chain steps t + beam_refresh_s up to the last
+        # instant; a step below that instant's ulp may leave t where it is.
+        refresh = self.radio_nr.beam_refresh_s
+        last = duration + self.drain_max_s
         rules = (
             (self.preset not in PRESET_NAMES, f"preset: expected one of "
              f"{PRESET_NAMES}, got {self.preset!r}"),
@@ -171,6 +193,9 @@ class ScenarioConfig:
             ("nr" in rats and corridor_max > nr_range,
              f"mobility.corridor_max_m: {corridor_max} exceeds the mmWave "
              f"coverage range {nr_range}"),
+            ("nr" in rats and math.isfinite(last) and refresh < math.ulp(last),
+             f"radio.nr.beam_refresh_s: {refresh} is below one ulp of the "
+             f"last instant {last}, where the refresh clock would stop"),
         )
         errs += [msg for broken, msg in rules if broken]
         errs += [f"{name}: must be >= {low}, got {getattr(self, name)}"
@@ -244,29 +269,18 @@ def _coerce(raw: str, default):
     return type(default)(raw)
 
 
-# Per preset: the keys it fixes, and a sweep grid per sweep variable it has
-# one for; the first is the preset's own.
-_PRESETS = {
-    "scenario1": ({"traffic.data_volume_mbps": 2.0, "mobility.speed_kmh": 0.0},
-                  {"ue_count": range(2, 21, 2)}),
-    "scenario2": ({"ue_count": 8, "mobility.speed_kmh": 0.0},
-                  {"offered_mbps": range(1, 9)}),
-    "scenario3": ({"ue_count": 8, "traffic.data_volume_mbps": 2.0},
-                  {"speed_kmh": range(0, 61, 5),
-                   "start_distance": range(20, 201, 20)}),
-}
-
-
 def _preset_overlay(typed: dict) -> dict:
-    """The keys that *typed*'s preset sets.  A preset has no grid for
-    another sweep variable, so sweeping one under it needs ``sweep``."""
-    fixed, grids = _PRESETS.get(typed.get("preset"), ({}, {}))
+    """The keys that *typed*'s preset, ``custom`` if unset, sets.  A preset
+    has no grid for another sweep variable, so sweeping one under it needs
+    ``sweep``."""
+    preset = typed.get("preset", "custom")
+    fixed, grids = _PRESETS.get(preset, ({}, {}))
     var = typed.get("sweep_variable", next(iter(grids), None))
     if var in grids:
         return {**fixed, "sweep_variable": var,
                 "sweep": tuple(map(float, grids[var]))}
     if grids and "sweep" not in typed and var in SWEEP_VARIABLES:
-        raise ConfigError([f"sweep: preset {typed['preset']} has no grid for "
+        raise ConfigError([f"sweep: preset {preset} has no grid for "
                            f"sweep_variable {var!r}; set sweep"])
     return fixed
 

@@ -14,6 +14,8 @@ from dataclasses import dataclass
 from operator import truediv
 from typing import NamedTuple, Optional, Sequence
 
+from .channel import falling_logistic
+
 SUPPORTED_SCS_KHZ = (15, 30, 60, 120)
 
 # Floor for the smoothed served-rate averages; keeps PF ratios finite after
@@ -136,12 +138,7 @@ def bler(snr_db: float, threshold_db: float = 3.0,
     """Block error rate, logistic in SNR: 1 / (1 + exp((snr - thr) / k))."""
     if steepness_db <= 0.0:
         raise ValueError("steepness must be > 0")
-    x = (snr_db - threshold_db) / steepness_db
-    if x > 700.0:
-        return 0.0
-    if x < -700.0:
-        return 1.0
-    return 1.0 / (1.0 + math.exp(x))
+    return falling_logistic((snr_db - threshold_db) / steepness_db)
 
 
 class HarqOutcome(NamedTuple):

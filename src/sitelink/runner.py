@@ -29,10 +29,10 @@ scheduler and offers no packet, so it keeps the round-robin and credit
 rules in ``_slot`` alone.
 
 A run's state is numbers.  A UE is its index into the run's per-UE columns
-(queue, carried credit, rate, HARQ tables, start radius), and
-``_Run._open_epoch`` is the one function that computes every UE's link
-state at a refresh epoch.  Every UE shares the run's speed and shadowing
-spread, so static links are a fact of the run, computed at epoch 0 only.
+(queue, carried credit, start radius) and into each refresh epoch's notes
+(rates, HARQ tables), which ``_Run._open_epoch``, the one link-state
+function, writes.  Every UE shares the run's speed and shadowing spread, so
+static links are a fact of the run, computed at epoch 0 and noted again.
 A packet is its seq, the index of its instant on the cell's one CBR grid,
 whose time the schedule notes once per instant.
 
@@ -201,7 +201,8 @@ class _Run:
 
         # The schedule this run records, keyed by everything the schedule
         # reads besides the link state, and per refresh epoch every UE's
-        # HARQ tables.
+        # HARQ tables: per attempt, the failure probability at the
+        # link-adaptation SNR and (NR only) in a beam-tracking outage.
         self.schedule = _Schedule(
             (rat, cfg.ue_count,
              dataclasses.replace(cfg.traffic, core_latency_ms=0.0),
@@ -227,20 +228,14 @@ class _Run:
         # pointer, the epoch count and the grant offset.
         self.note: Optional[tuple[int, int, int]] = None
 
-        # A UE is its index into these columns.  The rates are set at each
-        # refresh epoch and handed to the scheduler as is; round robin takes
-        # the queues themselves, since an empty FlowQueue is falsy.
-        # ``fail_tables`` holds each UE's HARQ failure probabilities per
-        # attempt at the last epoch: at the link-adaptation SNR, and (NR
-        # only) in a beam-tracking outage.
+        # A UE is its index into these columns; round robin takes the
+        # queues themselves, since an empty FlowQueue is falsy.
         self.mobility = cfg.mobility
         n_ues = cfg.ue_count
         self.r0 = cfg.mobility.radii(n_ues)
         self.queues = [FlowQueue(cfg.traffic.queue_capacity_pkts)
                        for _ in range(n_ues)]
         self.credit_bits = [0.0] * n_ues
-        self.rates = [0.0] * n_ues
-        self.fail_tables: list[tuple] = [((), ())] * n_ues
 
         # Every UE streams the same CBR grid, so one stream drives the cell:
         # the packet created at grid index k is seq k of every flow.
@@ -278,25 +273,30 @@ class _Run:
 
     def _open_epoch(self, t: float) -> None:
         """Compute every UE's link state at refresh instant *t*, in UE order
-        with one shadowing draw each, unless links are static (all UEs share
-        the run's speed and spread) and epoch 0 computed them, and note the
-        epoch: its rates go to the schedule, its HARQ tables to this run."""
-        rates, tables = self.rates, self.fail_tables
-        if not (self.static_links and self.tables):
+        with one shadowing draw each, and note the epoch: its rates go to the
+        schedule, its HARQ tables to this run.  Static links (all UEs share
+        the run's speed and spread), once epoch 0 computed them, are the
+        last epoch's notes, noted again."""
+        record = self.schedule
+        if self.static_links and self.tables:
+            rates, tables = record.rates[-1], self.tables[-1]
+        else:
             fail_probs = self.harq.fail_probs
-            for i, r0 in enumerate(self.r0):
+            rates, tables = [], []
+            for r0 in self.r0:
                 d = position_at(r0, self.mobility, t)
                 shadow = (self.shadow_rng.gauss(0.0, self.shadow_sigma)
                           if self.shadow_sigma else 0.0)
                 snr = snr_db(self.radio, d, penalties_db=self.lte_penalty_db,
                              shadow_db=shadow)
-                tables[i] = (fail_probs(snr),
-                             fail_probs(snr - self.outage_penalty_db)
-                             if self.is_nr else ())
-                rates[i] = achievable_rate_bps(snr, self.radio, self.la)
-        self.schedule.epoch_t.append(t)
-        self.schedule.rates.append(tuple(rates))
-        self.tables.append(list(tables))
+                tables.append((fail_probs(snr),
+                               fail_probs(snr - self.outage_penalty_db)
+                               if self.is_nr else ()))
+                rates.append(achievable_rate_bps(snr, self.radio, self.la))
+            rates = tuple(rates)
+        record.epoch_t.append(t)
+        record.rates.append(rates)
+        self.tables.append(tables)
 
     def _close_epoch(self) -> None:
         self.schedule.epoch_end.append(len(self.schedule.grant_ue))
@@ -392,8 +392,9 @@ class _Run:
         can add to; return the first slot left to the queue, or None."""
         horizon, sched = self.horizon(), self.sched
         slot_s, bits = self.slot_s, self.packet_bits
-        queues, rates, credits = self.queues, self.rates, self.credit_bits
         size, record = self.packet_bytes, self.schedule
+        queues, credits = self.queues, self.credit_bits
+        rates = record.rates[-1]    # no refresh falls inside one slot event
         add_packet, add_ue = record.served.append, record.grant_ue.append
         add_end, add_n = record.grant_end.append, record.grant_n.append
         share = None if self.is_nr else slot_s / sched.rb_count
@@ -445,9 +446,8 @@ class _Run:
         first = schedule.first_seq = len(schedule.instants) - schedule.created
         # Whatever is still queued could not be served within the drain
         # window: the link never carried it, so it counts as coverage loss.
-        schedule.stranded = [sum(seq >= first for seq in queue.drain())
+        schedule.stranded = [sum(seq >= first for seq in queue)
                              for queue in self.queues]
-        self.backlog_pkts = 0
         self._close_epoch()
         return self._outcomes(schedule)
 

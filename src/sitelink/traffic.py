@@ -11,6 +11,7 @@ a delivery that breaks it.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
@@ -34,8 +35,9 @@ class VideoStream:
     stop_s: float = 20.0
 
     def __post_init__(self):
-        if self.rate_bps <= 0.0:
-            raise ValueError("stream rate must be > 0")
+        # An infinite rate gives a 0 s interval: the grid would never end.
+        if not 0.0 < self.rate_bps < math.inf:
+            raise ValueError("stream rate must be > 0 and finite")
         if not 0 < self.packet_size_bytes <= 1500:
             raise ValueError("packet size must be in 1..1500 bytes")
         if self.start_s > self.stop_s:
@@ -84,11 +86,6 @@ class FlowQueue(deque):
         return True
 
     pop = deque.popleft
-
-    def drain(self) -> list[int]:
-        out = list(self)
-        self.clear()
-        return out
 
 
 class DuplicateDeliveryError(Exception):

@@ -85,6 +85,20 @@ def test_validate_reports_a_non_finite_sweep_cleanly(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("text, key", [
+    ("traffic.data_volume_mbps=1e303\n", "traffic.data_volume_mbps"),
+    ("preset=scenario2\nsweep=1e303\n", "sweep"),
+    ("radio.nr.beam_refresh_s=1e-18\n", "radio.nr.beam_refresh_s"),
+], ids=["rate", "swept-rate", "nr-refresh"])
+def test_validate_rejects_a_config_whose_run_never_ends(tmp_path, capsys,
+                                                        text, key):
+    path = tmp_path / "endless.cfg"
+    path.write_text(text)
+    assert main(["validate", "--config", str(path)]) == 1
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"invalid: {key}: ")
+
+
 def test_validate_missing_file_fails(capsys):
     assert main(["validate", "--config", "/no/such/file.cfg"]) == 1
     assert "error" in capsys.readouterr().err

@@ -1,5 +1,6 @@
 """Config parsing, preset expansion, round-tripping, and validation."""
 
+import math
 from dataclasses import replace
 
 import pytest
@@ -44,26 +45,31 @@ def test_scenario3_distance_interpretation_selectable():
     assert cfg.sweep == tuple(float(d) for d in range(20, 201, 20))
 
 
-# Each preset paired with every sweep variable it has no grid for.
+# Each preset paired with every sweep variable it has no grid for.  An
+# unset preset (None) is custom, whose one grid is the default UE count.
 _GRIDLESS = [("scenario1", "offered_mbps"), ("scenario1", "speed_kmh"),
              ("scenario1", "start_distance"), ("scenario2", "ue_count"),
              ("scenario2", "speed_kmh"), ("scenario2", "start_distance"),
-             ("scenario3", "ue_count"), ("scenario3", "offered_mbps")]
+             ("scenario3", "ue_count"), ("scenario3", "offered_mbps")] + [
+    (preset, var) for preset in ("custom", None)
+    for var in ("offered_mbps", "speed_kmh", "start_distance")]
 
 
 @pytest.mark.parametrize("preset, var", _GRIDLESS)
 def test_a_preset_lends_no_grid_to_another_sweep_variable(preset, var):
     # Its own grid would sweep the wrong quantity: scenario1's UE counts
-    # read as 2-20 km/h, scenario2's rates as 1-8 UEs.
+    # read as 2-20 km/h, scenario2's rates as 1-8 UEs, custom's 8 UEs as
+    # 8 km/h.
+    head = f"preset={preset}\n" if preset else ""
     with pytest.raises(ConfigError) as info:
-        parse_config(f"preset={preset}\nsweep_variable={var}")
+        parse_config(f"{head}sweep_variable={var}")
     assert len(info.value.errors) == 1
     assert info.value.errors[0].startswith("sweep: ")
     assert "no grid" in info.value.errors[0]
     # With a grid of its own, the study keeps the preset's other keys.
-    cfg = parse_config(f"preset={preset}\nsweep_variable={var}\nsweep=40")
-    assert cfg == replace(parse_config(f"preset={preset}"),
-                          sweep_variable=var, sweep=(40.0,))
+    cfg = parse_config(f"{head}sweep_variable={var}\nsweep=40")
+    assert cfg == replace(parse_config(head), sweep_variable=var,
+                          sweep=(40.0,))
 
 
 def test_explicit_keys_override_preset_values():
@@ -216,6 +222,12 @@ _INVALID = [
      "traffic.app_start_s"),
     ("mobility.corridor_max_m=500", "mobility.corridor_max_m"),
     ("ue_count=0", "ue_count"),
+    # Three configs that validated but never finished: a finite rate whose
+    # bit rate is not (its packets come 0 s apart), the same rate swept, and
+    # an NR refresh period too short to move the clock at 0.018 s.
+    ("traffic.data_volume_mbps=1e303", "traffic.data_volume_mbps"),
+    ("preset=scenario2\nsweep=1e303", "sweep"),
+    ("radio.nr.beam_refresh_s=1e-18", "radio.nr.beam_refresh_s"),
 ]
 
 
@@ -225,6 +237,17 @@ def test_invalid_config_names_its_key(text, key):
     with pytest.raises(ConfigError) as exc:
         parse_config(text)
     assert [err.split(":")[0] for err in exc.value.errors] == [key]
+
+
+def test_the_nr_refresh_period_must_move_the_last_instant():
+    # One ulp of the last instant (duration + drain) always advances the
+    # clock; half of one may not.  LTE never reads the NR period.
+    last = 20.0 + 5.0
+    ok = parse_config(f"radio.nr.beam_refresh_s={math.ulp(last)!r}")
+    assert last + ok.radio_nr.beam_refresh_s > last
+    with pytest.raises(ConfigError, match="^radio.nr.beam_refresh_s: "):
+        parse_config(f"radio.nr.beam_refresh_s={math.ulp(last) / 2!r}")
+    assert parse_config("rats=lte\nradio.nr.beam_refresh_s=1e-18")
 
 
 def test_replace_checks_the_study_rules():

@@ -101,15 +101,43 @@ def test_nr_mobility_drops_via_harq_exhaustion():
 
 
 def _force_channel(run, ue_idx):
-    """Pin one UE's rate to 0 regardless of what the refresh recomputes: a
-    link in range (finite SNR) below the SNR floor."""
-    original = run._open_epoch
+    """Pin one UE's rate to 0 in every epoch's notes, regardless of what the
+    refresh recomputes: a link in range (finite SNR) below the SNR floor."""
+    original, rates = run._open_epoch, run.schedule.rates
+
+    def pin():
+        rates[-1] = rates[-1][:ue_idx] + (0.0,) + rates[-1][ue_idx + 1:]
 
     def patched(t):
         original(t)
-        run.rates[ue_idx] = 0.0
+        pin()
     run._open_epoch = patched
-    run.rates[ue_idx] = 0.0
+    pin()
+
+
+@pytest.mark.parametrize("rat", ["lte", "nr"])
+def test_every_grant_goes_to_a_live_link_of_its_own_epoch(rat):
+    # The SNR floor sits near 60 m.  UE 0 starts live at 30 m and patrols
+    # out past it; UE 1 starts below it at 90 m and comes back in past it
+    # after the wall at 100 m.  The scheduler reads the last epoch's noted
+    # rates, so a grant goes only to a UE whose rate in its epoch is > 0.
+    cfg = parse_config(
+        f"preset=custom\nrats={rat}\nsweep_variable=speed_kmh\nsweep=120\n"
+        "ue_count=2\nmobility.placement=30,90\nmobility.corridor_max_m=100\n"
+        "duration_s=2\nwarmup_s=0.1\ndrain_max_s=0.1\nreplications=1\n"
+        f"radio.nr.mmwave.sigma_db=0\nradio.{rat}.tx_power_dbm=-29.3\n")
+    run = _Run(cfg, rat, 120.0, 0, seed=1)
+    run.execute()
+    record = run.schedule
+    assert record.rates[0][0] > 0.0 == record.rates[0][1]
+    assert any(rates[0] == 0.0 < rates[1] for rates in record.rates)
+    grants, start = [0, 0], 0
+    for rates, end in zip(record.rates, record.epoch_end):
+        for ue in record.grant_ue[start:end]:
+            assert rates[ue] > 0.0
+            grants[ue] += 1
+        start = end
+    assert all(grants)
 
 
 def test_a_ue_on_the_far_wall_stays_in_mmwave_coverage():
@@ -133,6 +161,9 @@ def test_unservable_backlog_written_off_at_drain():
     run = _Run(cfg, "nr", 2.0, 0, seed=1)
     _force_channel(run, 0)
     result = run.execute()
+    # The record holds the rate the scheduler read at every epoch.
+    assert len(run.schedule.rates) > 1
+    assert all(rates[0] == 0.0 for rates in run.schedule.rates)
     flow = result.flows[0]
     assert flow.rx_packets == 0
     assert flow.drops_by_cause.get(DropCause.QUEUE_OVERFLOW.value, 0) > 0
@@ -1014,17 +1045,15 @@ def test_ledgers_ignore_packets_created_before_warmup(monkeypatch, rat,
     def patched(radio, d, penalties_db=0.0, shadow_db=0.0):
         return -30.0 if d == 60.0 else snr(radio, d, penalties_db, shadow_db)
     monkeypatch.setattr(runner, "snr_db", patched)
-    calls = {"harq_transmit": 0, "drain": 0}
-    outcomes, drained = [], []
+    calls = {"harq_transmit": 0}
+    outcomes = []
     _counting(monkeypatch, "harq_transmit", calls, returns=outcomes)
-    _counting(monkeypatch, "drain", calls, FlowQueue, returns=drained)
     run = _Run(cfg, rat, 0.0, 0, seed=3)
     result = run.execute()
     emit = cbr_emit_times(run.stream)
     assert emit[99] < emit[100] == 0.5
     window = len(emit) - 100
-    assert drained[0] == [0, 1, 2]
-    assert drained[1:] == [[], []]
+    assert [list(queue) for queue in run.queues] == [[0, 1, 2], [], []]
     assert result.flows[0] == FlowStats(
         0, window, 0, 0.0, {DropCause.QUEUE_OVERFLOW.value: window})
     record = run.schedule
