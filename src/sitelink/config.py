@@ -17,6 +17,7 @@ from typing import Optional
 
 from .channel import LteRadio, NrRadio
 from .phymac import LtePhy, NrPhy
+from .traffic import VideoStream
 
 # Per preset: the keys it fixes, and a sweep grid per sweep variable it has
 # one for; the first is the preset's own.  ``custom``, the default, fixes no
@@ -196,6 +197,7 @@ class ScenarioConfig:
             ("nr" in rats and math.isfinite(last) and refresh < math.ulp(last),
              f"radio.nr.beam_refresh_s: {refresh} is below one ulp of the "
              f"last instant {last}, where the refresh clock would stop"),
+            (stall := self._stalled_grid(self.traffic), f"traffic.{stall}"),
         )
         errs += [msg for broken, msg in rules if broken]
         errs += [f"{name}: must be >= {low}, got {getattr(self, name)}"
@@ -215,11 +217,27 @@ class ScenarioConfig:
                     f"ue_count: must be a positive integer, got {value}")
             return {"ue_count": int(value)}
         if var == "offered_mbps":
-            return {"traffic": replace(self.traffic, data_volume_mbps=value)}
+            traffic = replace(self.traffic, data_volume_mbps=value)
+            if stall := self._stalled_grid(traffic):
+                raise ValueError(stall)
+            return {"traffic": traffic}
         if var == "speed_kmh":
             return {"mobility": replace(self.mobility, speed_kmh=value)}
         return {"mobility": replace(self.mobility,
                                     placement=repr(float(value)))}
+
+    def _stalled_grid(self, traffic: TrafficConfig) -> str:
+        """Why *traffic*'s CBR grid would not end in this study, or ''.  The
+        grid steps start + k * interval up to the app's stop instant; an
+        interval below that instant's ulp may leave the instant where it is.
+        """
+        mbps, stop = traffic.data_volume_mbps, self.app_stop_effective_s()
+        interval = VideoStream(0, mbps * 1e6,
+                               traffic.packet_size_bytes).interval_s
+        if math.isfinite(stop) and interval < math.ulp(stop):
+            return (f"data_volume_mbps: {mbps} puts packets {interval} s "
+                    f"apart, below one ulp of the app's stop instant {stop}")
+        return ""
 
     def at(self, value: float) -> "ScenarioConfig":
         """The study at one sweep point: the swept parameter set to *value*."""

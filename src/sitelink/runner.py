@@ -22,11 +22,14 @@ slot chain asleep.  Two clean instants in one refresh epoch with the same
 round-robin pointer open in the same state, up to the seq, so the slot
 loop would make the same grants at both.  ``_Run._replay`` notes the
 earlier instant's grants again for the later one, with each slot end
-recomputed from its slot index, if every slot it takes comes strictly
-before the horizon and the next arrival and not past the drain window;
-otherwise the arrival wakes the slot chain as usual.  The replay calls no
-scheduler and offers no packet, so it keeps the round-robin and credit
-rules in ``_slot`` alone.
+recomputed from its slot index, and so on for every next grid instant
+before the horizon, all in one call that writes the record once: a replay
+calls no scheduler and offers no packet, and a refresh is a queued event,
+so each of those instants is clean with the same pointer in the same
+epoch.  An instant is replayed only if every slot it takes comes strictly
+before the horizon and its next arrival and not past the drain window; the
+first that does not fit takes the offer path and wakes the slot chain, so
+the round-robin and credit rules stay in ``_slot`` alone.
 
 A run's state is numbers.  A UE is its index into the run's per-UE columns
 (queue, carried credit, start radius) and into each refresh epoch's notes
@@ -77,12 +80,11 @@ Model notes
   corridor inside the mmWave range, so no run meets a dead link (SNR -inf):
   a rate of 0 only means a live link below the SNR floor, which is never
   served.
-* Only the measured window counts.  ``_Run._arrival`` is the one place
-  that compares a time with the warm-up instant: it counts the window's CBR
-  instants and the window packets a full queue rejects.  The grid's
-  instants never decrease, so the window's packets are exactly the seqs
-  from the record's ``first_seq`` on, which is how the drain write-off and
-  the outcome pass tell them apart.
+* Only the measured window counts.  The run's construction is the one
+  place that compares a time with the warm-up instant: the grid's instants
+  never decrease, so the window's packets are exactly the seqs from the
+  record's ``first_seq`` on, which is how a full queue's rejects, the drain
+  write-off and the outcome pass tell them apart.
 * Packets are accounted at their computed delivery time the moment they are
   served; queued residue after the drain phase is written off as
   out-of-coverage loss.  The outcome pass builds each flow's ledger once,
@@ -96,7 +98,7 @@ import dataclasses
 import math
 import os
 from array import array
-from itertools import islice
+from itertools import islice, takewhile
 from typing import Optional
 
 from .channel import nr_outage_probability, snr_db
@@ -244,6 +246,11 @@ class _Run:
             packet_size_bytes=self.packet_bytes,
             start_s=cfg.traffic.app_start_s, stop_s=cfg.app_stop_effective_s())
         self.grid = cbr_grid(self.stream)
+        # The one warm-up test.  The grid's instants never decrease, so the
+        # measured window's packets are the seqs from the first instant at
+        # or after the warm-up instant on.
+        self.schedule.first_seq = sum(1 for _ in takewhile(
+            lambda t: t < cfg.warmup_s, cbr_grid(self.stream)))
 
         # Channel state first, then the slot chain, then the source, so that
         # simultaneous events resolve in that order.  One refresh event and
@@ -315,14 +322,8 @@ class _Run:
         queue, or None.  The grid ends before the drain window starts."""
         record, horizon = self.schedule, self.horizon
         overflow, instants = record.overflow, record.instants
+        first = record.first_seq
         while True:
-            seq = len(instants)     # the instant's index on the grid
-            instants.append(t)
-            # The one warm-up test: every flow creates this packet, and
-            # whether it is measured decides whether its drops count.
-            measured = t >= self.cfg.warmup_s
-            if measured:
-                record.created += 1
             nxt = next(self.grid, None)
             # A clean NR instant finds every queue empty and the slot chain
             # asleep (see the module notes).
@@ -330,17 +331,22 @@ class _Run:
             if self.is_nr and not (self.backlog_pkts or self.slot_running):
                 self.note = (self.sched.rr_pos, len(record.epoch_t),
                              len(record.grant_ue))
-            if not (note and self.note and note[:2] == self.note[:2]
-                    and self._replay(t, seq, nxt, note[2])):
-                accepted = 0
-                for i, queue in enumerate(self.queues):
-                    if queue.offer(seq):
-                        accepted += 1
-                    elif measured:
-                        overflow[i] += 1
-                self.backlog_pkts += accepted
-                if self.backlog_pkts and not self.slot_running:
-                    self._wake_slots(t)
+                if note and note[:2] == self.note[:2]:
+                    t, nxt = self._replay(t, nxt, note[2])
+                    if t is None:
+                        return nxt
+            seq = len(instants)     # the instant's index on the grid
+            instants.append(t)
+            measured = seq >= first
+            accepted = 0
+            for i, queue in enumerate(self.queues):
+                if queue.offer(seq):
+                    accepted += 1
+                elif measured:
+                    overflow[i] += 1
+            self.backlog_pkts += accepted
+            if self.backlog_pkts and not self.slot_running:
+                self._wake_slots(t)
             if nxt is None or not nxt < horizon():
                 return nxt
             t = nxt
@@ -359,30 +365,49 @@ class _Run:
         self.slot_index, s0 = self._first_slot(t)
         self.sim.schedule(s0, self._slot, "slot", self.rat)
 
-    def _replay(self, t: float, seq: int, nxt: Optional[float],
-                start: int) -> bool:
-        """Note again, for clean instant *t* (packet *seq*), the grants made
-        since offset *start*, where the last clean instant's began, as the
-        slot loop would make them.  False, with nothing done, if there is
-        none, or if a slot they take comes at or after the horizon or the
-        next arrival *nxt*, or past the drain window."""
-        record, slot_s = self.schedule, self.slot_s
+    def _replay(self, t: float, nxt: Optional[float],
+                start: int) -> tuple[Optional[float], Optional[float]]:
+        """Replay clean instant *t*, whose next arrival is *nxt*, and each
+        next grid instant strictly before the horizon: note again for each,
+        in one write of the record, the grants made since offset *start*,
+        where the last clean instant's began, as the slot loop would make
+        them.  Stop at the first instant that takes a slot at or after the
+        horizon or its next arrival, or past the drain window, and return it
+        and its next arrival for the offer path; or return None and the
+        first instant left to the queue."""
+        record, slot_s, grid = self.schedule, self.slot_s, self.grid
+        first_slot, add_instant = self._first_slot, record.instants.append
         end = len(record.grant_ue)
         m = end - start
-        k, s0 = self._first_slot(t)
-        last = max((k + m - 1) * slot_s, s0)
-        bound = min(self.horizon(), math.inf if nxt is None else nxt)
-        if not (m and last < bound and last <= self.stop_time):
-            return False
-        record.grant_ue += record.grant_ue[start:end]
+        horizon, stop = self.horizon(), self.stop_time
+        seq = len(record.instants)
+        firsts = []     # per replayed instant, its first slot's index and start
+        while True:
+            k, s0 = first_slot(t)
+            last = max((k + m - 1) * slot_s, s0)
+            if not (m and last < horizon and last <= stop
+                    and (nxt is None or last < nxt)):
+                break
+            self.slot_index = k + m
+            firsts.append((k, s0))
+            add_instant(t)
+            if nxt is None or not nxt < horizon:
+                t = None
+                break
+            t, nxt = nxt, next(grid, None)
+        r = len(firsts)
         burst = record.grant_n[start:end]
-        record.grant_n += burst
-        record.served += [seq] * sum(burst)
-        record.grant_end.append(s0 + slot_s)
-        record.grant_end.extend([j * slot_s + slot_s
-                                 for j in range(k + 1, k + m)])
-        self.slot_index = k + m
-        return True
+        packets = range(sum(burst))
+        record.grant_ue += record.grant_ue[start:end] * r
+        record.grant_n += burst * r
+        record.served += [s for s in range(seq, seq + r) for _ in packets]
+        record.grant_end.extend([j * slot_s + slot_s if j > k else s0 + slot_s
+                                 for k, s0 in firsts for j in range(k, k + m)])
+        # The note of the instant left to the offer path or, if the run
+        # reached the horizon, of the last instant replayed.
+        at = len(record.grant_ue) - (m if t is None else 0)
+        self.note = self.note[:2] + (at,)
+        return t, nxt
 
     # -- serving ------------------------------------------------------------
 
@@ -441,9 +466,9 @@ class _Run:
         pass."""
         self.sim.run(self.stop_time)
         schedule = self.schedule
-        # The grid's instants never decrease, so the window's packets are
-        # the last ``created`` seqs.
-        first = schedule.first_seq = len(schedule.instants) - schedule.created
+        # The arrival chain has served the whole grid.
+        first = schedule.first_seq
+        schedule.created = len(schedule.instants) - first
         # Whatever is still queued could not be served within the drain
         # window: the link never carried it, so it counts as coverage loss.
         schedule.stranded = [sum(seq >= first for seq in queue)

@@ -89,7 +89,10 @@ def test_validate_reports_a_non_finite_sweep_cleanly(tmp_path, capsys):
     ("traffic.data_volume_mbps=1e303\n", "traffic.data_volume_mbps"),
     ("preset=scenario2\nsweep=1e303\n", "sweep"),
     ("radio.nr.beam_refresh_s=1e-18\n", "radio.nr.beam_refresh_s"),
-], ids=["rate", "swept-rate", "nr-refresh"])
+    ("traffic.data_volume_mbps=1e300\ntraffic.app_start_s=1\n",
+     "traffic.data_volume_mbps"),
+    ("preset=scenario2\nsweep=1e300\n", "sweep"),
+], ids=["rate", "swept-rate", "nr-refresh", "interval", "swept-interval"])
 def test_validate_rejects_a_config_whose_run_never_ends(tmp_path, capsys,
                                                         text, key):
     path = tmp_path / "endless.cfg"

@@ -228,6 +228,12 @@ _INVALID = [
     ("traffic.data_volume_mbps=1e303", "traffic.data_volume_mbps"),
     ("preset=scenario2\nsweep=1e303", "sweep"),
     ("radio.nr.beam_refresh_s=1e-18", "radio.nr.beam_refresh_s"),
+    # Two that validated but would never finish either: a finite bit rate
+    # whose packets come closer than one ulp of the app's stop instant, so
+    # that the grid's instants stand still at 1 s, and the same rate swept.
+    ("traffic.data_volume_mbps=1e300\ntraffic.app_start_s=1",
+     "traffic.data_volume_mbps"),
+    ("preset=scenario2\nsweep=1e300", "sweep"),
 ]
 
 
@@ -248,6 +254,20 @@ def test_the_nr_refresh_period_must_move_the_last_instant():
     with pytest.raises(ConfigError, match="^radio.nr.beam_refresh_s: "):
         parse_config(f"radio.nr.beam_refresh_s={math.ulp(last) / 2!r}")
     assert parse_config("rats=lte\nradio.nr.beam_refresh_s=1e-18")
+
+
+def test_the_packet_interval_must_move_the_app_stop_instant():
+    # 1250 B packets: the rate whose interval is one ulp of 20 s, the
+    # default duration.  Half that rate passes and twice it fails.  An app
+    # that stops at 2 s, where the ulp is 8 times finer, passes at twice it.
+    mbps = 1250 * 8.0 / math.ulp(20.0) / 1e6
+    assert parse_config(f"traffic.data_volume_mbps={mbps / 2!r}")
+    with pytest.raises(ConfigError, match="^traffic.data_volume_mbps: "):
+        parse_config(f"traffic.data_volume_mbps={mbps * 2!r}")
+    assert parse_config(f"traffic.data_volume_mbps={mbps * 2!r}\n"
+                        "traffic.app_stop_s=2")
+    with pytest.raises(ConfigError, match="^sweep: "):
+        parse_config(f"preset=scenario2\nsweep=1,{mbps * 2!r}")
 
 
 def test_replace_checks_the_study_rules():

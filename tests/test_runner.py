@@ -1139,17 +1139,17 @@ def _small_cfg(rat, ue_count, mbps, size, duration, seed, app_start=0.0,
 
 def _untraced_and_traced(cfg, rat):
     """Run *cfg* untraced and traced: per run its result, its schedule and
-    its calls of the two schedulers and of ``_Run._slot`` and
-    ``_Run._arrival``."""
+    its calls of the two schedulers and of ``_Run._slot``,
+    ``_Run._arrival`` and ``_Run._replay``."""
     runs = []
     for trace in (None, io.StringIO()):
         calls = {"pf_schedule": 0, "nr_slot_schedule": 0, "_slot": 0,
-                 "_arrival": 0}
+                 "_arrival": 0, "_replay": 0}
         with pytest.MonkeyPatch.context() as mp:
             _counting(mp, "pf_schedule", calls)
             _counting(mp, "nr_slot_schedule", calls)
-            _counting(mp, "_slot", calls, _Run)
-            _counting(mp, "_arrival", calls, _Run)
+            for name in ("_slot", "_arrival", "_replay"):
+                _counting(mp, name, calls, _Run)
             run = _Run(cfg, rat, cfg.sweep[0], 0, cfg.seed_base,
                        trace_sink=trace)
             runs.append((run.execute(), run.schedule, calls))
@@ -1199,7 +1199,8 @@ def test_repeating_nr_instants_make_a_tenth_of_the_scheduler_calls():
     # instant every 1.25 ms, served in 8 of its 10 slots.  Only about one
     # instant per 0.1 s refresh epoch, its first, runs the slot loop.  The
     # arrival chain serves each instant before the next queued event in
-    # the same event, so arrival events are about as few.
+    # the same event, so arrival events are about as few, and one replay
+    # call serves an event's run of repeating instants.
     cfg = _small_cfg("nr", 8, 8.0, 1250, 1.0, seed=1)
     (plain, _, bursts), (traced, _, slots) = _untraced_and_traced(cfg, "nr")
     assert plain == traced
@@ -1207,6 +1208,7 @@ def test_repeating_nr_instants_make_a_tenth_of_the_scheduler_calls():
     assert 0 < bursts["nr_slot_schedule"] < slots["nr_slot_schedule"] / 10
     assert slots["_arrival"] == 800
     assert 0 < bursts["_arrival"] < slots["_arrival"] / 10
+    assert 0 < bursts["_replay"] <= bursts["_arrival"]
 
 
 # CBR traffic as (Mb/s, packet bytes): drawn freely, or with an interval
@@ -1302,6 +1304,24 @@ def _on_exact_grids(least, most):
 @example(rat="nr", ue_count=2, traffic=(32.0, 1000), queue=1, app_start=0.0,
          refresh=1 / 1024, duration=0.125, drain=0.0, edge=False,
          ue0_snr=None, seed=1)
+# 4 UEs, an instant every 1 ms served in slots 0-3 of its 8: the refreshes
+# at 23.7 and 47.4 ms come after one instant's burst and before the next
+# instant, and end the event's run of replays there.
+@example(rat="nr", ue_count=4, traffic=(8.0, 1000), queue=100, app_start=0.0,
+         refresh=0.0237, duration=0.05, drain=0.05, edge=False, ue0_snr=None,
+         seed=1)
+# Two UEs, an instant every 0.2 ms, 1.6 slots: the 0.2 ms instant is
+# replayed, and the 0.4 ms one's burst would take the slot at 0.625 ms,
+# after the next arrival, so the same arrival event wakes the slot chain.
+@example(rat="nr", ue_count=2, traffic=(40.0, 1000), queue=100, app_start=0.0,
+         refresh=0.1, duration=0.05, drain=0.05, edge=False, ue0_snr=None,
+         seed=1)
+# 4 UEs from a start one slot in: inside one run of replays, instants 9,
+# 13, 18, ... land an ulp after their slot's grid instant, so each one's
+# first slot ends off the grid and its other three on it.
+@example(rat="nr", ue_count=4, traffic=(8.0, 1000), queue=100,
+         app_start=0.000125, refresh=0.1, duration=0.05, drain=0.05,
+         edge=False, ue0_snr=None, seed=1)
 def test_a_replaying_run_records_what_a_traced_one_does(rat, ue_count,
                                                         traffic, queue,
                                                         app_start, refresh,
