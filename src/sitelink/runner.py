@@ -13,7 +13,9 @@ its own next instants strictly before the run's horizon, the next queued
 event, and the engine queues every successor: one slot event serves a
 burst of slots, one scheduler call each, and an arrival event each CBR
 instant up to the horizon; an NR arrival may replay slots under the same
-rule (see below).  A traced run's horizon is -inf (``_Run.horizon``).
+rule, and an LTE subframe may replay a learned one (see below).  A traced
+run's horizon is -inf and it learns nothing (the traced-run rule, in
+``_Run.__init__``).
 
 Repeating NR instants
 ---------------------
@@ -31,11 +33,34 @@ before the horizon and its next arrival and not past the drain window; the
 first that does not fit takes the offer path and wakes the slot chain, so
 the round-robin and credit rules stay in ``_slot`` alone.
 
+Repeating LTE subframes
+-----------------------
+What ``pf_schedule`` and the pop loop read of an LTE subframe, besides the
+epoch's rates, is its *state*: the PF averages, every UE's queue length and
+every UE's carried credit.  Two subframes in the same state, under rates of
+equal value, make the same grants (UE, packet count) and leave the same
+averages and credits; which seqs the pops take does not matter, and arrival
+and refresh events stay live, so no time is compared.  Under periodic
+arrivals the averages converge and the state cycles exactly (with a window
+of 100 subframes after about 3,650 of them).  ``_PfCycle`` finds the period
+by Brent's method: a copy of the state at every power-of-two distance, up
+to ``PF_PERIOD_MAX``, and one early-exit compare per subframe.  On a match
+at lag p it records the next p subframes as the scheduler makes them (per
+subframe its queue lengths, grants and the averages and credits left), and
+keeps them if the last one leaves the state the first started from.  From
+then on the k-th subframe served after the recording tries snapshot k mod
+p: it is replayed, with real pops, if its queue lengths equal the
+snapshot's and either the subframe before it replayed the snapshot before,
+or its averages and credits equal those that snapshot left.  Any other
+subframe goes to ``pf_schedule``.  A change of the rates' value drops the
+period, and the search starts again.
+
 A run's state is numbers.  A UE is its index into the run's per-UE columns
 (queue, carried credit, start radius) and into each refresh epoch's notes
-(rates, HARQ tables), which ``_Run._open_epoch``, the one link-state
-function, writes.  Every UE shares the run's speed and shadowing spread, so
-static links are a fact of the run, computed at epoch 0 and noted again.
+(rates, HARQ tables and SNRs), which ``_Run._open_epoch``, the one
+link-state function, writes.  Every UE shares the run's speed and shadowing
+spread, so static links are a fact of the run, computed at epoch 0 and
+noted again.
 A packet is its seq, the index of its instant on the cell's one CBR grid,
 whose time the schedule notes once per instant.
 
@@ -119,6 +144,11 @@ SWEEP_SEED_STRIDE = 1_000_003
 # moving UE's SNR changes between refreshes.
 LTE_REFRESH_S = 0.1
 
+# The longest period of PF scheduler state an LTE run learns (see the module
+# notes).  A learned period keeps one snapshot per subframe, about 1.4 KB at
+# 20 UEs, so a run holds at most about 3 MB of them.
+PF_PERIOD_MAX = 2048
+
 
 class SimulationError(RuntimeError):
     """A run violated an internal invariant (e.g. packet conservation)."""
@@ -165,6 +195,66 @@ class _Schedule:
         self.stranded = [0] * n_ues
 
 
+class _PfCycle:
+    """An untraced LTE run's search for a cycle of PF scheduler state, and
+    the period it found (see the module notes).  *avg* and *credits* are the
+    run's PF averages and carried credits, which a replay sets."""
+
+    def __init__(self, avg: list[float], credits: list[float]):
+        self.avg, self.credits = avg, credits
+        self.rates: Optional[tuple[float, ...]] = None
+        self.forget()
+
+    def forget(self) -> None:
+        """Drop the period, if any, and search afresh."""
+        self.mark: Optional[tuple] = None   # the checkpoint state
+        self.lag = self.power = 1
+        self.length = 0     # the period's, once found
+        # Per subframe of the period: its queue lengths, its grants (UE,
+        # packets) and the averages and credits it leaves.
+        self.period: list[tuple] = []
+        self.next = 0       # the snapshot the next subframe tries
+        self.chained = False    # the last subframe replayed the one before
+
+    def take(self, lens: list[int]) -> Optional[list[tuple[int, int]]]:
+        """The grants of the subframe whose queue lengths are *lens* if its
+        state is a snapshot's, which then sets the averages and credits it
+        leaves; None if the subframe is to be scheduled."""
+        avg, credits, period = self.avg, self.credits, self.period
+        if not self.length:     # Brent's search
+            if self.mark == (lens, avg, credits):
+                self.length = self.lag
+            elif self.lag == self.power:
+                self.mark = (lens, avg[:], credits[:])
+                self.lag, self.power = 0, min(2 * self.power, PF_PERIOD_MAX)
+            self.lag += 1
+            return None
+        if len(period) < self.length:   # recording
+            return None
+        s = self.next
+        self.next = s + 1 if s + 1 < self.length else 0
+        pre_lens, counts, post_avg, post_credits = period[s]
+        if lens == pre_lens and (self.chained or (
+                avg == period[s - 1][2] and credits == period[s - 1][3])):
+            avg[:], credits[:] = post_avg, post_credits
+            self.chained = True
+            return counts
+        self.chained = False
+        return None
+
+    def note(self, lens: list[int], counts: list[tuple[int, int]]) -> None:
+        """Record a scheduled subframe while the period is being recorded:
+        its queue lengths *lens* and grants *counts*."""
+        period = self.period
+        if len(period) < self.length:
+            period.append((lens, counts, self.avg[:], self.credits[:]))
+            if len(period) == self.length:
+                # The period closes if it leaves the state it started from.
+                self.chained = self.mark[1:] == (self.avg, self.credits)
+                if not self.chained:
+                    self.forget()
+
+
 class _Run:
     """One (rat, sweep point, replication) simulation of
     ``cfg.at(sweep_value)``; *trace_sink* is an optional text stream."""
@@ -203,8 +293,9 @@ class _Run:
 
         # The schedule this run records, keyed by everything the schedule
         # reads besides the link state, and per refresh epoch every UE's
-        # HARQ tables: per attempt, the failure probability at the
-        # link-adaptation SNR and (NR only) in a beam-tracking outage.
+        # HARQ table (per attempt, the failure probability at the
+        # link-adaptation SNR) and that SNR, from which the outcome pass
+        # builds an NR UE's table in a beam-tracking outage.
         self.schedule = _Schedule(
             (rat, cfg.ue_count,
              dataclasses.replace(cfg.traffic, core_latency_ms=0.0),
@@ -219,9 +310,6 @@ class _Run:
         self.outage_rng = rng_stream("outage", seed)
 
         self.sim = Simulator(trace=trace_sink)
-        # The traced-run rule: -inf keeps every instant's event and trace line.
-        self.horizon = (self.sim.horizon if trace_sink is None
-                        else lambda: -math.inf)
         self.sched = RrState() if self.is_nr else PfState(phy, cfg.ue_count)
         self.backlog_pkts = 0
         self.slot_index = 0
@@ -238,6 +326,14 @@ class _Run:
         self.queues = [FlowQueue(cfg.traffic.queue_capacity_pkts)
                        for _ in range(n_ues)]
         self.credit_bits = [0.0] * n_ues
+        # The traced-run rule: -inf keeps every instant's event and trace
+        # line, and no LTE subframe is replayed.
+        if trace_sink is None:
+            self.horizon = self.sim.horizon
+            self.cycle = (None if self.is_nr else
+                          _PfCycle(self.sched.avg_bps, self.credit_bits))
+        else:
+            self.horizon, self.cycle = (lambda: -math.inf), None
 
         # Every UE streams the same CBR grid, so one stream drives the cell:
         # the packet created at grid index k is seq k of every flow.
@@ -281,9 +377,9 @@ class _Run:
     def _open_epoch(self, t: float) -> None:
         """Compute every UE's link state at refresh instant *t*, in UE order
         with one shadowing draw each, and note the epoch: its rates go to the
-        schedule, its HARQ tables to this run.  Static links (all UEs share
-        the run's speed and spread), once epoch 0 computed them, are the
-        last epoch's notes, noted again."""
+        schedule, its HARQ tables and SNRs to this run.  Static links (all
+        UEs share the run's speed and spread), once epoch 0 computed them,
+        are the last epoch's notes, noted again."""
         record = self.schedule
         if self.static_links and self.tables:
             rates, tables = record.rates[-1], self.tables[-1]
@@ -296,9 +392,7 @@ class _Run:
                           if self.shadow_sigma else 0.0)
                 snr = snr_db(self.radio, d, penalties_db=self.lte_penalty_db,
                              shadow_db=shadow)
-                tables.append((fail_probs(snr),
-                               fail_probs(snr - self.outage_penalty_db)
-                               if self.is_nr else ()))
+                tables.append((fail_probs(snr), snr))
                 rates.append(achievable_rate_bps(snr, self.radio, self.la))
             rates = tuple(rates)
         record.epoch_t.append(t)
@@ -403,10 +497,11 @@ class _Run:
         record.served += [s for s in range(seq, seq + r) for _ in packets]
         record.grant_end.extend([j * slot_s + slot_s if j > k else s0 + slot_s
                                  for k, s0 in firsts for j in range(k, k + m)])
-        # The note of the instant left to the offer path or, if the run
-        # reached the horizon, of the last instant replayed.
-        at = len(record.grant_ue) - (m if t is None else 0)
-        self.note = self.note[:2] + (at,)
+        # The note of the instant left to the offer path.  At the horizon
+        # nothing is left: the horizon is a refresh, whose new epoch no
+        # note matches, or the chain's end.
+        self.note = (None if t is None
+                     else self.note[:2] + (len(record.grant_ue),))
         return t, nxt
 
     # -- serving ------------------------------------------------------------
@@ -418,13 +513,17 @@ class _Run:
         horizon, sched = self.horizon(), self.sched
         slot_s, bits = self.slot_s, self.packet_bits
         size, record = self.packet_bytes, self.schedule
-        queues, credits = self.queues, self.credit_bits
+        queues, credits, cycle = self.queues, self.credit_bits, self.cycle
         rates = record.rates[-1]    # no refresh falls inside one slot event
+        if cycle is not None and rates != cycle.rates:
+            cycle.forget()  # a change of value, not of object, drops it
+            cycle.rates = rates
         add_packet, add_ue = record.served.append, record.grant_ue.append
         add_end, add_n = record.grant_end.append, record.grant_n.append
         share = None if self.is_nr else slot_s / sched.rb_count
         backlog, k = self.backlog_pkts, self.slot_index
         while True:
+            counts = None   # per grant: its UE and the packets it serves
             if share is None:
                 # A packet waits, so the round robin picks a UE; a link below
                 # the SNR floor (rate 0) idles its slot.
@@ -432,20 +531,30 @@ class _Run:
                 rate = rates[pick]
                 grants = ((pick, rate * slot_s),) if rate > 0.0 else ()
             else:
-                alloc = pf_schedule(sched, rates,
-                                    [len(q) * size for q in queues])
-                grants = [(i, rates[i] * share * rbs)
-                          for i, rbs in enumerate(alloc) if rbs]
+                lens = list(map(len, queues))
+                if cycle is not None:
+                    counts = cycle.take(lens)
+                if counts is None:
+                    alloc = pf_schedule(sched, rates, [n * size for n in lens])
+                    grants = [(i, rates[i] * share * rbs)
+                              for i, rbs in enumerate(alloc) if rbs]
+            if counts is None:
+                counts = []
+                for i, capacity in grants:
+                    credit, left, n = credits[i] + capacity, len(queues[i]), 0
+                    while n < left and credit >= bits:
+                        credit -= bits
+                        n += 1
+                    # Idle airtime: no bank.
+                    credits[i] = credit if n < left else 0.0
+                    counts.append((i, n))
+                if cycle is not None:
+                    cycle.note(lens, counts)
             slot_end = t + slot_s
-            for i, capacity in grants:
-                credit = credits[i] + capacity
-                queue = queues[i]
-                n = 0
-                while queue and credit >= bits:
-                    add_packet(queue.pop())
-                    credit -= bits
-                    n += 1
-                credits[i] = credit if queue else 0.0   # idle airtime: no bank
+            for i, n in counts:
+                pop = queues[i].pop
+                for _ in range(n):
+                    add_packet(pop())
                 backlog -= n
                 add_ue(i)
                 add_end(slot_end)
@@ -491,10 +600,11 @@ class _Run:
     def _outcomes(self, schedule: _Schedule) -> RunResult:
         """Every outcome of *schedule*, in grant order: an NR grant draws its
         outage, then each packet its HARQ result, with its epoch's HARQ
-        tables from this run's link state; a packet is delivered (to its
-        flow's sink, in seq order) or dropped.  Each flow's ledger is built
-        once, from the schedule's tallies and the window packets' sums, added
-        in grant order."""
+        table from this run's link state, or in an outage the table at the
+        SNR less the outage penalty, built once per epoch and UE; a packet
+        is delivered (to its flow's sink, in seq order) or dropped.  Each
+        flow's ledger is built once, from the schedule's tallies and the
+        window packets' sums, added in grant order."""
         n_ues = len(self.queues)
         last_seq = [-1] * n_ues
         rx = [0] * n_ues
@@ -504,16 +614,20 @@ class _Run:
         harq, rng = self.harq, self.harq_rng
         core_s, first = self.core_s, schedule.first_seq
         outage = self.outage_rng.random if self.is_nr else None
-        p_out = self.p_out
+        p_out, fail_probs = self.p_out, harq.fail_probs
+        penalty = self.outage_penalty_db
         grants = zip(schedule.grant_ue, schedule.grant_end, schedule.grant_n)
         next_seq = iter(schedule.served).__next__
         instants = schedule.instants
         start = 0
         for table, end in zip(self.tables, schedule.epoch_end):
+            outage_tables = {}  # per UE, built at its first outage
             for i, slot_end, n in islice(grants, end - start):
-                probs, outage_probs = table[i]
+                probs, snr = table[i]
                 if outage is not None and outage() < p_out:
-                    probs = outage_probs
+                    if i not in outage_tables:
+                        outage_tables[i] = fail_probs(snr - penalty)
+                    probs = outage_tables[i]
                 while n:
                     n -= 1
                     seq = next_seq()

@@ -6,7 +6,8 @@ the bytes themselves.  Each config is a shortened version of its preset
 study on both RATs; scenario1 averages three replications, which pins the
 summation order of the replication mean and the delay std-dev.  One small
 config is traced on each RAT, which pins the event order of both slot
-chains.
+chains.  Two full-length LTE studies pin the replay of repeating LTE
+subframes, which the short configs never reach.
 
 A refactor must leave every digest unchanged.  A change that alters output
 on purpose updates the digests in the same commit and says why.  The
@@ -36,6 +37,19 @@ GOLDEN_CSV = {
         "b1a2579e2ecbbd90e1ee7976d05e739671aafc015b10eaf8e735d3021fa20010"),
 }
 
+# Full-length LTE studies.  The short runs above end long before the PF
+# averages settle, while these reach a cycle of PF scheduler state (period
+# 320 subframes at 20 UEs, 70 at 8 UEs, 1,380 at 1 Mb/s and 640 at 4 Mb/s),
+# which untraced runs replay.
+GOLDEN_LTE_CYCLE_CSV = {
+    "scenario1": (
+        "preset=scenario1\nrats=lte\nsweep=8,20\nreplications=2\n",
+        "194160405ba2c3ee6d06056f5e595f03b7edd40b571de89c44a682e4f0bad0c2"),
+    "scenario2": (
+        "preset=scenario2\nrats=lte\nsweep=1,4\nreplications=2\n",
+        "c89a07811a15b2dcfc7cd59ee5a0381746caa350af59797cc4125cc2f4b6c9c6"),
+}
+
 TRACE_CONFIG = ("preset=custom\nsweep_variable=speed_kmh\nsweep=50\n"
                 "ue_count=3\nduration_s=0.6\nwarmup_s=0.1\ndrain_max_s=0.5\n"
                 "replications=1\nseed_base=7\n")
@@ -57,6 +71,14 @@ def test_preset_csv_digest(preset, tmp_path):
     cfg = parse_config(text + SHORT)
     path = tmp_path / f"{preset}.csv"
     export_csv(run_scenario(cfg), str(path))
+    assert _sha256(path) == digest, path.read_text()
+
+
+@pytest.mark.parametrize("preset", sorted(GOLDEN_LTE_CYCLE_CSV))
+def test_full_length_lte_csv_digest(preset, tmp_path):
+    text, digest = GOLDEN_LTE_CYCLE_CSV[preset]
+    path = tmp_path / f"{preset}_lte.csv"
+    export_csv(run_scenario(parse_config(text)), str(path))
     assert _sha256(path) == digest, path.read_text()
 
 

@@ -1169,8 +1169,10 @@ def test_a_burst_of_slots_equals_one_event_per_slot(rat, ue_count, mbps,
                                                     duration, seed):
     # An untraced run serves back-to-back slots in one event, and replays
     # a repeating NR instant with no scheduler call; a traced run has one
-    # event and one scheduler call per slot.  LTE never replays, so its
-    # untraced run makes one PF call per slot too.
+    # event and one scheduler call per slot.  At the default PF window of
+    # 100 subframes the PF averages take thousands of subframes to settle,
+    # so a run this short never replays an LTE subframe: its untraced run
+    # makes one PF call per slot too.
     cfg = _small_cfg(rat, ue_count, mbps, size, duration, seed, app_start,
                      queue)
     (plain, plain_record, bursts), (traced, traced_record, slots) = (
@@ -1353,3 +1355,99 @@ def test_a_replaying_run_records_what_a_traced_one_does(rat, ue_count,
             _untraced_and_traced(cfg, rat))
     assert plain == traced
     assert _differing_columns(plain_record, traced_record) == []
+
+
+def _lte_runs_agree(cfg):
+    """Run *cfg* on LTE untraced and traced, check that the two record the
+    same, and return the untraced run's PF calls, the subframes served and
+    the record."""
+    (plain, plain_record, bursts), (traced, traced_record, slots) = (
+        _untraced_and_traced(cfg, "lte"))
+    assert plain == traced
+    assert _differing_columns(plain_record, traced_record) == []
+    # A traced run has one event, and one PF call, per subframe.
+    assert slots["pf_schedule"] == slots["_slot"]
+    assert bursts["pf_schedule"] <= slots["pf_schedule"]
+    return bursts["pf_schedule"], slots["pf_schedule"], plain_record
+
+
+# LTE cells whose PF state cycles within about a hundred subframes: a PF
+# window of 2 subframes settles the averages after about 60 of them.
+# Saturated cells take 675 B packets every 1 ms, 8 RBs' worth of bits per
+# packet, so the carried credits cycle too.  Each case keeps its cycle or
+# then breaks it in one way: (Mb/s, packet bytes, UEs, queue capacity,
+# duration, drain window, further config lines).
+_SATURATED = (5.4, 675, 4, 10)
+_LTE_CYCLES = {
+    "saturated": (*_SATURATED, 0.3, 0.05, ""),
+    "idle subframes": (1.0, 1000, 2, 100, 0.3, 0.05, ""),
+    # The arrivals stop at 0.2 s: the queues drain, and no later
+    # subframe repeats the cycle.
+    "app stop": (*_SATURATED, 0.3, 0.05, "traffic.app_stop_s=0.2\n"),
+    # The queues drain after the measured window.
+    "drain": (*_SATURATED, 0.2, 0.2, ""),
+    # Moving UEs at the rate cap: every epoch's rates are a new tuple of
+    # the same values, which keeps the cycle.
+    "moving, capped": (*_SATURATED, 0.3, 0.05, "mobility.speed_kmh=30\n"),
+    # Weak links at the corridor's end: the rates change with every
+    # refresh, which drops the cycle, and the search starts again.
+    "moving, rates change": (2.7, 675, 2, 100, 0.25, 0.05,
+                             "mobility.speed_kmh=120\n"
+                             "mobility.placement=uniform:170,200\n"
+                             "radio.lte.tx_power_dbm=-4\n"),
+    "queue of one": (5.4, 675, 3, 1, 0.3, 0.05, ""),
+}
+
+
+def _lte_cycle_cfg(case):
+    mbps, size, ue_count, queue, duration, drain, extra = _LTE_CYCLES[case]
+    return _small_cfg("lte", ue_count, mbps, size, duration, 1, queue=queue,
+                      drain=drain, extra="phy.lte.pf_window=2\n" + extra)
+
+
+@pytest.mark.parametrize("case", sorted(_LTE_CYCLES))
+def test_an_lte_run_replays_a_cycle_of_scheduler_state(case):
+    pf_calls, subframes, record = _lte_runs_agree(_lte_cycle_cfg(case))
+    assert pf_calls < subframes
+    assert (len(set(record.rates)) > 1) == (case == "moving, rates change")
+
+
+def test_equal_rates_in_a_new_epoch_keep_the_cycle():
+    # Rates are compared by value: the moving UEs' capped rates, a new
+    # tuple at every refresh, schedule the subframes the static UEs' do.
+    static, moving = (_lte_runs_agree(_lte_cycle_cfg(case))
+                      for case in ("saturated", "moving, capped"))
+    assert static[:2] == moving[:2]
+
+
+@settings(max_examples=60, deadline=None)
+@given(ue_count=st.integers(1, 6), traffic=_TRAFFIC, queue=st.integers(1, 100),
+       window=st.integers(1, 8), app_start=_ON_OR_OFF_THE_SLOT_GRID,
+       app_for=st.one_of(st.none(), st.floats(0.02, 0.3)),
+       duration=st.floats(0.1, 0.45), drain=st.sampled_from([0.0, 0.05]),
+       speed=st.sampled_from([0.0, 30.0, 120.0]),
+       tx_power=st.sampled_from([None, -4.0, 0.0]),
+       seed=st.integers(1, 10_000))
+# One UE with a queue of one and a PF window of 1, and a packet every
+# 1.46 ms: the state repeats after 2 or 3 subframes while the arrivals do
+# not, so some recorded periods do not close and are dropped, and replays
+# break and resume by full state.  Its rates change at every refresh.
+@example(ue_count=1, traffic=(8.192, 1500), queue=1, window=1, app_start=0.0,
+         app_for=None, duration=0.25, drain=0.0, speed=120.0, tx_power=-4.0,
+         seed=1)
+def test_a_replaying_lte_run_records_what_a_traced_one_does(
+        ue_count, traffic, queue, window, app_start, app_for, duration,
+        drain, speed, tx_power, seed):
+    # An untraced LTE run replays each subframe whose PF state repeats a
+    # learned cycle's; a traced run never does.  With a *tx_power* the UEs
+    # sit at the corridor's end, where a weak link leaves the rate cap, so
+    # moving UEs change rate from one refresh epoch to the next.
+    mbps, size = traffic
+    extra = f"phy.lte.pf_window={window}\nmobility.speed_kmh={speed!r}\n"
+    if app_for is not None:
+        extra += f"traffic.app_stop_s={app_start + app_for!r}\n"
+    if tx_power is not None:
+        extra += ("mobility.placement=uniform:170,200\n"
+                  f"radio.lte.tx_power_dbm={tx_power!r}\n")
+    _lte_runs_agree(_small_cfg("lte", ue_count, mbps, size, duration, seed,
+                               app_start, queue, drain, extra))
