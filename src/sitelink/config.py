@@ -17,7 +17,10 @@ from typing import Optional
 
 from .channel import LteRadio, NrRadio
 from .phymac import LtePhy, NrPhy
-from .traffic import VideoStream
+
+# The most events one chain of one run may ask for.  A clock that cannot
+# move asks for over 2**50, so this policy also rejects every endless run.
+WORK_BUDGET = 10**10
 
 # Per preset: the keys it fixes, and a sweep grid per sweep variable it has
 # one for; the first is the preset's own.  ``custom``, the default, fixes no
@@ -158,10 +161,11 @@ class ScenarioConfig:
                 if isinstance(v, float) and not math.isfinite(v)]
         # A sweep value is legal exactly when the point it sets builds.  The
         # points are built from finite values only, so never from int(nan).
-        if not errs and self.sweep_variable in SWEEP_VARIABLES:
+        finite, points = not errs, []
+        if finite and self.sweep_variable in SWEEP_VARIABLES:
             for value in self.sweep:
                 try:
-                    self._swept(value)
+                    points.append((value, self._swept(value)))
                 except ValueError as exc:
                     errs.append(f"sweep: {value!r} does not build ({exc})")
         rats, sweep, duration, warmup = (self.rats, self.sweep,
@@ -169,10 +173,6 @@ class ScenarioConfig:
         start, stop = self.traffic.app_start_s, self.traffic.app_stop_s
         corridor_max, nr_range = (self.mobility.corridor_max_m,
                                   self.radio_nr.mmwave.max_range_m)
-        # The NR refresh chain steps t + beam_refresh_s up to the last
-        # instant; a step below that instant's ulp may leave t where it is.
-        refresh = self.radio_nr.beam_refresh_s
-        last = duration + self.drain_max_s
         rules = (
             (self.preset not in PRESET_NAMES, f"preset: expected one of "
              f"{PRESET_NAMES}, got {self.preset!r}"),
@@ -194,10 +194,7 @@ class ScenarioConfig:
             ("nr" in rats and corridor_max > nr_range,
              f"mobility.corridor_max_m: {corridor_max} exceeds the mmWave "
              f"coverage range {nr_range}"),
-            ("nr" in rats and math.isfinite(last) and refresh < math.ulp(last),
-             f"radio.nr.beam_refresh_s: {refresh} is below one ulp of the "
-             f"last instant {last}, where the refresh clock would stop"),
-            (stall := self._stalled_grid(self.traffic), f"traffic.{stall}"),
+            (over := finite and self._over_budget(points), over),
         )
         errs += [msg for broken, msg in rules if broken]
         errs += [f"{name}: must be >= {low}, got {getattr(self, name)}"
@@ -217,27 +214,40 @@ class ScenarioConfig:
                     f"ue_count: must be a positive integer, got {value}")
             return {"ue_count": int(value)}
         if var == "offered_mbps":
-            traffic = replace(self.traffic, data_volume_mbps=value)
-            if stall := self._stalled_grid(traffic):
-                raise ValueError(stall)
-            return {"traffic": traffic}
+            return {"traffic": replace(self.traffic, data_volume_mbps=value)}
         if var == "speed_kmh":
             return {"mobility": replace(self.mobility, speed_kmh=value)}
         return {"mobility": replace(self.mobility,
                                     placement=repr(float(value)))}
 
-    def _stalled_grid(self, traffic: TrafficConfig) -> str:
-        """Why *traffic*'s CBR grid would not end in this study, or ''.  The
-        grid steps start + k * interval up to the app's stop instant; an
-        interval below that instant's ulp may leave the instant where it is.
-        """
-        mbps, stop = traffic.data_volume_mbps, self.app_stop_effective_s()
-        interval = VideoStream(0, mbps * 1e6,
-                               traffic.packet_size_bytes).interval_s
-        if math.isfinite(stop) and interval < math.ulp(stop):
-            return (f"data_volume_mbps: {mbps} puts packets {interval} s "
-                    f"apart, below one ulp of the app's stop instant {stop}")
-        return ""
+    def _over_budget(self, points: list[tuple[float, dict]]) -> str:
+        """The error of the first chain of a run asking for over WORK_BUDGET
+        events, or ''.  In order: slots of the finest RAT run over duration
+        and drain, named by the longer (the 0.1 s LTE refresh is coarser);
+        NR refresh events over that span; CBR offers of all UEs, named by
+        the rate at the study's own values, then by ``sweep`` at *points*."""
+        span, traffic = self.duration_s + self.drain_max_s, self.traffic
+        longer = max(("duration_s", "drain_max_s"), key=self.__getattribute__)
+        slot = min((getattr(self, f"phy_{rat}").slot_s for rat in ("lte", "nr")
+                    if rat in self.rats), default=math.inf)
+        refresh = self.radio_nr.beam_refresh_s
+        chains = [(longer, getattr(self, longer), span / slot, "slots"),
+                  ("radio.nr.beam_refresh_s", refresh, span / refresh
+                   if "nr" in self.rats else 0.0, "NR refresh events")]
+        window = self.app_stop_effective_s() - traffic.app_start_s
+        own = ("traffic.data_volume_mbps", traffic.data_volume_mbps, {})
+        for key, value, fields in (own, *(("sweep", *p) for p in points)):
+            # Every UE is offered a packet, so more UEs than the budget are
+            # over it; the cap keeps a huge UE count within a float's range.
+            ues = min(fields.get("ue_count", self.ue_count), WORK_BUDGET + 1)
+            tr = fields.get("traffic", traffic)
+            offers = ues * max(1.0, window * tr.data_volume_mbps * 1e6
+                               / (8 * tr.packet_size_bytes))
+            chains.append((key, value, offers, f"CBR offers of {ues} UEs"))
+        return next((f"{key}: {value!r} asks for {count:.3g} {what} in one "
+                     f"run, above the work budget of {WORK_BUDGET:.0e}"
+                     for key, value, count, what in chains
+                     if count > WORK_BUDGET), "")
 
     def at(self, value: float) -> "ScenarioConfig":
         """The study at one sweep point: the swept parameter set to *value*."""

@@ -138,8 +138,8 @@ def sweep_label(value: Optional[float]) -> str:
     return text[:-2] if text.endswith(".0") else text
 
 
-def _fmt(value) -> str:
-    return "" if value is None else format(value, ".6f")
+def _fmt(value, scale: float = 1.0) -> str:
+    return "" if value is None else format(value * scale, ".6f")
 
 
 def _start_distance(r: RunResult) -> Optional[float]:
@@ -147,19 +147,11 @@ def _start_distance(r: RunResult) -> Optional[float]:
 
 
 def result_row(r: RunResult, distance_column: bool = False) -> list[str]:
-    row = [
-        r.scenario,
-        r.rat,
-        str(r.ue_count),
-        sweep_label(r.offered_mbps_per_ue),
-        sweep_label(r.speed_kmh),
-        str(r.replications),
-        _fmt(r.throughput_bps / 1e6),
-        _fmt(r.loss_rate),
-        _fmt(None if r.mean_delay_s is None else r.mean_delay_s * 1e3),
-        _fmt(None if r.delay_stddev_s is None else r.delay_stddev_s * 1e3),
-        str(r.seed),
-    ]
+    row = [r.scenario, r.rat, str(r.ue_count),
+           sweep_label(r.offered_mbps_per_ue), sweep_label(r.speed_kmh),
+           str(r.replications), _fmt(r.throughput_bps / 1e6),
+           _fmt(r.loss_rate), _fmt(r.mean_delay_s, 1e3),
+           _fmt(r.delay_stddev_s, 1e3), str(r.seed)]
     if distance_column:
         row.append(sweep_label(_start_distance(r)))
     return row

@@ -52,8 +52,8 @@ then on the k-th subframe served after the recording tries snapshot k mod
 p: it is replayed, with real pops, if its queue lengths equal the
 snapshot's and either the subframe before it replayed the snapshot before,
 or its averages and credits equal those that snapshot left.  Any other
-subframe goes to ``pf_schedule``.  A change of the rates' value drops the
-period, and the search starts again.
+subframe goes to ``pf_schedule``.  Rates of a new value drop the period
+(``_Run._open_epoch``), and the search starts again.
 
 A run's state is numbers.  A UE is its index into the run's per-UE columns
 (queue, carried credit, start radius) and into each refresh epoch's notes
@@ -202,7 +202,6 @@ class _PfCycle:
 
     def __init__(self, avg: list[float], credits: list[float]):
         self.avg, self.credits = avg, credits
-        self.rates: Optional[tuple[float, ...]] = None
         self.forget()
 
     def forget(self) -> None:
@@ -395,6 +394,8 @@ class _Run:
                 tables.append((fail_probs(snr), snr))
                 rates.append(achievable_rate_bps(snr, self.radio, self.la))
             rates = tuple(rates)
+            if self.cycle and record.rates and rates != record.rates[-1]:
+                self.cycle.forget()     # the rates changed value
         record.epoch_t.append(t)
         record.rates.append(rates)
         self.tables.append(tables)
@@ -515,9 +516,6 @@ class _Run:
         size, record = self.packet_bytes, self.schedule
         queues, credits, cycle = self.queues, self.credit_bits, self.cycle
         rates = record.rates[-1]    # no refresh falls inside one slot event
-        if cycle is not None and rates != cycle.rates:
-            cycle.forget()  # a change of value, not of object, drops it
-            cycle.rates = rates
         add_packet, add_ue = record.served.append, record.grant_ue.append
         add_end, add_n = record.grant_end.append, record.grant_n.append
         share = None if self.is_nr else slot_s / sched.rb_count

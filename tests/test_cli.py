@@ -1,6 +1,7 @@
 """Command-line behaviour: run, validate, print-defaults, exit codes."""
 
 import csv
+import math
 import os
 import subprocess
 import sys
@@ -92,7 +93,13 @@ def test_validate_reports_a_non_finite_sweep_cleanly(tmp_path, capsys):
     ("traffic.data_volume_mbps=1e300\ntraffic.app_start_s=1\n",
      "traffic.data_volume_mbps"),
     ("preset=scenario2\nsweep=1e300\n", "sweep"),
-], ids=["rate", "swept-rate", "nr-refresh", "interval", "swept-interval"])
+    # Clocks that move, too slowly to finish: 2e15 CBR instants per UE,
+    # and 7e15 refreshes one ulp of the last instant (25 s) apart.
+    ("traffic.data_volume_mbps=1e12\n", "traffic.data_volume_mbps"),
+    (f"radio.nr.beam_refresh_s={math.ulp(25.0)!r}\n",
+     "radio.nr.beam_refresh_s"),
+], ids=["rate", "swept-rate", "nr-refresh", "interval", "swept-interval",
+        "slow-rate", "slow-nr-refresh"])
 def test_validate_rejects_a_config_whose_run_never_ends(tmp_path, capsys,
                                                         text, key):
     path = tmp_path / "endless.cfg"

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sitelink.config import (_SCHEMA, PRESET_NAMES, ConfigError,
+from sitelink.config import (_SCHEMA, PRESET_NAMES, WORK_BUDGET, ConfigError,
                              MobilityConfig, default_config, parse_config,
                              render_config)
 
@@ -234,6 +234,15 @@ _INVALID = [
     ("traffic.data_volume_mbps=1e300\ntraffic.app_start_s=1",
      "traffic.data_volume_mbps"),
     ("preset=scenario2\nsweep=1e300", "sweep"),
+    # Four whose clocks move but could not finish: 8e15 NR slots, 1e15 LTE
+    # subframes and 2e14 CBR instants per UE (the slots are named), a dead
+    # LTE link whose queues never drain in a 1e12 s drain window, and 1e9
+    # UEs at the study's own rate or at a swept UE count.
+    ("duration_s=1e12", "duration_s"),
+    ("rats=lte\nradio.lte.tx_power_dbm=-200\ndrain_max_s=1e12",
+     "drain_max_s"),
+    ("preset=scenario2\nue_count=1000000000", "traffic.data_volume_mbps"),
+    ("preset=scenario1\nsweep=1000000000", "sweep"),
 ]
 
 
@@ -245,29 +254,59 @@ def test_invalid_config_names_its_key(text, key):
     assert [err.split(":")[0] for err in exc.value.errors] == [key]
 
 
-def test_the_nr_refresh_period_must_move_the_last_instant():
-    # One ulp of the last instant (duration + drain) always advances the
-    # clock; half of one may not.  LTE never reads the NR period.
-    last = 20.0 + 5.0
-    ok = parse_config(f"radio.nr.beam_refresh_s={math.ulp(last)!r}")
-    assert last + ok.radio_nr.beam_refresh_s > last
-    with pytest.raises(ConfigError, match="^radio.nr.beam_refresh_s: "):
-        parse_config(f"radio.nr.beam_refresh_s={math.ulp(last) / 2!r}")
-    assert parse_config("rats=lte\nradio.nr.beam_refresh_s=1e-18")
+def _rejected_keys(text):
+    try:
+        parse_config(text)
+    except ConfigError as exc:
+        return [err.split(":")[0] for err in exc.errors]
+    return []
 
 
-def test_the_packet_interval_must_move_the_app_stop_instant():
-    # 1250 B packets: the rate whose interval is one ulp of 20 s, the
-    # default duration.  Half that rate passes and twice it fails.  An app
-    # that stops at 2 s, where the ulp is 8 times finer, passes at twice it.
-    mbps = 1250 * 8.0 / math.ulp(20.0) / 1e6
-    assert parse_config(f"traffic.data_volume_mbps={mbps / 2!r}")
-    with pytest.raises(ConfigError, match="^traffic.data_volume_mbps: "):
-        parse_config(f"traffic.data_volume_mbps={mbps * 2!r}")
-    assert parse_config(f"traffic.data_volume_mbps={mbps * 2!r}\n"
-                        "traffic.app_stop_s=2")
-    with pytest.raises(ConfigError, match="^sweep: "):
-        parse_config(f"preset=scenario2\nsweep=1,{mbps * 2!r}")
+def test_the_slots_of_a_run_are_bounded():
+    # An LTE subframe is 1 ms, so duration + drain = 1e7 s is the budget;
+    # one subframe more is over it, named by the longer of the two terms.
+    # The app stops at 2 s, so that the CBR offers stay far below it.
+    lte = "rats=lte\ntraffic.app_stop_s=2\n"
+    assert WORK_BUDGET == 10**10
+    assert _rejected_keys(lte + "duration_s=9999995") == []
+    assert _rejected_keys(lte + "duration_s=9999995.001") == ["duration_s"]
+    assert _rejected_keys(lte + "duration_s=3\ndrain_max_s=9999997") == []
+    assert _rejected_keys(lte + "duration_s=3\ndrain_max_s=9999997.001"
+                          ) == ["drain_max_s"]
+    # NR slots are 8 times finer.
+    assert _rejected_keys("rats=nr\ntraffic.app_stop_s=2\n"
+                          "duration_s=1249995") == []
+    assert _rejected_keys("rats=nr\ntraffic.app_stop_s=2\n"
+                          "duration_s=1249995.001") == ["duration_s"]
+
+
+def test_the_nr_refresh_events_of_a_run_are_bounded():
+    # duration + drain = 25 s: a refresh every 2.5 ns is the budget, and the
+    # next shorter period is over it.  LTE never reads the NR period.
+    assert _rejected_keys("rats=nr\nradio.nr.beam_refresh_s=2.5e-9") == []
+    shorter = math.nextafter(2.5e-9, 0.0)
+    assert _rejected_keys(f"rats=nr\nradio.nr.beam_refresh_s={shorter!r}"
+                          ) == ["radio.nr.beam_refresh_s"]
+    assert _rejected_keys("rats=lte\nradio.nr.beam_refresh_s=1e-18") == []
+
+
+def test_the_cbr_offers_of_a_run_are_bounded():
+    # One UE, 1250 B packets for 20 s: 5e6 Mb/s is the budget, and a rate
+    # that adds one offer is over it, named by the rate.
+    one = "ue_count=1\nsweep=1\n"
+    assert _rejected_keys(one + "traffic.data_volume_mbps=5e6") == []
+    assert _rejected_keys(one + "traffic.data_volume_mbps=5000000.0005"
+                          ) == ["traffic.data_volume_mbps"]
+    # An app that stops at 2 s asks for a tenth of the offers.
+    assert _rejected_keys(one + "traffic.data_volume_mbps=5e7\n"
+                          "traffic.app_stop_s=2") == []
+    # At 2 Mb/s, 2.5e6 UEs are the budget.  The point that passes it is
+    # named by sweep, however many points pass it.
+    assert _rejected_keys("preset=scenario1\nsweep=2500000") == []
+    assert _rejected_keys("preset=scenario1\nsweep=2,2500001,3000000"
+                          ) == ["sweep"]
+    assert _rejected_keys("preset=scenario2\nue_count=1\n"
+                          "sweep=1,5e6,5000000.0005") == ["sweep"]
 
 
 def test_replace_checks_the_study_rules():

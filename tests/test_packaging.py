@@ -6,6 +6,7 @@ import ast
 import glob
 import os
 import re
+import shutil
 import subprocess
 import sys
 
@@ -16,14 +17,14 @@ import sitelink
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def _probe(code: str) -> str:
-    """Run *code* in a fresh interpreter that imports sitelink from src/
-    and writes no bytecode (so nothing lands in bench/)."""
+def _probe(code: str, *args: str, python: str = sys.executable) -> str:
+    """Run *code* with *args* in a fresh *python* that imports sitelink from
+    src/ and writes no bytecode (so nothing lands in bench/)."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(sitelink.__file__)))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
-    return subprocess.run([sys.executable, "-B", "-c", code], env=env,
+    return subprocess.run([python, "-B", "-c", code, *args], env=env,
                           check=True, capture_output=True, text=True).stdout
 
 
@@ -115,3 +116,44 @@ def test_sources_parse_at_the_oldest_supported_python():
         with pytest.raises(SyntaxError):
             ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n",
                       feature_version=version)
+
+
+def _other_pythons() -> list[str]:
+    """Every python3.1x on PATH but the running version's that starts; a
+    pyenv shim for a version it does not have exits non-zero."""
+    found = []
+    for minor in range(10, 20):
+        path = shutil.which(f"python3.{minor}")
+        if path and (3, minor) != sys.version_info[:2] and subprocess.run(
+                [path, "-c", ""], capture_output=True,
+                timeout=60).returncode == 0:
+            found.append(path)
+    return found
+
+
+# A short study on both RATs, written as CSV and digested, then the work
+# bound's error for a run that could not finish.
+_STUDY = (
+    "import hashlib, sys, sitelink\n"
+    "cfg = sitelink.parse_config('preset=scenario3\\nrats=lte,nr\\n"
+    "sweep=0,45\\nduration_s=2\\nreplications=2')\n"
+    "sitelink.export_csv(sitelink.run_scenario(cfg), sys.argv[1])\n"
+    "with open(sys.argv[1], 'rb') as fh:\n"
+    "    print(hashlib.sha256(fh.read()).hexdigest())\n"
+    "try:\n"
+    "    sitelink.parse_config('traffic.data_volume_mbps=1e12')\n"
+    "except sitelink.ConfigError as exc:\n"
+    "    print(exc.errors)\n")
+
+
+def test_every_installed_python_gives_the_same_results(tmp_path):
+    # CI runs the suite on each supported version; this runs the package on
+    # each one installed here, which needs no pytest, before CI does.
+    others = _other_pythons()
+    if not others:
+        pytest.skip("no other python3.1x on PATH starts")
+    here = _probe(_STUDY, str(tmp_path / "here.csv"))
+    assert "work budget" in here
+    for python in others:
+        assert _probe(_STUDY, str(tmp_path / "there.csv"),
+                      python=python) == here, python

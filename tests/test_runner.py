@@ -1420,6 +1420,18 @@ def test_equal_rates_in_a_new_epoch_keep_the_cycle():
     assert static[:2] == moving[:2]
 
 
+def test_a_replay_that_misses_resumes_the_period():
+    # Eight saturated UEs at 8 Mb/s: a subframe whose state misses its
+    # snapshot breaks the replay, and a later one whose averages and credits
+    # equal those the snapshot before it left takes the period up again.
+    # Dropping the period at the first miss instead schedules every
+    # subframe of this run.
+    cfg = parse_config("preset=scenario2\nrats=lte\nsweep=8\nduration_s=3\n"
+                       "warmup_s=0.5\ndrain_max_s=0.5\nphy.lte.pf_window=2")
+    pf_calls, subframes, _ = _lte_runs_agree(cfg)
+    assert pf_calls <= 0.75 * subframes
+
+
 @settings(max_examples=60, deadline=None)
 @given(ue_count=st.integers(1, 6), traffic=_TRAFFIC, queue=st.integers(1, 100),
        window=st.integers(1, 8), app_start=_ON_OR_OFF_THE_SLOT_GRID,
