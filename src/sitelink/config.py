@@ -21,6 +21,14 @@ from .phymac import LtePhy, NrPhy
 # The most events one chain of one run may ask for.  A clock that cannot
 # move asks for over 2**50, so this policy also rejects every endless run.
 WORK_BUDGET = 10**10
+# The most per-UE steps one chain of one run may ask for: what the event
+# budget allows a cell of the default 8 UEs, whose every subframe or
+# refresh event takes one step per UE.
+UE_WORK_BUDGET = 8 * WORK_BUDGET
+
+# LTE channel-refresh period.  A static LTE UE draws no shadowing, so only a
+# moving UE's SNR changes between refreshes.
+LTE_REFRESH_S = 0.1
 
 # Per preset: the keys it fixes, and a sweep grid per sweep variable it has
 # one for; the first is the preset's own.  ``custom``, the default, fixes no
@@ -222,32 +230,55 @@ class ScenarioConfig:
 
     def _over_budget(self, points: list[tuple[float, dict]]) -> str:
         """The error of the first chain of a run asking for over WORK_BUDGET
-        events, or ''.  In order: slots of the finest RAT run over duration
-        and drain, named by the longer (the 0.1 s LTE refresh is coarser);
-        NR refresh events over that span; CBR offers of all UEs, named by
-        the rate at the study's own values, then by ``sweep`` at *points*."""
+        events, or UE_WORK_BUDGET per-UE steps, or ''.  In order: slots of
+        the finest RAT run over duration and drain, named by the longer (the
+        LTE refresh is coarser); NR refresh events over that span; CBR
+        offers of all UEs, named by the rate at the study's own values, then
+        by ``sweep`` at *points*; then, named by ``ue_count`` at the study's
+        own values and by ``sweep`` at *points*, every UE's queue length in
+        each LTE subframe over that span, and every UE's link state in each
+        refresh epoch of a RAT whose links can change."""
         span, traffic = self.duration_s + self.drain_max_s, self.traffic
         longer = max(("duration_s", "drain_max_s"), key=self.__getattribute__)
         slot = min((getattr(self, f"phy_{rat}").slot_s for rat in ("lte", "nr")
                     if rat in self.rats), default=math.inf)
         refresh = self.radio_nr.beam_refresh_s
-        chains = [(longer, getattr(self, longer), span / slot, "slots"),
+        chains = [(longer, getattr(self, longer), span / slot, "slots",
+                   WORK_BUDGET),
                   ("radio.nr.beam_refresh_s", refresh, span / refresh
-                   if "nr" in self.rats else 0.0, "NR refresh events")]
+                   if "nr" in self.rats else 0.0, "NR refresh events",
+                   WORK_BUDGET)]
         window = self.app_stop_effective_s() - traffic.app_start_s
         own = ("traffic.data_volume_mbps", traffic.data_volume_mbps, {})
-        for key, value, fields in (own, *(("sweep", *p) for p in points)):
+        sweep = [("sweep", *p) for p in points]
+        for key, value, fields in (own, *sweep):
             # Every UE is offered a packet, so more UEs than the budget are
             # over it; the cap keeps a huge UE count within a float's range.
             ues = min(fields.get("ue_count", self.ue_count), WORK_BUDGET + 1)
             tr = fields.get("traffic", traffic)
             offers = ues * max(1.0, window * tr.data_volume_mbps * 1e6
                                / (8 * tr.packet_size_bytes))
-            chains.append((key, value, offers, f"CBR offers of {ues} UEs"))
+            chains.append((key, value, offers, f"CBR offers of {ues} UEs",
+                           WORK_BUDGET))
+        subframes = (span / self.phy_lte.slot_s if "lte" in self.rats
+                     else 0.0)
+        for key, value, fields in (("ue_count", self.ue_count, {}), *sweep):
+            ues = min(fields.get("ue_count", self.ue_count), WORK_BUDGET + 1)
+            speed = fields.get("mobility", self.mobility).speed_kmh
+            # A RAT's links change between refreshes when its UEs move, or
+            # for NR when it draws shadowing.
+            epochs = max([span / period for rat, period, moves in (
+                ("lte", LTE_REFRESH_S, speed),
+                ("nr", refresh, speed or self.radio_nr.mmwave.sigma_db))
+                if rat in self.rats and moves], default=1.0)
+            chains += [(key, value, ues * subframes,
+                        f"UE-subframes of {ues} UEs", UE_WORK_BUDGET),
+                       (key, value, ues * epochs,
+                        f"UE link updates of {ues} UEs", UE_WORK_BUDGET)]
         return next((f"{key}: {value!r} asks for {count:.3g} {what} in one "
-                     f"run, above the work budget of {WORK_BUDGET:.0e}"
-                     for key, value, count, what in chains
-                     if count > WORK_BUDGET), "")
+                     f"run, above the work budget of {budget:.0e}"
+                     for key, value, count, what, budget in chains
+                     if count > budget), "")
 
     def at(self, value: float) -> "ScenarioConfig":
         """The study at one sweep point: the swept parameter set to *value*."""

@@ -186,6 +186,10 @@ class HarqProcess:
         return tuple(bler(snr_db + (k - 1) * gain, thr, steep)
                      for k in range(1, self.max_retx + 2))
 
+    def first_fail_prob(self, snr_db: float) -> float:
+        """``fail_probs(snr_db)[0]``, the first attempt's, alone: bler(snr)."""
+        return bler(snr_db, self.bler_threshold_db, self.bler_steepness_db)
+
 
 @dataclass(frozen=True)
 class _Phy:
@@ -252,3 +256,10 @@ def harq_transmit(fail_probs: Sequence[float], harq: HarqProcess,
         if draw() >= fail_probs[k]:
             return outcomes[k]
     return outcomes[-1]
+
+
+def first_draws_deliver(draws: Sequence[float], fail_prob: float) -> bool:
+    """Whether every packet whose first HARQ draw is one of *draws* is
+    delivered at once, by ``harq_transmit``'s first-draw rule, when no
+    packet's first-attempt failure probability exceeds *fail_prob*."""
+    return not draws or min(draws) >= fail_prob

@@ -57,8 +57,8 @@ subframe goes to ``pf_schedule``.  Rates of a new value drop the period
 
 A run's state is numbers.  A UE is its index into the run's per-UE columns
 (queue, carried credit, start radius) and into each refresh epoch's notes
-(rates, HARQ tables and SNRs), which ``_Run._open_epoch``, the one
-link-state function, writes.  Every UE shares the run's speed and shadowing
+(rates, first-attempt failure probabilities and SNRs), which
+``_Run._open_epoch``, the one link-state function, writes.  Every UE shares the run's speed and shadowing
 spread, so static links are a fact of the run, computed at epoch 0 and
 noted again.
 A packet is its seq, the index of its instant on the cell's one CBR grid,
@@ -76,6 +76,22 @@ first simulates its schedule (arrivals, queues, schedulers, shadowing) and
 then draws all its outcomes in one pass, ``_Run._outcomes``, in grant order
 and at each grant's epoch link state.  Each random stream sees the draws a
 single interleaved pass would make, in the same order.
+
+The outcome pass decides a refresh epoch at a time.  It takes the epoch's
+outage draws, one per NR grant, and its packets' first HARQ draws, one per
+packet, ahead, each stream through a C iterator over its own ``random``,
+which draws exactly the values taken.  The epoch is *clean* when no outage
+draw falls below ``p_out`` and no HARQ draw below the largest first-attempt
+failure probability among the epoch's served UEs: then ``harq_transmit``
+would deliver every packet at its first draw, which is all it would draw,
+and the epoch is decided without a call per packet, each delivery time by
+the same float operations.  Any other epoch goes, whole, to the
+per-packet loop, which reads the outage draws taken and a view of the
+HARQ stream that yields the draws taken and then the rest; after an
+outage, no HARQ draw is taken ahead.  Every packet takes at least one
+draw, so the loop uses up the draws taken ahead, and each stream ends
+where a per-packet pass leaves it.  Only that loop needs a full HARQ
+table, and it builds each at its first use in the epoch.
 
 An untraced full run's schedule becomes the process's record.  A later
 run whose schedule key matches the record's (RAT, UE count, traffic
@@ -123,26 +139,25 @@ import dataclasses
 import math
 import os
 from array import array
-from itertools import islice, takewhile
+from itertools import chain, islice, repeat, starmap, takewhile
+from operator import mul
+from types import SimpleNamespace
 from typing import Optional
 
 from .channel import nr_outage_probability, snr_db
-from .config import ScenarioConfig, render_config
+from .config import LTE_REFRESH_S, ScenarioConfig, render_config
 from .engine import Simulator, rng_stream
 from .metrics import (FlowStats, RunResult, aggregate_replications, finalize,
                       sweep_label)
 from .mobility import position_at
-from .phymac import (PfState, RrState, achievable_rate_bps, harq_transmit,
-                     nr_slot_schedule, pf_schedule)
+from .phymac import (PfState, RrState, achievable_rate_bps,
+                     first_draws_deliver, harq_transmit, nr_slot_schedule,
+                     pf_schedule)
 from .traffic import DropCause, FlowQueue, Sink, VideoStream, cbr_grid
 
 # Sweep points sit this far apart in seed space; within a sweep point the
 # replication seeds are seed_base + replication index.
 SWEEP_SEED_STRIDE = 1_000_003
-
-# LTE channel-refresh period.  A static LTE UE draws no shadowing, so only a
-# moving UE's SNR changes between refreshes.
-LTE_REFRESH_S = 0.1
 
 # The longest period of PF scheduler state an LTE run learns (see the module
 # notes).  A learned period keeps one snapshot per subframe, about 1.4 KB at
@@ -292,9 +307,8 @@ class _Run:
 
         # The schedule this run records, keyed by everything the schedule
         # reads besides the link state, and per refresh epoch every UE's
-        # HARQ table (per attempt, the failure probability at the
-        # link-adaptation SNR) and that SNR, from which the outcome pass
-        # builds an NR UE's table in a beam-tracking outage.
+        # first-attempt failure probability and link-adaptation SNR, from
+        # which the outcome pass builds the HARQ tables it needs.
         self.schedule = _Schedule(
             (rat, cfg.ue_count,
              dataclasses.replace(cfg.traffic, core_latency_ms=0.0),
@@ -302,7 +316,7 @@ class _Run:
              self.slot_s, None if self.is_nr else (phy.rb_count,
                                                    phy.pf_window)),
             cfg.ue_count)
-        self.tables: list[list[tuple]] = []
+        self.links: list[tuple[tuple[float, ...], tuple[float, ...]]] = []
 
         self.harq_rng = rng_stream("harq", seed)
         self.shadow_rng = rng_stream("shadowing", seed)
@@ -376,29 +390,29 @@ class _Run:
     def _open_epoch(self, t: float) -> None:
         """Compute every UE's link state at refresh instant *t*, in UE order
         with one shadowing draw each, and note the epoch: its rates go to the
-        schedule, its HARQ tables and SNRs to this run.  Static links (all
-        UEs share the run's speed and spread), once epoch 0 computed them,
-        are the last epoch's notes, noted again."""
+        schedule, its first-attempt failure probabilities and SNRs to this
+        run.  Static links (all UEs share the run's speed and spread), once
+        epoch 0 computed them, are the last epoch's notes, noted again."""
         record = self.schedule
-        if self.static_links and self.tables:
-            rates, tables = record.rates[-1], self.tables[-1]
+        if self.static_links and self.links:
+            rates, links = record.rates[-1], self.links[-1]
         else:
-            fail_probs = self.harq.fail_probs
-            rates, tables = [], []
+            rates, snrs = [], []
             for r0 in self.r0:
                 d = position_at(r0, self.mobility, t)
                 shadow = (self.shadow_rng.gauss(0.0, self.shadow_sigma)
                           if self.shadow_sigma else 0.0)
                 snr = snr_db(self.radio, d, penalties_db=self.lte_penalty_db,
                              shadow_db=shadow)
-                tables.append((fail_probs(snr), snr))
+                snrs.append(snr)
                 rates.append(achievable_rate_bps(snr, self.radio, self.la))
             rates = tuple(rates)
+            links = (tuple(map(self.harq.first_fail_prob, snrs)), tuple(snrs))
             if self.cycle and record.rates and rates != record.rates[-1]:
                 self.cycle.forget()     # the rates changed value
         record.epoch_t.append(t)
         record.rates.append(rates)
-        self.tables.append(tables)
+        self.links.append(links)
 
     def _close_epoch(self) -> None:
         self.schedule.epoch_end.append(len(self.schedule.grant_ue))
@@ -596,10 +610,10 @@ class _Run:
         return self._outcomes(schedule)
 
     def _outcomes(self, schedule: _Schedule) -> RunResult:
-        """Every outcome of *schedule*, in grant order: an NR grant draws its
-        outage, then each packet its HARQ result, with its epoch's HARQ
-        table from this run's link state, or in an outage the table at the
-        SNR less the outage penalty, built once per epoch and UE; a packet
+        """Every outcome of *schedule*, in grant order, a refresh epoch at a
+        time (see the module notes): an NR grant draws its outage, then each
+        packet its HARQ result, with the HARQ table at its UE's SNR in the
+        epoch, or in an outage at that SNR less the outage penalty; a packet
         is delivered (to its flow's sink, in seq order) or dropped.  Each
         flow's ledger is built once, from the schedule's tallies and the
         window packets' sums, added in grant order."""
@@ -609,23 +623,65 @@ class _Run:
         delay = [0.0] * n_ues
         lost = [0] * n_ues
         transmit = harq_transmit
-        harq, rng = self.harq, self.harq_rng
+        harq, is_nr = self.harq, self.is_nr
         core_s, first = self.core_s, schedule.first_seq
-        outage = self.outage_rng.random if self.is_nr else None
         p_out, fail_probs = self.p_out, harq.fail_probs
         penalty = self.outage_penalty_db
-        grants = zip(schedule.grant_ue, schedule.grant_end, schedule.grant_n)
-        next_seq = iter(schedule.served).__next__
+        at_once = harq.outcomes[0].added_delay_s
+        # Each stream through a C iterator over its own ``random``: it draws
+        # exactly the values taken, in order.
+        outages = starmap(self.outage_rng.random, repeat(()))
+        draws = starmap(self.harq_rng.random, repeat(()))
+        grant_ue, grant_end = schedule.grant_ue, schedule.grant_end
+        grant_n, served = schedule.grant_n, schedule.served
         instants = schedule.instants
-        start = 0
-        for table, end in zip(self.tables, schedule.epoch_end):
-            outage_tables = {}  # per UE, built at its first outage
-            for i, slot_end, n in islice(grants, end - start):
-                probs, snr = table[i]
-                if outage is not None and outage() < p_out:
-                    if i not in outage_tables:
-                        outage_tables[i] = fail_probs(snr - penalty)
-                    probs = outage_tables[i]
+        start = at = 0      # the epoch's first grant and first packet
+        for (fail_first, snrs), end in zip(self.links, schedule.epoch_end):
+            ues, ends, counts = (grant_ue[start:end], grant_end[start:end],
+                                 grant_n[start:end])
+            packets = sum(counts)
+            seqs = served[at:at + packets]
+            start, at = end, at + packets
+            hits = list(islice(outages, len(ues))) if is_nr else ()
+            # An outage sends the epoch packet by packet before any HARQ
+            # draw is taken.
+            ahead = (list(islice(draws, packets))
+                     if not hits or min(hits) >= p_out else None)
+            if ahead is not None and first_draws_deliver(
+                    ahead, max(map(fail_first.__getitem__, set(ues)),
+                               default=0.0)):
+                # The epoch is clean: every packet is a first-attempt
+                # delivery.  Unless every grant serves one packet, repeat
+                # each grant's UE and slot end once per packet.
+                if packets != len(ues) or 0 in counts:
+                    ues = chain.from_iterable(map(mul, zip(ues), counts))
+                    ends = chain.from_iterable(map(mul, zip(ends), counts))
+                for i, slot_end, seq in zip(ues, ends, seqs):
+                    created = instants[seq]
+                    t_rx = slot_end + at_once + core_s
+                    if t_rx < created or seq <= last_seq[i]:
+                        # The delivery breaks the sink rule: this raises.
+                        Sink(i, last_seq[i]).receive(seq, created, t_rx)
+                    last_seq[i] = seq
+                    if seq >= first:
+                        rx[i] += 1
+                        delay[i] += t_rx - created
+                continue
+            # The stream as the packets see it: the draws taken ahead, if
+            # any, then the rest.  Every packet takes at least one draw, so
+            # the epoch uses up the draws taken ahead.
+            rng = (self.harq_rng if ahead is None else
+                   SimpleNamespace(random=chain(ahead, draws).__next__))
+            hit, next_seq = iter(hits).__next__, iter(seqs).__next__
+            # Per UE i, its table at index i and its table in an outage at
+            # index ~i, from the end; each built at its first use.
+            tables = [None] * (2 * n_ues)
+            for i, slot_end, n in zip(ues, ends, counts):
+                key = ~i if is_nr and hit() < p_out else i
+                probs = tables[key]
+                if probs is None:
+                    probs = tables[key] = fail_probs(
+                        snrs[i] - penalty if key < 0 else snrs[i])
                 while n:
                     n -= 1
                     seq = next_seq()
@@ -642,7 +698,6 @@ class _Run:
                             delay[i] += t_rx - created
                     elif seq >= first:
                         lost[i] += 1
-            start = end
         flows = []
         for i in range(n_ues):
             drops = {cause.value: n for cause, n in (

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sitelink.config import (_SCHEMA, PRESET_NAMES, WORK_BUDGET, ConfigError,
-                             MobilityConfig, default_config, parse_config,
-                             render_config)
+from sitelink.config import (_SCHEMA, PRESET_NAMES, UE_WORK_BUDGET,
+                             WORK_BUDGET, ConfigError, MobilityConfig,
+                             default_config, parse_config, render_config)
 
 
 def test_minimal_preset_expands_to_full_scenario1():
@@ -243,6 +243,13 @@ _INVALID = [
      "drain_max_s"),
     ("preset=scenario2\nue_count=1000000000", "traffic.data_volume_mbps"),
     ("preset=scenario1\nsweep=1000000000", "sweep"),
+    # Two whose offers fit, since the app starts 1 ms before the end, but
+    # whose 1e9 UEs each take a step in every one of 25,000 LTE subframes:
+    # at the study's own UE count, and at a swept one.
+    ("preset=scenario3\nue_count=1000000000\ntraffic.app_start_s=19.999",
+     "ue_count"),
+    ("preset=scenario1\nrats=lte\nsweep=1000000000\n"
+     "traffic.app_start_s=19.999\nmobility.speed_kmh=0", "sweep"),
 ]
 
 
@@ -307,6 +314,28 @@ def test_the_cbr_offers_of_a_run_are_bounded():
                           ) == ["sweep"]
     assert _rejected_keys("preset=scenario2\nue_count=1\n"
                           "sweep=1,5e6,5000000.0005") == ["sweep"]
+
+
+def test_the_per_ue_work_of_a_run_is_bounded():
+    # A run of 25 s has 25,000 LTE subframes and 250 NR refresh epochs.  The
+    # app starts 1 ms before the end, so the offers stay far below the
+    # budget, and 8e10 per-UE steps are the budget.
+    assert UE_WORK_BUDGET == 8 * WORK_BUDGET
+    late = "traffic.app_start_s=19.999\n"
+    assert _rejected_keys(late + "rats=lte\nue_count=3200000") == []
+    assert _rejected_keys(late + "rats=lte\nue_count=3200001") == [
+        "ue_count"]
+    assert _rejected_keys(late + "rats=lte\nsweep=2,3200001") == ["sweep"]
+    # NR shadowing changes every link at every refresh epoch; static links
+    # are computed once.
+    assert _rejected_keys(late + "rats=nr\nue_count=320000000") == []
+    assert _rejected_keys(late + "rats=nr\nue_count=320000001") == [
+        "ue_count"]
+    assert _rejected_keys(late + "rats=nr\nue_count=320000001\n"
+                          "radio.nr.mmwave.sigma_db=0") == []
+    assert _rejected_keys(late + "rats=nr\nue_count=320000001\n"
+                          "radio.nr.mmwave.sigma_db=0\n"
+                          "mobility.speed_kmh=1") == ["ue_count"]
 
 
 def test_replace_checks_the_study_rules():

@@ -363,7 +363,7 @@ def test_static_lte_channel_is_time_invariant(monkeypatch):
     assert len(first) == run.cfg.ue_count and snrs == first
     assert len(run.schedule.rates) > 5
     assert all(rates == run.schedule.rates[0] for rates in run.schedule.rates)
-    assert all(tables == run.tables[0] for tables in run.tables)
+    assert all(links == run.links[0] for links in run.links)
 
 
 def test_arrivals_follow_the_cbr_grid():
@@ -1004,7 +1004,7 @@ def test_a_record_accounts_for_every_grant_and_epoch(rat, ue_count, duration,
     ends = list(record.epoch_end)
     assert all(a <= b for a, b in zip(ends, ends[1:]))
     assert ends[-1] == grants
-    assert (len(record.epoch_t) == len(record.rates) == len(run.tables)
+    assert (len(record.epoch_t) == len(record.rates) == len(run.links)
             == len(ends))
     window = sum(t >= warmup for t in cbr_emit_times(run.stream))
     assert record.created == window
