@@ -672,12 +672,14 @@ class _Run:
             # the epoch uses up the draws taken ahead.
             rng = (self.harq_rng if ahead is None else
                    SimpleNamespace(random=chain(ahead, draws).__next__))
-            hit, next_seq = iter(hits).__next__, iter(seqs).__next__
+            next_seq = iter(seqs).__next__
             # Per UE i, its table at index i and its table in an outage at
             # index ~i, from the end; each built at its first use.
             tables = [None] * (2 * n_ues)
-            for i, slot_end, n in zip(ues, ends, counts):
-                key = ~i if is_nr and hit() < p_out else i
+            # An LTE grant draws no outage: a draw of p_out never hits.
+            for i, slot_end, n, u in zip(ues, ends, counts,
+                                         hits if is_nr else repeat(p_out)):
+                key = ~i if u < p_out else i
                 probs = tables[key]
                 if probs is None:
                     probs = tables[key] = fail_probs(
