@@ -234,10 +234,10 @@ class ScenarioConfig:
         the finest RAT run over duration and drain, named by the longer (the
         LTE refresh is coarser); NR refresh events over that span; CBR
         offers of all UEs, named by the rate at the study's own values, then
-        by ``sweep`` at *points*; then, named by ``ue_count`` at the study's
-        own values and by ``sweep`` at *points*, every UE's queue length in
-        each LTE subframe over that span, and every UE's link state in each
-        refresh epoch of a RAT whose links can change."""
+        by ``sweep`` at *points*; then every UE's queue length in each LTE
+        subframe over that span, and every UE's link state in each refresh
+        epoch of a RAT whose links can change, at the study's own values and
+        then by ``sweep`` at *points*."""
         span, traffic = self.duration_s + self.drain_max_s, self.traffic
         longer = max(("duration_s", "drain_max_s"), key=self.__getattribute__)
         slot = min((getattr(self, f"phy_{rat}").slot_s for rat in ("lte", "nr")
@@ -262,7 +262,20 @@ class ScenarioConfig:
                            WORK_BUDGET))
         subframes = (span / self.phy_lte.slot_s if "lte" in self.rats
                      else 0.0)
-        for key, value, fields in (("ue_count", self.ue_count, {}), *sweep):
+        # At the study's own values, a per-UE chain is named by the factor
+        # furthest above its default: the UE count, the longer window, or
+        # the NR refresh period where NR links change.  Own values that pass
+        # leave a sweep point over budget by what the point sets.
+        cls, nr_moves = type(self), bool(self.mobility.speed_kmh
+                                         or self.radio_nr.mmwave.sigma_db)
+        grown = [("ue_count", self.ue_count, self.ue_count / cls.ue_count),
+                 (longer, getattr(self, longer),
+                  span / (cls.duration_s + cls.drain_max_s))]
+        if "nr" in self.rats and nr_moves:
+            grown.append(("radio.nr.beam_refresh_s", refresh,
+                          NrRadio.beam_refresh_s / refresh))
+        own = (*max(grown, key=lambda factor: factor[2])[:2], {})
+        for key, value, fields in (own, *sweep):
             ues = min(fields.get("ue_count", self.ue_count), WORK_BUDGET + 1)
             speed = fields.get("mobility", self.mobility).speed_kmh
             # A RAT's links change between refreshes when its UEs move, or

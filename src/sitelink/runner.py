@@ -58,9 +58,9 @@ subframe goes to ``pf_schedule``.  Rates of a new value drop the period
 A run's state is numbers.  A UE is its index into the run's per-UE columns
 (queue, carried credit, start radius) and into each refresh epoch's notes
 (rates, first-attempt failure probabilities and SNRs), which
-``_Run._open_epoch``, the one link-state function, writes.  Every UE shares the run's speed and shadowing
-spread, so static links are a fact of the run, computed at epoch 0 and
-noted again.
+``_Run._open_epoch``, the one link-state function, writes.  Every UE shares
+the run's speed and shadowing spread, so static links are a fact of the
+run, computed at epoch 0 and noted again.
 A packet is its seq, the index of its instant on the cell's one CBR grid,
 whose time the schedule notes once per instant.
 
@@ -91,7 +91,13 @@ HARQ stream that yields the draws taken and then the rest; after an
 outage, no HARQ draw is taken ahead.  Every packet takes at least one
 draw, so the loop uses up the draws taken ahead, and each stream ends
 where a per-packet pass leaves it.  Only that loop needs a full HARQ
-table, and it builds each at its first use in the epoch.
+table, and it builds each at its first use in the epoch.  A finer
+fallback, bulk up to the first packet that is not a first-attempt
+delivery, measured slower on the scenario3 NR speed sweep and no faster on
+an 8-UE NR flood.  The bulk path restates phymac's own ``harq_transmit``,
+so a run whose module binds another callable there, such as a tracing
+wrapper or a test spy, hands that callable every packet, each grant's
+outage drawn just before its packets, as in one interleaved pass.
 
 An untraced full run's schedule becomes the process's record.  A later
 run whose schedule key matches the record's (RAT, UE count, traffic
@@ -154,6 +160,9 @@ from .phymac import (PfState, RrState, achievable_rate_bps,
                      first_draws_deliver, harq_transmit, nr_slot_schedule,
                      pf_schedule)
 from .traffic import DropCause, FlowQueue, Sink, VideoStream, cbr_grid
+
+# The attempt rule whose first draw the outcome pass may decide in bulk.
+_PHYMAC_TRANSMIT = harq_transmit
 
 # Sweep points sit this far apart in seed space; within a sweep point the
 # replication seeds are seed_base + replication index.
@@ -622,7 +631,11 @@ class _Run:
         rx = [0] * n_ues
         delay = [0.0] * n_ues
         lost = [0] * n_ues
+        # The bulk path restates phymac's attempt rule, so only with phymac's
+        # own harq_transmit; another callable bound here (a wrapper or a
+        # spy) is handed every packet.
         transmit = harq_transmit
+        bulk = transmit is _PHYMAC_TRANSMIT
         harq, is_nr = self.harq, self.is_nr
         core_s, first = self.core_s, schedule.first_seq
         p_out, fail_probs = self.p_out, harq.fail_probs
@@ -635,6 +648,7 @@ class _Run:
         grant_ue, grant_end = schedule.grant_ue, schedule.grant_end
         grant_n, served = schedule.grant_n, schedule.served
         instants = schedule.instants
+
         start = at = 0      # the epoch's first grant and first packet
         for (fail_first, snrs), end in zip(self.links, schedule.epoch_end):
             ues, ends, counts = (grant_ue[start:end], grant_end[start:end],
@@ -642,17 +656,21 @@ class _Run:
             packets = sum(counts)
             seqs = served[at:at + packets]
             start, at = end, at + packets
-            hits = list(islice(outages, len(ues))) if is_nr else ()
+            # An LTE grant draws no outage: a draw of p_out never hits.
+            # Without the bulk path, each outage is drawn as its grant comes.
+            hits = ((list(islice(outages, len(ues))) if bulk else outages)
+                    if is_nr else repeat(p_out))
             # An outage sends the epoch packet by packet before any HARQ
             # draw is taken.
-            ahead = (list(islice(draws, packets))
-                     if not hits or min(hits) >= p_out else None)
+            ahead = (list(islice(draws, packets)) if bulk and (
+                not is_nr or min(hits, default=p_out) >= p_out) else None)
             if ahead is not None and first_draws_deliver(
                     ahead, max(map(fail_first.__getitem__, set(ues)),
                                default=0.0)):
                 # The epoch is clean: every packet is a first-attempt
-                # delivery.  Unless every grant serves one packet, repeat
-                # each grant's UE and slot end once per packet.
+                # delivery, at its grant's UE and slot end.  Repeating those
+                # per packet adds about half to a clean NR epoch's time, so
+                # it is done only where a grant does not serve one packet.
                 if packets != len(ues) or 0 in counts:
                     ues = chain.from_iterable(map(mul, zip(ues), counts))
                     ends = chain.from_iterable(map(mul, zip(ends), counts))
@@ -676,9 +694,7 @@ class _Run:
             # Per UE i, its table at index i and its table in an outage at
             # index ~i, from the end; each built at its first use.
             tables = [None] * (2 * n_ues)
-            # An LTE grant draws no outage: a draw of p_out never hits.
-            for i, slot_end, n, u in zip(ues, ends, counts,
-                                         hits if is_nr else repeat(p_out)):
+            for i, slot_end, n, u in zip(ues, ends, counts, hits):
                 key = ~i if u < p_out else i
                 probs = tables[key]
                 if probs is None:
@@ -689,10 +705,13 @@ class _Run:
                     seq = next_seq()
                     outcome = transmit(probs, harq, rng)
                     if outcome.delivered:
+                        # The clean loop's delivery rule, copied: feeding
+                        # both loops' deliveries through one loop measured
+                        # about 6% slower on epochs decided here.  Change
+                        # both together.
                         created = instants[seq]
                         t_rx = slot_end + outcome.added_delay_s + core_s
                         if t_rx < created or seq <= last_seq[i]:
-                            # The delivery breaks the sink rule: this raises.
                             Sink(i, last_seq[i]).receive(seq, created, t_rx)
                         last_seq[i] = seq
                         if seq >= first:

@@ -289,40 +289,28 @@ def _snr_calls(mp: pytest.MonkeyPatch) -> list[float]:
 def _served_slot_snr_cuts(speed_kmh: float, extra: str = "") -> list[float]:
     """Link-adaptation SNR minus transmit SNR of every served NR slot.
 
-    The outcome pass takes each refresh epoch's outage draws, one per served
-    slot, and then its packets' first HARQ draws.  An epoch that goes packet
-    by packet hands ``harq_transmit`` one HARQ table for all of a slot's
-    packets: the one at its UE's link-adaptation SNR, or in an outage the one
-    at that SNR less the configured depth.  An epoch that calls no
-    ``harq_transmit`` delivers every packet at its first attempt: none of its
-    slots may be in an outage, and each packet's first draw must clear the
-    table at its UE's link-adaptation SNR.  Each table and draw is checked
-    against the SNR it stands for, its UE's at the slot's refresh epoch, and
-    each slot against its outage draw.
+    The outcome pass draws each slot's outage and then hands ``harq_transmit``
+    one HARQ table for all the slot's packets: the one at its UE's
+    link-adaptation SNR, or in an outage the one at that SNR less the
+    configured depth.  Each table is checked against the SNR it stands for,
+    its UE's at the slot's refresh epoch, and against the slot's outage draw.
     """
     transmit = runner.harq_transmit
-    outages = []    # every outage draw, in order
-    # Keyed by the outage draws taken so far, which is where the epoch that
-    # makes them ends: the HARQ tables handed over and the HARQ draws made.
-    tables, draws = {}, {}
+    slots = []      # per outage draw: whether it hit, and the slot's tables
 
     def transmitting(fail_probs, harq, rng):
-        tables.setdefault(len(outages), []).append(fail_probs)
+        slots[-1][1].append(fail_probs)
         return transmit(fail_probs, harq, rng)
     with pytest.MonkeyPatch.context() as mp:
         snrs = _snr_calls(mp)
         run = _run_at_speed("nr", speed_kmh, extra)
-        draw_outage, draw_harq = run.outage_rng.random, run.harq_rng.random
+        draw = run.outage_rng.random
 
-        def drawing_outage():
-            outages.append(draw_outage())
-            return outages[-1]
-
-        def drawing_harq():
-            draws.setdefault(len(outages), []).append(draw_harq())
-            return draws[len(outages)][-1]
-        run.outage_rng.random = drawing_outage
-        run.harq_rng.random = drawing_harq
+        def drawing():
+            u = draw()
+            slots.append((u < run.p_out, []))
+            return u
+        run.outage_rng.random = drawing
         mp.setattr(runner, "harq_transmit", transmitting)
         run.execute()
     record = run.schedule
@@ -330,35 +318,23 @@ def _served_slot_snr_cuts(speed_kmh: float, extra: str = "") -> list[float]:
     # Shadowing redraws every NR link at every refresh epoch, so each epoch
     # computes every UE's SNR once, in UE order.
     assert len(snrs) == len(record.epoch_t) * n_ues
-    assert len(outages) == len(record.grant_ue)
+    epochs = [e for e, (a, b) in enumerate(zip([0, *record.epoch_end],
+                                                record.epoch_end))
+              for _ in range(b - a)]
+    assert len(slots) == len(record.grant_ue) == len(epochs)
     depth = run.cfg.radio_nr.outage_penalty_db
     fail = run.harq.fail_probs
     cuts = []
-    start = 0
-    for e, end in enumerate(record.epoch_end):
-        handed = tables.pop(end, [])
-        made = iter(draws.pop(end, []))
-        calls = iter(handed)
-        for g in range(start, end):
-            i, n = record.grant_ue[g], record.grant_n[g]
-            assert n, "a served NR slot carries at least one packet"
-            hit = outages[g] < run.p_out
-            snr = snrs[e * n_ues + i]
-            if handed:
-                fail_probs = next(calls)
-                assert all(next(calls) is fail_probs for _ in range(n - 1))
-                stands_for = {fail(snr): 0.0, fail(snr - depth): depth}
-                assert len(stands_for) == 2
-                cut = stands_for[fail_probs]
-            else:
-                assert all(next(made) >= fail(snr)[0] for _ in range(n))
-                cut = 0.0
-            assert (cut > 0.0) == hit
-            cuts.append(cut)
-        assert next(calls, None) is None
-        if not handed:
-            assert next(made, None) is None
-        start = end
+    for (hit, tables), i, e in zip(slots, record.grant_ue, epochs):
+        assert tables, "a served NR slot carries at least one packet"
+        fail_probs = tables[0]
+        assert all(table is fail_probs for table in tables)
+        snr = snrs[e * n_ues + i]
+        stands_for = {fail(snr): 0.0, fail(snr - depth): depth}
+        assert len(stands_for) == 2
+        cut = stands_for[fail_probs]
+        assert (cut > 0.0) == hit
+        cuts.append(cut)
     return cuts
 
 

@@ -336,6 +336,18 @@ def test_the_per_ue_work_of_a_run_is_bounded():
     assert _rejected_keys(late + "rats=nr\nue_count=320000001\n"
                           "radio.nr.mmwave.sigma_db=0\n"
                           "mobility.speed_kmh=1") == ["ue_count"]
+    # The factor furthest above its default names the chain: 20 UEs (8 by
+    # default) with a refresh every 5 ns (0.1 s) ask for 1e11 link updates,
+    # named by the refresh period, and 80 UEs over 1e6 s (25 s) for just
+    # over 8e10 UE-subframes, named by the duration.
+    assert _rejected_keys(late + "rats=nr\nue_count=20\n"
+                          "radio.nr.beam_refresh_s=5e-9") == [
+        "radio.nr.beam_refresh_s"]
+    assert _rejected_keys(late + "rats=nr\nue_count=16\n"
+                          "radio.nr.beam_refresh_s=5e-9") == []
+    slow = "rats=lte\ntraffic.app_stop_s=2\nduration_s=1000000\n"
+    assert _rejected_keys(slow + "ue_count=79") == []
+    assert _rejected_keys(slow + "ue_count=80") == ["duration_s"]
 
 
 def test_replace_checks_the_study_rules():

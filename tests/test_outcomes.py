@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from sitelink import runner
 from sitelink.config import parse_config
 from sitelink.metrics import FlowStats, RunResult, finalize
-from sitelink.phymac import harq_transmit
+from sitelink.phymac import first_draws_deliver, harq_transmit
 from sitelink.runner import SimulationError, _Run
 from sitelink.traffic import DropCause, Sink, cbr_emit_times
 
@@ -202,14 +202,17 @@ def test_bulk_epochs_equal_the_per_packet_oracle(rat, ues, speed, mbps,
 
 
 @pytest.mark.parametrize("rat", ["lte", "nr"])
-def test_clean_epochs_call_no_harq_transmit(monkeypatch, rat):
+def test_clean_epochs_are_decided_in_bulk(monkeypatch, rat):
     # At 0 km/h (p_out 1.3e-5) seed 2 draws no outage in its 1,352 NR
     # grants, and a threshold far below every link fails no first attempt:
-    # every epoch clears, no packet goes through harq_transmit, and the
+    # every epoch is judged clean, so none goes packet by packet, and the
     # result is the oracle's.
-    def transmit(*args):
-        raise AssertionError("a clean epoch went packet by packet")
-    monkeypatch.setattr(runner, "harq_transmit", transmit)
+    verdicts = []
+
+    def deliver(draws, fail_prob):
+        verdicts.append(first_draws_deliver(draws, fail_prob))
+        return verdicts[-1]
+    monkeypatch.setattr(runner, "first_draws_deliver", deliver)
     cfg = _study(rat, 4, 0.0, 6.0, 3.0, 3, 0.1, 2)
     runs = [_Run(cfg, rat, 0.0, 0, 2) for _ in range(2)]
     runs[1]._outcomes = lambda schedule: _per_packet_outcomes(runs[1],
@@ -217,3 +220,27 @@ def test_clean_epochs_call_no_harq_transmit(monkeypatch, rat):
     bulk, expected = (run.execute() for run in runs)
     assert bulk == expected and bulk.flows[0].rx_packets > 0
     assert runs[0].harq_rng.getstate() == runs[1].harq_rng.getstate()
+    assert len(verdicts) == len(runs[0].schedule.epoch_end)
+    assert all(verdicts)
+
+
+@pytest.mark.parametrize("rat", ["lte", "nr"])
+def test_a_substituted_harq_transmit_sees_every_packet(monkeypatch, rat):
+    # The bulk path restates phymac's harq_transmit alone: a wrapper bound
+    # in its place is called once per served packet, clean epochs included,
+    # and the run's result and streams are as before.
+    calls = []
+
+    def transmit(*args):
+        calls.append(harq_transmit(*args))
+        return calls[-1]
+    cfg = _study(rat, 4, 30.0, 6.0, 3.0, 3, 0.1, 2)
+    plain = _Run(cfg, rat, 30.0, 0, 2)
+    expected = plain.execute()
+    monkeypatch.setattr(runner, "harq_transmit", transmit)
+    run = _Run(cfg, rat, 30.0, 0, 2)
+    assert run.execute() == expected
+    assert len(calls) == sum(run.schedule.grant_n) > 0
+    for name in ("harq_rng", "outage_rng"):
+        assert (getattr(run, name).getstate()
+                == getattr(plain, name).getstate()), name

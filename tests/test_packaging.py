@@ -79,9 +79,7 @@ def test_bench_tracer_sees_every_run_boundary_called():
         "from tracer import SpanTracer\n"
         "tracer = SpanTracer(); tracer.install(sitelink)\n"
         "cfg = sitelink.parse_config('sweep=2\\nduration_s=0.3\\n"
-        "warmup_s=0.1\\ndrain_max_s=0.1\\nreplications=1\\n"
-        "phy.lte.harq.bler_threshold_db=45\\n"
-        "phy.nr.harq.bler_threshold_db=45')\n"
+        "warmup_s=0.1\\ndrain_max_s=0.1\\nreplications=1')\n"
         "for rat in ('lte', 'nr'):\n"
         "    sitelink.runner.run_single(cfg, rat, 0, 0)\n"
         "calls = {}\n"
