@@ -84,20 +84,21 @@ which draws exactly the values taken.  The epoch is *clean* when no outage
 draw falls below ``p_out`` and no HARQ draw below the largest first-attempt
 failure probability among the epoch's served UEs: then ``harq_transmit``
 would deliver every packet at its first draw, which is all it would draw,
-and the epoch is decided without a call per packet, each delivery time by
-the same float operations.  Any other epoch goes, whole, to the
-per-packet loop, which reads the outage draws taken and a view of the
-HARQ stream that yields the draws taken and then the rest; after an
-outage, no HARQ draw is taken ahead.  Every packet takes at least one
-draw, so the loop uses up the draws taken ahead, and each stream ends
-where a per-packet pass leaves it.  Only that loop needs a full HARQ
-table, and it builds each at its first use in the epoch.  A finer
-fallback, bulk up to the first packet that is not a first-attempt
-delivery, measured slower on the scenario3 NR speed sweep and no faster on
-an 8-UE NR flood.  The bulk path restates phymac's own ``harq_transmit``,
-so a run whose module binds another callable there, such as a tracing
-wrapper or a test spy, hands that callable every packet, each grant's
-outage drawn just before its packets, as in one interleaved pass.
+and the epoch's deliveries are found without a call per packet.  Any other
+epoch goes, whole, to the per-packet loop, which reads the outage draws
+taken and a view of the HARQ stream that yields the draws taken and then
+the rest; after an outage, no HARQ draw is taken ahead.  Every packet takes
+at least one draw, so each stream ends where a per-packet pass leaves it.
+That loop alone builds HARQ tables, each at its first use in the epoch; it
+counts the lost packets and lists the deliveries.  One loop then applies
+the delivery rule to either kind of epoch's deliveries: slot end plus HARQ
+delay plus core latency, the sink check and the window sums.  A finer
+fallback, bulk up to the first packet that is not a first-attempt delivery,
+measured slower on the scenario3 NR speed sweep and no faster on an 8-UE NR
+flood.  The bulk path restates phymac's own ``harq_transmit``, so a run
+whose module binds another callable there, such as a tracing wrapper or a
+test spy, hands that callable every packet, each grant's outage drawn just
+before its packets, as in one interleaved pass.
 
 An untraced full run's schedule becomes the process's record.  A later
 run whose schedule key matches the record's (RAT, UE count, traffic
@@ -191,12 +192,14 @@ class _Schedule:
     The rates are all of the link state that the schedule reads: the
     corridor rule keeps every link live, so no dead flag is kept.  Per
     grant: the UE, the slot end and the number of packets served; the
-    served seqs sit in one list, in grant order.  The small-int columns are
-    lists, which append fastest; the times sit in float arrays, which keep
-    no float object alive.  Per run: the packets each flow created in the
-    measured window, the seq of the window's first packet and, per UE, the
-    window packets that no outcome decides: those its full queue rejected
-    (``overflow``) and those left queued at drain time (``stranded``).
+    served seqs sit in one list, in grant order.  An LTE grant serves at
+    least one packet; an NR grant may serve none, as it draws its outage
+    either way.  The small-int columns are lists, which append fastest; the
+    times sit in float arrays, which keep no float object alive.  Per run:
+    the packets each flow created in the measured window, the seq of the
+    window's first packet and, per UE, the window packets that no outcome
+    decides: those its full queue rejected (``overflow``) and those left
+    queued at drain time (``stranded``).
     """
 
     __slots__ = ("key", "instants", "epoch_t", "epoch_end", "rates",
@@ -568,7 +571,8 @@ class _Run:
                         n += 1
                     # Idle airtime: no bank.
                     credits[i] = credit if n < left else 0.0
-                    counts.append((i, n))
+                    if n or share is None:  # an NR grant draws an outage
+                        counts.append((i, n))
                 if cycle is not None:
                     cycle.note(lens, counts)
             slot_end = t + slot_s
@@ -674,51 +678,45 @@ class _Run:
                 if packets != len(ues) or 0 in counts:
                     ues = chain.from_iterable(map(mul, zip(ues), counts))
                     ends = chain.from_iterable(map(mul, zip(ends), counts))
-                for i, slot_end, seq in zip(ues, ends, seqs):
-                    created = instants[seq]
-                    t_rx = slot_end + at_once + core_s
-                    if t_rx < created or seq <= last_seq[i]:
-                        # The delivery breaks the sink rule: this raises.
-                        Sink(i, last_seq[i]).receive(seq, created, t_rx)
-                    last_seq[i] = seq
-                    if seq >= first:
-                        rx[i] += 1
-                        delay[i] += t_rx - created
-                continue
-            # The stream as the packets see it: the draws taken ahead, if
-            # any, then the rest.  Every packet takes at least one draw, so
-            # the epoch uses up the draws taken ahead.
-            rng = (self.harq_rng if ahead is None else
-                   SimpleNamespace(random=chain(ahead, draws).__next__))
-            next_seq = iter(seqs).__next__
-            # Per UE i, its table at index i and its table in an outage at
-            # index ~i, from the end; each built at its first use.
-            tables = [None] * (2 * n_ues)
-            for i, slot_end, n, u in zip(ues, ends, counts, hits):
-                key = ~i if u < p_out else i
-                probs = tables[key]
-                if probs is None:
-                    probs = tables[key] = fail_probs(
-                        snrs[i] - penalty if key < 0 else snrs[i])
-                while n:
-                    n -= 1
-                    seq = next_seq()
-                    outcome = transmit(probs, harq, rng)
-                    if outcome.delivered:
-                        # The clean loop's delivery rule, copied: feeding
-                        # both loops' deliveries through one loop measured
-                        # about 6% slower on epochs decided here.  Change
-                        # both together.
-                        created = instants[seq]
-                        t_rx = slot_end + outcome.added_delay_s + core_s
-                        if t_rx < created or seq <= last_seq[i]:
-                            Sink(i, last_seq[i]).receive(seq, created, t_rx)
-                        last_seq[i] = seq
-                        if seq >= first:
-                            rx[i] += 1
-                            delay[i] += t_rx - created
-                    elif seq >= first:
-                        lost[i] += 1
+                deliveries = zip(ues, ends, seqs, repeat(at_once))
+            else:
+                # The stream as the packets see it: the draws taken ahead,
+                # if any, then the rest.  Every packet takes at least one
+                # draw, so the epoch uses up the draws taken ahead.
+                rng = (self.harq_rng if ahead is None else
+                       SimpleNamespace(random=chain(ahead, draws).__next__))
+                next_seq = iter(seqs).__next__
+                deliveries = []
+                # Per UE i, its table at index i and its table in an outage
+                # at index ~i, from the end; each built at its first use.
+                tables = [None] * (2 * n_ues)
+                for i, slot_end, n, u in zip(ues, ends, counts, hits):
+                    key = ~i if u < p_out else i
+                    probs = tables[key]
+                    if probs is None:
+                        probs = tables[key] = fail_probs(
+                            snrs[i] - penalty if key < 0 else snrs[i])
+                    while n:
+                        n -= 1
+                        seq = next_seq()
+                        outcome = transmit(probs, harq, rng)
+                        if outcome.delivered:
+                            deliveries.append(
+                                (i, slot_end, seq, outcome.added_delay_s))
+                        elif seq >= first:
+                            lost[i] += 1
+            # The delivery rule: each delivery at its slot end, HARQ delay
+            # and core latency, to its flow's sink, in seq order.
+            for i, slot_end, seq, extra in deliveries:
+                created = instants[seq]
+                t_rx = slot_end + extra + core_s
+                if t_rx < created or seq <= last_seq[i]:
+                    # The delivery breaks the sink rule: this raises.
+                    Sink(i, last_seq[i]).receive(seq, created, t_rx)
+                last_seq[i] = seq
+                if seq >= first:
+                    rx[i] += 1
+                    delay[i] += t_rx - created
         flows = []
         for i in range(n_ues):
             drops = {cause.value: n for cause, n in (

@@ -153,6 +153,13 @@ _WHERE = {"first": lambda a, b: a, "middle": lambda a, b: (a + b) // 2,
 # An LTE epoch whose packets number its grants, with empty grants among them.
 @example(rat="lte", ues=4, speed=0.0, mbps=4.0, threshold=20.0, retx=1,
          on_grid=True, seed=1, force=None)
+# Epochs decided per packet in which UE 1 (57.9 dB) loses packets and then
+# delivers later ones: a loss leaves its flow's last delivered seq as it is.
+@example(rat="nr", ues=2, speed=0.0, mbps=6.0, threshold=58.0, retx=0,
+         on_grid=True, seed=1, force=None)
+# One UE whose clean epochs come before and after the forced one.
+@example(rat="lte", ues=1, speed=0.0, mbps=6.0, threshold=20.0, retx=2,
+         on_grid=False, seed=1, force=("harq", "middle"))
 def test_bulk_epochs_equal_the_per_packet_oracle(rat, ues, speed, mbps,
                                                  threshold, retx, on_grid,
                                                  seed, force):

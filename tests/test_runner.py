@@ -9,6 +9,7 @@ import io
 import multiprocessing
 import os
 import tempfile
+from itertools import accumulate
 
 import pytest
 from hypothesis import example, given, settings
@@ -1022,6 +1023,17 @@ def test_a_record_accounts_for_every_grant_and_epoch(rat, ue_count, duration,
     assert all(a < b for mine in seqs for a, b in zip(mine, mine[1:]))
 
 
+def test_every_lte_grant_serves_a_packet():
+    # At 45 km/h the mobility penalty leaves some LTE grants short of one
+    # packet's worth of credit: 694 of this run's 3,322 scheduler grants
+    # serve none, and the record keeps the other 2,628.
+    cfg = parse_config("preset=scenario3\nrats=lte\nsweep=45\nduration_s=2\n")
+    run = _Run(cfg, "lte", 45.0, 0, derive_run_seed(cfg.seed_base, 0, 0))
+    run.execute()
+    record = run.schedule
+    assert len(record.grant_n) == 2_628 and 0 not in record.grant_n
+
+
 @pytest.mark.parametrize("rat, bler_threshold_db", [
     ("lte", 43.0), ("nr", 50.0)], ids=["lte", "nr"])
 def test_ledgers_ignore_packets_created_before_warmup(monkeypatch, rat,
@@ -1116,6 +1128,65 @@ def test_a_record_that_reorders_a_flow_fails_the_sink_check(rat):
     with pytest.raises(DuplicateDeliveryError,
                        match=f"flow 0 seq {seq} delivered after seq {seq + 1}"):
         run.reuse(record)
+
+
+@pytest.mark.parametrize("rat", ["lte", "nr"])
+def test_a_record_that_delivers_before_creation_fails_the_sink_check(rat):
+    # Move one grant's slot end a second before its first packet's
+    # creation: reusing the record delivers that packet before it exists.
+    cfg = _reuse_cfg(rat)
+    run = _Run(cfg, rat, 0.0, 0, derive_run_seed(cfg.seed_base, 0, 0))
+    run.execute()
+    record = run.schedule
+    grant = len(record.grant_n) // 2
+    while not record.grant_n[grant]:
+        grant += 1
+    seq = record.served[sum(record.grant_n[:grant])]
+    record.grant_end[grant] = record.instants[seq] - 1.0
+    run = _Run(cfg, rat, 0.0, 1, derive_run_seed(cfg.seed_base, 0, 1))
+    with pytest.raises(ValueError, match=(
+            f"flow {record.grant_ue[grant]} seq {seq} delivered at t=.* "
+            "before its creation")):
+        run.reuse(record)
+
+
+@pytest.mark.parametrize("rat, bler_threshold_db", [("lte", 56.0),
+                                                    ("nr", 51.5)])
+def test_a_reorder_in_an_epoch_decided_per_packet_fails_the_sink_check(
+        monkeypatch, rat, bler_threshold_db):
+    # As above, but each threshold sits about 1 dB below UE 0's link SNR
+    # (56.8 dB on LTE, 52.4 dB on NR): its first attempts fail about 30% of
+    # the time, so no epoch is clean and the swapped pair goes packet by
+    # packet, while its retries deliver it but for about 1 in 10^7.
+    cfg = _reuse_cfg(rat, ue_count=8, extra={
+        "traffic.data_volume_mbps": "20",
+        f"phy.{rat}.harq.bler_threshold_db": str(bler_threshold_db)})
+    run = _Run(cfg, rat, 0.0, 0, derive_run_seed(cfg.seed_base, 0, 0))
+    run.execute()
+    record = run.schedule
+    at, mine = 0, []    # UE 0's packets: (index in served, slot end)
+    for ue, slot_end, n in zip(record.grant_ue, record.grant_end,
+                               record.grant_n):
+        if ue == 0:
+            mine += [(k, slot_end) for k in range(at, at + n)]
+        at += n
+    served = record.served
+    first, second = next((a, b) for (a, end), (b, _) in zip(mine, mine[1:])
+                         if record.instants[served[b]] <= end)
+    seq = served[first]
+    served[first], served[second] = served[second], served[first]
+    verdicts = []
+    _counting(monkeypatch, "first_draws_deliver", {"first_draws_deliver": 0},
+              returns=verdicts)
+    run = _Run(cfg, rat, 0.0, 1, derive_run_seed(cfg.seed_base, 0, 1))
+    with pytest.raises(DuplicateDeliveryError,
+                       match=f"flow 0 seq {seq} delivered after seq {seq + 1}"):
+        run.reuse(record)
+    # Every epoch up to the pair's was judged, and none was clean.
+    packets = list(accumulate(record.grant_n))
+    epoch = next(e for e, end in enumerate(record.epoch_end)
+                 if end and packets[end - 1] > second)
+    assert len(verdicts) == epoch + 1 and not any(verdicts)
 
 
 # NR slots are 0.125 ms: a start on that grid puts every arrival of a CBR
